@@ -24,13 +24,10 @@ from .geometry import (
     StarShaped2D,
     VolumeQuadrature,
     as_point,
-    boundary_rule,
-    closest_boundary_approach,
     composite_volume_rule,
     volume_rule,
 )
 from .kernel import (
-    FundamentalSolution,
     fundamental_gradient,
     fundamental_solution,
     normal_derivative,
@@ -55,7 +52,6 @@ from .representations import (
     check_fig,
     check_green_riemann,
     check_grr,
-    check_grr_and_green_riemann,
     check_rp,
 )
 
@@ -68,7 +64,6 @@ __all__ = [
     "DirichletSolution",
     "Domain",
     "Field1D",
-    "FundamentalSolution",
     "IdentityReport",
     "LayerEvaluation",
     "LebesgueExponent",
@@ -78,7 +73,6 @@ __all__ = [
     "VolumeQuadrature",
     "as_point",
     "boundary_limit_zeta",
-    "boundary_rule",
     "catalog",
     "check_ball_corollaries",
     "check_c2_exterior",
@@ -87,9 +81,7 @@ __all__ = [
     "check_fig",
     "check_green_riemann",
     "check_grr",
-    "check_grr_and_green_riemann",
     "check_rp",
-    "closest_boundary_approach",
     "composite_volume_rule",
     "dirichlet_chi",
     "double_layer",

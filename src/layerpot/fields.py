@@ -27,7 +27,7 @@ from .errors import (
     SingularityError,
 )
 from .geometry import EXTERIOR, Ball, Domain, as_point, composite_volume_rule
-from .kernel import sphere_area
+from .kernel import _as_batch, sphere_area
 
 #: Cap on the size of the singular family carried by one field.
 MAX_SINGULAR_POINTS = 16
@@ -63,15 +63,6 @@ class LebesgueExponent:
     def require_above_dimension(self, dim: int) -> None:
         if not (self.value > dim):
             raise ExponentError(f"this context needs p > N = {dim}, got p = {self.value}")
-
-
-def _as_batch(x, dim=None):
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    arr = np.atleast_2d(arr)
-    if dim is not None and arr.shape[1] != dim:
-        raise DimensionError(f"expected points of dimension {dim}, got shape {arr.shape}")
-    return arr, single
 
 
 @dataclass(frozen=True)
@@ -136,10 +127,6 @@ class ScalarField:
 
     def singular_arrays(self) -> list[np.ndarray]:
         return [np.asarray(a, dtype=float) for a in self.singular_points]
-
-    def is_singular_at(self, y, tol: float = 1e-12) -> bool:
-        y = np.asarray(y, dtype=float)
-        return any(np.linalg.norm(y - a) <= tol for a in self.singular_arrays())
 
     @property
     def is_smooth(self) -> bool:
@@ -461,42 +448,34 @@ def grad_norm(field: ScalarField, domain: Domain, p, order: int = 64) -> float:
 
 
 def _gradient_adapted_rule(field: ScalarField, domain: Domain, order: int, power_scale: float = 1.0):
-    """Volume rule adapted to |grad f|^power_scale for the field's singular set."""
+    """Volume rule adapted to |grad f|^power_scale for the field's singular set,
+    centered at its first singular point off the exterior."""
     singulars = [a for a in field.singular_arrays() if domain.classify(a) != EXTERIOR]
-    if not singulars:
-        return composite_volume_rule(domain, order, domain.center)
-    primary = singulars[0]
-    kappa = field.gradient_power * power_scale
-    holes = []
-    for a in singulars[1:]:
-        holes.append((a, _safe_hole_radius(a, [primary] + [b for b in singulars[1:] if b is not a], domain), kappa))
-    return composite_volume_rule(domain, order, primary, kernel_power=kappa, holes=holes)
+    center = singulars[0] if singulars else domain.center
+    return _singular_rule(field, domain, order, center, singulars, power_scale=power_scale)
 
 
-def _safe_hole_radius(a, others, domain: Domain) -> float:
+def _singular_rule(f: ScalarField, domain: Domain, order: int, center, singulars, kernel_power=0.0, power_scale=1.0):
+    """Polar rule about ``center`` for integrands behaving like
+    rho^kernel_power there, times |grad f|^power_scale.
+
+    Singular points within 1e-12 diameters of the center fold the gradient's
+    growth into the radial power; the others are cut out as holes, each
+    re-covered by a polar block matched to that growth.
+    """
+    power = f.gradient_power * power_scale
+    rest = []
+    for a in singulars:
+        if np.linalg.norm(a - center) <= 1e-12 * domain.diameter:
+            kernel_power += power
+        else:
+            rest.append(a)
+    holes = [(a, _hole_radius(a, [center] + [b for b in rest if b is not a], domain), power) for a in rest]
+    return composite_volume_rule(domain, order, center, kernel_power=kernel_power, holes=holes)
+
+
+def _hole_radius(a, others, domain: Domain) -> float:
+    """Half the distance from a to the boundary or the nearest other point."""
     dists = [np.linalg.norm(a - np.asarray(b)) for b in others if np.linalg.norm(a - np.asarray(b)) > 0]
     dists.append(domain.boundary_distance(a))
     return 0.5 * min(dists)
-
-
-def holder_ratio(field: ScalarField, a, alpha: float, radii, samples: int = 64) -> np.ndarray:
-    """Max of |f(x) - f(a)| / |x - a|^alpha over spheres of the given radii.
-
-    The pointwise Holder hypothesis at a singular point holds when these
-    ratios stay bounded as the radius shrinks.
-    """
-    a = as_point(a)
-    fa = field.evaluate(a)
-    n = a.size
-    out = []
-    for eps in np.atleast_1d(radii):
-        if n == 2:
-            th = 2.0 * math.pi * np.arange(samples) / samples
-            dirs = np.column_stack([np.cos(th), np.sin(th)])
-        else:
-            from .geometry import sphere_directions
-
-            dirs, _ = sphere_directions(max(4, samples // 8))
-        pts = a + eps * dirs
-        out.append(float(np.max(np.abs(field.evaluate(pts) - fa)) / eps**alpha))
-    return np.asarray(out)

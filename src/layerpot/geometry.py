@@ -12,25 +12,21 @@ Two domain shapes are supported:
 * ``StarShaped2D``, a planar region bounded by a smooth positive radial
   graph r(theta) about a center, kept as the one non-ball shape.
 
-Volume rules come in a ``regular`` mode (polar rule about the domain center)
-and a ``polar-centered`` mode about an arbitrary interior target whose
-radial Jacobian rho^(N-1) cancels kernel singularities rho^kappa at the
-target; ``kappa`` defaults to 1-N, the strongest integrable power.  The
-composite builder additionally punches disjoint ball-shaped holes around
-secondary singular points and covers each hole with its own polar block, so
-integrands that are singular both at the target and at field-specific points
-stay in the rule's accuracy class.
+Volume rules are polar about a center; their radial nodes absorb the
+Jacobian rho^(N-1) and a kernel power rho^kappa at the center, so
+integrands singular there stay in the rule's accuracy class.  The composite
+builder additionally punches disjoint ball-shaped holes around secondary
+singular points and covers each hole with its own polar block.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import roots_jacobi
 
 from .errors import (
@@ -86,19 +82,24 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _frozen(*arrays):
+    """Mark cached arrays read-only: threads share them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=512)
 def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
+    return _frozen((x + 1.0) / 2.0, w / 2.0)
 
 
 @lru_cache(maxsize=1024)
 def _gauss_jacobi_cached(n: int, beta_key: float) -> tuple[np.ndarray, np.ndarray]:
     x, w = roots_jacobi(n, 0.0, beta_key)
-    nodes = (x + 1.0) / 2.0
-    weights = w / 2.0 ** (beta_key + 1.0)
-    return nodes, weights
+    return _frozen((x + 1.0) / 2.0, w / 2.0 ** (beta_key + 1.0))
 
 
 def gauss_jacobi_01(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -181,8 +182,6 @@ class BoundaryQuadrature:
     nodes: np.ndarray
     weights: np.ndarray
     normals: np.ndarray
-    order: int
-    metadata: dict = field(default_factory=dict)
 
     def integrate(self, values) -> float:
         return float(self.weights @ np.asarray(values, dtype=float))
@@ -190,18 +189,10 @@ class BoundaryQuadrature:
 
 @dataclass(frozen=True)
 class VolumeQuadrature:
-    """Nodes and weights discretizing the volume measure of a domain.
-
-    ``mode`` is "regular" or "polar-centered"; in the latter case ``target``
-    holds the rule center and no node coincides with it.
-    """
+    """Nodes and weights discretizing the volume measure of a domain."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    mode: str
-    order: int
-    target: np.ndarray | None = None
-    metadata: dict = field(default_factory=dict)
 
     def integrate(self, values) -> float:
         return float(self.weights @ np.asarray(values, dtype=float))
@@ -261,19 +252,16 @@ class Domain:
     def outward_normal(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def ray_exit(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        """Distance from an interior origin to the boundary along unit dirs."""
-        raise NotImplementedError
-
     def ray_segments(self, origin: np.ndarray, dirs: np.ndarray):
-        """Full interior coverage of each ray: first-exit lengths plus, for
-        non-convex shapes, the re-entered intervals further out.
+        """Full interior coverage of each ray from an interior origin along
+        unit dirs: first-exit lengths plus, for non-convex shapes, the
+        re-entered intervals further out.
 
         Returns ``(t_first, extras)`` where ``t_first[i]`` is the first exit
         along ``dirs[i]`` and ``extras`` maps ray indices to lists of
         (enter, exit) intervals beyond the first segment (empty for balls).
         """
-        return self.ray_exit(origin, dirs), {}
+        raise NotImplementedError
 
     def boundary_rule(self, order: int, pole=None) -> BoundaryQuadrature:
         raise NotImplementedError
@@ -332,9 +320,6 @@ class Ball(Domain):
     def inradius(self) -> float:
         return self.radius
 
-    def contains(self, y) -> bool:
-        return self.classify(y) == INTERIOR
-
     def outward_normal(self, x) -> np.ndarray:
         x = as_point(x, self.dim)
         v = x - self.center
@@ -343,14 +328,14 @@ class Ball(Domain):
             raise PlacementError("normal requested at the ball center")
         return v / r
 
-    def ray_exit(self, origin, dirs) -> np.ndarray:
+    def ray_segments(self, origin, dirs):
         origin = as_point(origin, self.dim)
         v = origin - self.center
         vv = float(v @ v)
         if vv >= self.radius**2:
             raise PlacementError("ray origin must lie strictly inside the ball")
         proj = dirs @ v
-        return -proj + np.sqrt(proj**2 + (self.radius**2 - vv))
+        return -proj + np.sqrt(proj**2 + (self.radius**2 - vv)), {}
 
     def _check_quadrature_dim(self):
         if self.dim not in (2, 3):
@@ -368,7 +353,7 @@ class Ball(Domain):
             dirs, w_ang = sphere_directions(order, pole=pole)
         nodes = self.center + self.radius * dirs
         weights = self.radius ** (self.dim - 1) * w_ang
-        return BoundaryQuadrature(nodes=nodes, weights=weights, normals=dirs, order=order)
+        return BoundaryQuadrature(nodes=nodes, weights=weights, normals=dirs)
 
     def min_resolving_order(self, distance: float) -> int:
         # Trapezoid/product-rule error for a kernel peaked at distance d from
@@ -472,9 +457,6 @@ class StarShaped2D(Domain):
     def inradius(self) -> float:
         return self._r_min
 
-    def contains(self, y) -> bool:
-        return self.classify(y) == INTERIOR
-
     def boundary_point(self, theta: float) -> np.ndarray:
         r = float(self._r(theta))
         return self.center + r * np.array([math.cos(theta), math.sin(theta)])
@@ -514,29 +496,7 @@ class StarShaped2D(Domain):
         weights = (2.0 * math.pi / order) * np.sqrt(r**2 + rp**2)
         normals = np.column_stack([r * ct + rp * st, r * st - rp * ct])
         normals /= np.linalg.norm(normals, axis=1)[:, None]
-        return BoundaryQuadrature(nodes=nodes, weights=weights, normals=normals, order=order, metadata={"theta": theta})
-
-    def ray_exit(self, origin, dirs) -> np.ndarray:
-        origin = as_point(origin, 2)
-        if self.classify(origin) != INTERIOR:
-            raise PlacementError("ray origin must lie strictly inside the domain")
-        dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        out = np.empty(len(dirs))
-        step = max(self._r_min / 4.0, 1e-3 * self._r_max)
-
-        def g(t, d):
-            p = origin + t * d
-            return self.signed_boundary_distance(p)
-
-        for i, d in enumerate(dirs):
-            t_lo, t_hi = 0.0, step
-            while g(t_hi, d) < 0.0:
-                t_lo = t_hi
-                t_hi += step
-                if t_hi > 4.0 * self._r_max:
-                    raise RangeError("ray failed to exit the domain; is it star-shaped about the origin?")
-            out[i] = brentq(g, t_lo, t_hi, args=(d,), xtol=1e-14, rtol=1e-15)
-        return out
+        return BoundaryQuadrature(nodes=nodes, weights=weights, normals=normals)
 
     def min_resolving_order(self, distance: float) -> int:
         if distance <= 0:
@@ -794,66 +754,9 @@ def composite_volume_rule(
             f"volume rule would use {nodes.shape[0]} nodes, over the budget "
             f"{max_nodes_budget()}; lower the order or raise LAYERPOT_MAX_NODES"
         )
-    return VolumeQuadrature(
-        nodes=nodes,
-        weights=weights,
-        mode="polar-centered",
-        order=order,
-        target=center,
-        metadata={"kernel_power": kappa, "log_kernel": log_kernel, "holes": len(holes)},
-    )
+    return VolumeQuadrature(nodes=nodes, weights=weights)
 
 
-def volume_rule(domain: Domain, order: int, mode: str = "regular", target=None, kernel_power: float | None = None) -> VolumeQuadrature:
-    """Volume rule over the domain.
-
-    ``regular`` integrates smooth functions with a polar rule about the
-    domain center.  ``polar-centered`` centers the rule at ``target`` (which
-    must be strictly interior) and adapts the radial nodes so integrands
-    behaving like |x - target|^kernel_power (default 1-N) are integrated at
-    the rule's full accuracy; no node is placed at the target.
-    """
-    if mode == "regular":
-        rule = composite_volume_rule(domain, order, domain.center, kernel_power=0.0)
-        return VolumeQuadrature(
-            nodes=rule.nodes, weights=rule.weights, mode="regular", order=order, target=None
-        )
-    if mode != "polar-centered":
-        raise ParameterError(f"unknown volume rule mode {mode!r}")
-    if target is None:
-        raise ParameterError("polar-centered mode requires a target point")
-    target = as_point(target, domain.dim)
-    cls = domain.classify(target)
-    if cls == BOUNDARY:
-        raise PlacementError("polar-centered target lies on the boundary")
-    if cls == EXTERIOR:
-        raise PlacementError("polar-centered target lies outside the domain")
-    kappa = float(1 - domain.dim) if kernel_power is None else float(kernel_power)
-    return composite_volume_rule(domain, order, target, kernel_power=kappa)
-
-
-def boundary_rule(domain: Domain, order: int, pole=None) -> BoundaryQuadrature:
-    """Boundary rule of the domain (equispaced on curves, Gauss-Legendre in
-    the polar angle times equispaced azimuth on spheres)."""
-    return domain.boundary_rule(order, pole=pole)
-
-
-def closest_boundary_approach(domain: Domain, y0, distances) -> list[np.ndarray]:
-    """Interior points y0 - d * nu(y0) for each offset d.
-
-    Each offset must keep the point strictly inside the domain; offsets are
-    additionally capped at the inradius as a safeguard.
-    """
-    y0 = as_point(y0, domain.dim)
-    if domain.classify(y0) != BOUNDARY:
-        raise PlacementError(f"{y0.tolist()} is not on the boundary")
-    nu = domain.outward_normal(y0)
-    points = []
-    for d in np.atleast_1d(np.asarray(distances, dtype=float)):
-        if not (0.0 < d < domain.inradius):
-            raise RangeError(f"offset {d} outside (0, inradius={domain.inradius:.6g})")
-        p = y0 - d * nu
-        if domain.classify(p) != INTERIOR:
-            raise RangeError(f"offset {d} leaves the domain at {p.tolist()}")
-        points.append(p)
-    return points
+def volume_rule(domain: Domain, order: int) -> VolumeQuadrature:
+    """Polar rule about the domain center for integrands smooth on the domain."""
+    return composite_volume_rule(domain, order, domain.center, kernel_power=0.0)

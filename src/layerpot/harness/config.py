@@ -229,6 +229,9 @@ def build_config(text: str) -> SuiteConfig:
     cfg.orders = _parse_ints(raw, "orders", (64,))
     cfg.probe_count = _parse_int(raw, "probes.count", 5)
     cfg.exterior_count = _parse_int(raw, "probes.exterior_count", 2)
+    for key, count in (("probes.count", cfg.probe_count), ("probes.exterior_count", cfg.exterior_count)):
+        if count < 1:
+            raise ConfigError(f"{key} must be at least 1, got {count}", line=raw[key][1])
     cfg.seed = _parse_int(raw, "probes.seed", 1234)
     cfg.margin = _parse_float(raw, "probes.margin", 0.25)
     if not (0.0 < cfg.margin < 1.0):

@@ -21,28 +21,30 @@ from ..bounds import (
     sharp_ball_constant,
 )
 from ..errors import ConfigError
-from ..fields import LebesgueExponent, extremal_field
+from ..fields import LebesgueExponent, catalog, extremal_field
 from ..geometry import Ball
 from ..kernel import sphere_area
-from ..potentials import double_layer, jump_relation_check
 from ..representations import (
     check_ball_corollaries,
     check_c2_exterior,
     check_f1,
     check_f2_f3,
     check_fig,
+    check_gauss,
     check_green_riemann,
     check_grr,
+    check_jump,
     check_rp,
     default_tolerance,
 )
 from .config import SuiteConfig
 from .report import Row, format_point
 
-GAUSS_TOL = 1e-8
-JUMP_TOL = 1e-4
+#: GAUSS rows check the unit moment, whatever fields the suite lists.
+UNIT_MOMENT = catalog("constant", 1.0)
 
 _NEEDS_LAPLACIAN = ("GRR", "GREEN_RIEMANN_INTERIOR", "GREEN_RIEMANN_EXTERIOR", "GREEN_RIEMANN_BOUNDARY")
+_BALL_ONLY = ("MAT", "COM", "CERC", "REP2", "REP3")
 
 
 def generate_probes(cfg: SuiteConfig):
@@ -60,14 +62,14 @@ def generate_probes(cfg: SuiteConfig):
         else:
             theta = math.atan2(d[1], d[0])
             interior.append(domain.center + (1.0 - cfg.margin) * float(domain._r(theta)) * u * d)
-    for _ in range(max(cfg.probe_count, 1)):
+    for _ in range(cfg.probe_count):
         if isinstance(domain, Ball):
             d = rng.normal(size=n)
             d /= np.linalg.norm(d)
             boundary.append(domain.center + domain.radius * d)
         else:
             boundary.append(domain.boundary_point(rng.uniform(0.0, 2.0 * math.pi)))
-    for _ in range(max(cfg.exterior_count, 1)):
+    for _ in range(cfg.exterior_count):
         d = rng.normal(size=n)
         d /= np.linalg.norm(d)
         scale = rng.uniform(1.0 + cfg.margin, 2.0 + cfg.margin)
@@ -82,10 +84,6 @@ def generate_probes(cfg: SuiteConfig):
 def _tolerance(cfg: SuiteConfig, identity: str, field) -> float:
     if identity in cfg.tolerances:
         return cfg.tolerances[identity]
-    if identity == "GAUSS":
-        return GAUSS_TOL
-    if identity == "JUMP":
-        return JUMP_TOL
     return default_tolerance(field, identity)
 
 
@@ -109,108 +107,63 @@ def _verify_tasks(cfg: SuiteConfig):
     """Yield zero-argument callables, each returning a list of Rows."""
     domain = cfg.domain
     interior, boundary, exterior = generate_probes(cfg)
-    is_ball = isinstance(domain, Ball)
+    pair = tuple(i for i in ("F2", "F3") if i in cfg.identities)
+
+    def f2_f3(f, y, order, tol):
+        # one evaluation yields both integrated identities; keep the rows asked for
+        reps = check_f2_f3(f, domain, cfg.order_outer, cfg.order_inner, zeta_mode=cfg.zeta_mode, tolerance=tol)
+        return [r for r in reps if r.identity in pair]
+
+    # identity -> (probe points, check(field, point, order, tolerance)); the
+    # lambdas look each check up at call time, so a rebound module name is seen
+    table = {
+        "GAUSS": (interior[:1] + boundary[:1] + exterior[:1], lambda f, y, o, t: check_gauss(domain, y, o, t)),
+        "JUMP": (boundary, lambda f, y, o, t: check_jump(f, domain, y, cfg.jump_distances, o, t)),
+        "F1": (interior, lambda f, y, o, t: check_f1(f, domain, y, o, t)),
+        "FIG": (interior + exterior, lambda f, y, o, t: check_fig(f, domain, y, o, t)),
+        "RP0": (interior, lambda f, y, o, t: check_rp(f, domain, y, exterior[0], o, "RP0", t)),
+        "RP1": (interior, lambda f, y, o, t: check_rp(f, domain, y, None, o, "RP1", t)),
+        "C2_EXTERIOR": (exterior, lambda f, y, o, t: check_c2_exterior(f, domain, y, math.inf, o, t)),
+        "F2": ([None], f2_f3),
+        "F3": ([None], f2_f3),
+        "GRR": (interior + exterior, lambda f, y, o, t: check_grr(f, domain, y, o, t)),
+        "GREEN_RIEMANN_INTERIOR": (interior, lambda f, y, o, t: check_green_riemann(f, domain, y, o, t)),
+        "GREEN_RIEMANN_EXTERIOR": (exterior, lambda f, y, o, t: check_green_riemann(f, domain, y, o, t)),
+        "GREEN_RIEMANN_BOUNDARY": (boundary, lambda f, y, o, t: check_green_riemann(f, domain, y, o, t)),
+    }
+    for which in _BALL_ONLY:
+        points = [None] if which in ("REP2", "REP3") else interior
+        table[which] = (points, lambda f, y, o, t, w=which: check_ball_corollaries(f, domain, y, o, w, t))
 
     for identity in cfg.identities:
+        if identity not in table:
+            raise ConfigError(f"identity {identity} is not runnable by verify")
         if identity in _NEEDS_LAPLACIAN:
             missing = [f.name for f in cfg.fields if not f.has_laplacian]
             if missing:
                 raise ConfigError(f"identity {identity} needs a Laplacian; missing for: {missing}")
-        if identity in ("MAT", "COM", "CERC", "REP2", "REP3") and not is_ball:
+        if identity in _BALL_ONLY and not isinstance(domain, Ball):
             raise ConfigError(f"identity {identity} is defined on balls; the domain is a star shape")
 
-    def gauss_task(order):
+    def task(check, field, y, order, tol):
         def run():
-            rows = []
-            tol = _tolerance(cfg, "GAUSS", cfg.fields[0])
-            for point, expect in ((interior[0], 1.0), (boundary[0], 0.5), (exterior[0], 0.0)):
-                val = double_layer(1.0, domain, point, order).value
-                rows.append(
-                    Row(cfg.suite, "GAUSS", "constant(1)", domain.dim, format_point(point), order,
-                        val, expect, abs(val - expect), tol, abs(val - expect) <= tol)
-                )
-            return rows
-
-        return run
-
-    def jump_task(field, y0, order):
-        def run():
-            tol = _tolerance(cfg, "JUMP", field)
-            res = jump_relation_check(field, domain, y0, cfg.jump_distances, order)
-            lhs = res.interior_limit_estimate - res.exterior_limit_estimate
-            rhs = field.evaluate(y0)
-            return [
-                Row(cfg.suite, "JUMP", field.name, domain.dim, format_point(y0), order,
-                    lhs, rhs, abs(lhs - rhs), tol, abs(lhs - rhs) <= tol)
-            ]
-
-        return run
-
-    def report_task(identity, field, fn):
-        def run():
-            rep = fn()
-            reps = rep if isinstance(rep, (list, tuple)) else [rep]
+            reps = check(field, y, order, tol)
+            reps = reps if isinstance(reps, list) else [reps]
             return [_row(cfg, r, field.name) for r in reps]
 
         return run
 
     for order in cfg.orders:
         for identity in cfg.identities:
-            if identity == "GAUSS":
-                yield gauss_task(order)
+            # F2/F3 share one evaluation: run it once, under F2 when both are
+            # asked for, at the first order
+            if identity in pair and (identity != pair[0] or order != cfg.orders[0]):
                 continue
-            for field in cfg.fields:
+            points, check = table[identity]
+            for field in (UNIT_MOMENT,) if identity == "GAUSS" else cfg.fields:
                 tol = _tolerance(cfg, identity, field)
-                if identity == "JUMP":
-                    for y0 in boundary:
-                        yield jump_task(field, y0, order)
-                elif identity == "F1":
-                    for y in interior:
-                        yield report_task(identity, field, lambda f=field, y=y, o=order, t=tol: check_f1(f, domain, y, o, t))
-                elif identity == "FIG":
-                    for y in list(interior) + list(exterior):
-                        yield report_task(identity, field, lambda f=field, y=y, o=order, t=tol: check_fig(f, domain, y, o, t))
-                elif identity in ("MAT", "COM", "CERC"):
-                    for y in interior:
-                        yield report_task(identity, field, lambda f=field, y=y, o=order, t=tol, w=identity: check_ball_corollaries(f, domain, y, o, w, t))
-                elif identity in ("REP2", "REP3"):
-                    yield report_task(identity, field, lambda f=field, o=order, t=tol, w=identity: check_ball_corollaries(f, domain, None, o, w, t))
-                elif identity in ("RP0", "RP1"):
-                    z = exterior[0] if identity == "RP0" else None
-                    for y in interior:
-                        yield report_task(identity, field, lambda f=field, y=y, z=z, o=order, t=tol, w=identity: check_rp(f, domain, y, z, o, w, t))
-                elif identity == "C2_EXTERIOR":
-                    for y in exterior:
-                        yield report_task(identity, field, lambda f=field, y=y, o=order, t=tol: check_c2_exterior(f, domain, y, math.inf, o, t))
-                elif identity in ("F2", "F3"):
-                    # one evaluation yields both integrated identities; run it
-                    # once (first requested name, first order) and keep only
-                    # the rows that were asked for
-                    wanted = tuple(i for i in ("F2", "F3") if i in cfg.identities)
-                    if identity == wanted[0] and order == cfg.orders[0]:
-
-                        def pair_task(f=field, t=tol, keep=wanted):
-                            reps = check_f2_f3(
-                                f, domain, cfg.order_outer, cfg.order_inner,
-                                zeta_mode=cfg.zeta_mode, tolerance=t,
-                            )
-                            return [_row(cfg, r, f.name) for r in reps if r.identity in keep]
-
-                        yield pair_task
-                elif identity == "GRR":
-                    for y in list(interior) + list(exterior):
-                        yield report_task(identity, field, lambda f=field, y=y, o=order, t=tol: check_grr(f, domain, y, o, t))
-                elif identity == "GREEN_RIEMANN_INTERIOR":
-                    for y in interior:
-                        yield report_task(identity, field, lambda f=field, y=y, o=order, t=tol: check_green_riemann(f, domain, y, o, t))
-                elif identity == "GREEN_RIEMANN_EXTERIOR":
-                    for y in exterior:
-                        yield report_task(identity, field, lambda f=field, y=y, o=order, t=tol: check_green_riemann(f, domain, y, o, t))
-                elif identity == "GREEN_RIEMANN_BOUNDARY":
-                    for y in boundary:
-                        yield report_task(identity, field, lambda f=field, y=y, o=order, t=tol: check_green_riemann(f, domain, y, o, t))
-                else:
-                    raise ConfigError(f"identity {identity} is not runnable by verify")
+                for y in points:
+                    yield task(check, field, y, order, tol)
 
 
 def _run_tasks(tasks, max_workers: int = 8):
@@ -229,10 +182,11 @@ def run_verify(cfg: SuiteConfig):
 
 
 def run_converge(cfg: SuiteConfig):
-    """Residual-versus-order table plus a fitted log-log rate per identity."""
+    """Residual-versus-order table plus a fitted log-log rate per identity;
+    exit code 0 iff every checked row passes."""
     if len(cfg.orders) < 3:
         raise ConfigError("convergence studies need at least 3 orders")
-    rows = _run_tasks(list(_verify_tasks(cfg)))
+    rows, exit_code = run_verify(cfg)
     out = list(rows)
     for identity in cfg.identities:
         for field in cfg.fields:
@@ -250,7 +204,7 @@ def run_converge(cfg: SuiteConfig):
                     Row(cfg.suite, identity, field.name, cfg.domain.dim, f"rate[{pt}]", 0,
                         slope, 0.0, abs(slope), 0.0, True)
                 )
-    return sorted(out, key=Row.sort_key), 0
+    return sorted(out, key=Row.sort_key), exit_code
 
 
 def run_table(cfg: SuiteConfig):
@@ -296,6 +250,15 @@ def run_bound(cfg: SuiteConfig):
     is_ball = isinstance(domain, Ball)
     rows = []
     order = max(cfg.orders)
+
+    def row(kind, label, point, rep, residual=None, tolerance=None):
+        # bound rows pass when the deviation stays under the bound up to a
+        # relative slack; sharpness rows bring their own residual/tolerance
+        if residual is None:
+            residual, tolerance = max(0.0, rep.deviation - rep.bound), 1e-6 * max(1.0, rep.bound)
+        return Row(cfg.suite, kind, label, domain.dim, format_point(point), order,
+                   rep.deviation, rep.bound, residual, tolerance, residual <= tolerance)
+
     for p in cfg.bound_exponents:
         exponent = LebesgueExponent.of(p)
         if not exponent.value > domain.dim:
@@ -307,30 +270,16 @@ def run_bound(cfg: SuiteConfig):
                 )
             label = f"{field.name} p={p:g}"
             for y in interior:
-                rep = ostrowski_bound_general(field, domain, y, p, order)
-                slack = 1e-6 * max(1.0, rep.bound)
-                rows.append(
-                    Row(cfg.suite, "BOUND_GENERAL", label, domain.dim, format_point(y), order,
-                        rep.deviation, rep.bound, max(0.0, rep.deviation - rep.bound), slack,
-                        rep.deviation <= rep.bound + slack)
-                )
+                rows.append(row("BOUND_GENERAL", label, y, ostrowski_bound_general(field, domain, y, p, order)))
             if is_ball:
-                rep = ostrowski_bound_ball(field, domain, p, order)
-                slack = 1e-6 * max(1.0, rep.bound)
-                rows.append(
-                    Row(cfg.suite, "BOUND_BALL", label, domain.dim, format_point(domain.center), order,
-                        rep.deviation, rep.bound, max(0.0, rep.deviation - rep.bound), slack,
-                        rep.deviation <= rep.bound + slack)
-                )
+                rows.append(row("BOUND_BALL", label, domain.center, ostrowski_bound_ball(field, domain, p, order)))
         if cfg.bound_include_extremal and is_ball:
             witness = extremal_field(p, domain.center)
+            label = f"{witness.name} p={p:g}"
             for kind, rep in (
                 ("SHARPNESS_GENERAL", ostrowski_bound_general(witness, domain, domain.center, p, order)),
                 ("SHARPNESS_BALL", ostrowski_bound_ball(witness, domain, p, order)),
             ):
-                rows.append(
-                    Row(cfg.suite, kind, f"{witness.name} p={p:g}", domain.dim, format_point(domain.center), order,
-                        rep.deviation, rep.bound, abs(rep.ratio - 1.0), 1e-3, abs(rep.ratio - 1.0) <= 1e-3)
-                )
+                rows.append(row(kind, label, domain.center, rep, abs(rep.ratio - 1.0), 1e-3))
     exit_code = 0 if all(r.passed for r in rows) else 1
     return sorted(rows, key=Row.sort_key), exit_code

@@ -47,13 +47,15 @@ def sphere_area(dim: int) -> float:
     return 2.0 * math.pi ** (dim / 2.0) / _gamma_half(dim)
 
 
-def _as_batch(x) -> tuple[np.ndarray, bool]:
+def _as_batch(x, dim: int | None = None) -> tuple[np.ndarray, bool]:
     """Coerce x to a (m, N) float array; report whether input was a single point."""
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     arr = np.atleast_2d(arr)
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise DimensionError(f"points must have dimension N >= 2, got shape {arr.shape}")
+    if dim is not None and arr.shape[1] != dim:
+        raise DimensionError(f"expected points of dimension {dim}, got shape {arr.shape}")
     return arr, single
 
 
@@ -101,45 +103,3 @@ def normal_derivative(x, nu) -> float | np.ndarray:
     grad = np.atleast_2d(fundamental_gradient(pts))
     val = np.einsum("ij,ij->i", grad, np.broadcast_to(nus, grad.shape))
     return float(val[0]) if single else val
-
-
-class FundamentalSolution:
-    """Dimension-bound view of the free-space kernel.
-
-    Thin convenience wrapper that validates the point dimension once and
-    exposes value/gradient/normal-derivative evaluation.  Instances are
-    immutable and thread-safe.
-    """
-
-    def __init__(self, dim: int):
-        if int(dim) != dim or dim < 2:
-            raise DimensionError(f"dimension must be an integer >= 2, got {dim!r}")
-        self.dim = int(dim)
-        self.unit_sphere_area = sphere_area(self.dim)
-
-    def _check(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        if arr.shape[-1] != self.dim:
-            raise DimensionError(f"expected points of dimension {self.dim}, got shape {arr.shape}")
-        return arr
-
-    def value(self, x):
-        return fundamental_solution(self._check(x))
-
-    def gradient(self, x):
-        return fundamental_gradient(self._check(x))
-
-    def normal_derivative(self, x, nu):
-        return normal_derivative(self._check(x), self._check(nu))
-
-    def scaling(self, scale: float) -> float:
-        """Multiplicative/additive scaling factor: E(s x) relative to E(x).
-
-        For N >= 3 the kernel is homogeneous, E(s x) = s^(2-N) E(x); in 2-D
-        it picks up the additive constant log(s) / (2 pi), returned here.
-        """
-        if scale <= 0:
-            raise ParameterError("scale must be positive")
-        if self.dim == 2:
-            return math.log(scale) / (2.0 * math.pi)
-        return scale ** (2 - self.dim)

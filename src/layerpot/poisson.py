@@ -17,20 +17,12 @@ from .errors import ParameterError, PlacementError
 from .fields import ScalarField
 from .geometry import INTERIOR, Ball, as_point, escalated_order, volume_rule
 from .kernel import sphere_area
+from .potentials import _moment_callable
 
 #: Interior evaluation is restricted to this fraction of the radius; closer
 #: to the sphere the kernel peak outruns the escalation cap, and we fail
 #: loudly instead of silently losing accuracy.
 MAX_RELATIVE_OFFSET = 0.95
-
-
-def _boundary_callable(phi):
-    if isinstance(phi, ScalarField):
-        return phi.evaluate
-    if callable(phi):
-        return lambda x: np.asarray(phi(x), dtype=float)
-    value = float(phi)
-    return lambda x: np.full(len(x), value)
 
 
 def poisson_kernel(ball: Ball, nodes: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -58,7 +50,7 @@ def poisson_evaluate(ball: Ball, phi, y, order: int = 64) -> float:
     eff, _ = escalated_order(ball, order, y)
     pole = (y - ball.center) if ball.dim == 3 and off > 1e-14 else None
     rule = ball.boundary_rule(eff, pole=pole)
-    vals = _boundary_callable(phi)(rule.nodes)
+    vals = _moment_callable(phi)(rule.nodes)
     return float(rule.weights @ (vals * poisson_kernel(ball, rule.nodes, y)))
 
 
@@ -103,10 +95,6 @@ class DirichletSolution:
 
     def evaluate(self, y, order: int | None = None) -> float:
         return poisson_evaluate(self.ball, self.boundary_data, y, order or self.order)
-
-    def boundary_samples(self, order: int | None = None) -> np.ndarray:
-        rule = self.ball.boundary_rule(order or self.order)
-        return _boundary_callable(self.boundary_data)(rule.nodes)
 
 
 def dirichlet_chi(ball: Ball, f, order: int = 64) -> DirichletSolution:

@@ -10,8 +10,8 @@ analytically cancelled (3-D spheres, pole-aligned rules) singularity and a
 dedicated smooth evaluation path is used.
 
 The gradient volume integral int <grad E(x - y), grad f(x)> dx is computed
-with polar-centered rules whose radial weight absorbs both the kernel
-singularity at y and the field's own gradient growth at its singular
+with polar rules centered at y whose radial weight absorbs both the kernel
+singularity there and the field's own gradient growth at its singular
 points; secondary singular points are excised into their own polar blocks.
 """
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import CapabilityError, ParameterError, PlacementError, ResolutionError
-from .fields import ScalarField
+from .fields import ScalarField, _singular_rule
 from .geometry import (
     BOUNDARY,
     INTERIOR,
@@ -233,17 +233,6 @@ def jump_relation_check(h, domain: Domain, y0, distances, order: int = 64) -> Ju
 # ---------------------------------------------------------------------------
 
 
-def _hole_radius(a, y, others, domain: Domain) -> float:
-    cands = [domain.boundary_distance(a)]
-    if y is not None:
-        cands.append(float(np.linalg.norm(a - y)))
-    for b in others:
-        d = float(np.linalg.norm(a - np.asarray(b)))
-        if d > 0:
-            cands.append(d)
-    return 0.5 * min(cands)
-
-
 def _volume_order_for_target(domain: Domain, order: int, y) -> int:
     """Escalate the polar-rule order for targets close to the boundary.
 
@@ -262,50 +251,25 @@ def _volume_order_for_target(domain: Domain, order: int, y) -> int:
     return eff
 
 
-def _rule_for_gradient_integral(f: ScalarField, domain: Domain, y, order: int):
-    """Composite volume rule adapted to <grad E(. - y), grad f>."""
-    n = domain.dim
-    singulars = [a for a in f.singular_arrays() if domain.classify(a) == INTERIOR]
-    cls = domain.classify(y)
-    if cls == INTERIOR:
-        center = y
-        order = _volume_order_for_target(domain, order, y)
-        kappa = float(1 - n)
-        rest = []
-        for a in singulars:
-            if np.linalg.norm(a - y) <= 1e-12 * domain.diameter:
-                kappa += f.gradient_power
-            else:
-                rest.append(a)
-    else:
-        center = domain.center
-        kappa = 0.0
-        rest = []
-        for a in singulars:
-            if np.linalg.norm(a - center) <= 1e-12 * domain.diameter:
-                kappa += f.gradient_power
-            else:
-                rest.append(a)
-    holes = [
-        (a, _hole_radius(a, center, [b for b in rest if b is not a], domain), f.gradient_power)
-        for a in rest
-    ]
-    return composite_volume_rule(domain, order, center, kernel_power=kappa, holes=holes)
-
-
 def gradient_volume_integral(f: ScalarField, domain: Domain, y, order: int = 64) -> float:
     """int_Omega <grad E(x - y), grad f(x)> dx for y off the boundary.
 
-    Interior targets get a polar-centered rule at y (the radial Jacobian
+    Interior targets get a polar rule centered at y (the radial Jacobian
     cancels the kernel's |x - y|^(1-N) growth) with ball-shaped excisions
     around the field's other singular points; exterior targets use a
     regular rule (the kernel is smooth on the closure).  A singular point
     of f coinciding with y is folded into the radial weight, not an error.
     """
     y = as_point(y, domain.dim)
-    if domain.classify(y) == BOUNDARY:
+    cls = domain.classify(y)
+    if cls == BOUNDARY:
         raise PlacementError("target on the boundary; use boundary_limit_zeta instead")
-    rule = _rule_for_gradient_integral(f, domain, y, order)
+    singulars = [a for a in f.singular_arrays() if domain.classify(a) == INTERIOR]
+    if cls == INTERIOR:
+        order = _volume_order_for_target(domain, order, y)
+        rule = _singular_rule(f, domain, order, y, singulars, kernel_power=float(1 - domain.dim))
+    else:
+        rule = _singular_rule(f, domain, order, domain.center, singulars)
     d = rule.nodes - y
     r = np.linalg.norm(d, axis=1)
     kern = d / (sphere_area(domain.dim) * r[:, None] ** domain.dim)

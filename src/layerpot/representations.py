@@ -8,6 +8,8 @@ double-integral identities, which are dominated by the outer rule.
 
 Identity identifiers
 --------------------
+GAUSS   unit-moment double layer is 1, 1/2, 0 inside, on, outside the boundary
+JUMP    the double layer jumps by the moment value across the boundary
 F1      point value = double layer - gradient volume integral (interior y)
 FIG     volume integral of f via the boundary/volume pairing with x - y
 MAT     F1 specialized to a ball
@@ -44,6 +46,7 @@ from .potentials import (
     double_layer,
     double_layer_batch,
     gradient_volume_integral,
+    jump_relation_check,
     newtonian_integrals,
 )
 from dataclasses import dataclass, field as dataclass_field
@@ -67,6 +70,8 @@ IDENTITIES = (
     "GREEN_RIEMANN_BOUNDARY",
 )
 
+GAUSS_TOL = 1e-8
+JUMP_TOL = 1e-4
 SMOOTH_TOL = 1e-6
 SINGULAR_TOL = 1e-4
 DOUBLE_INTEGRAL_TOL = 1e-3
@@ -89,6 +94,10 @@ class IdentityReport:
 
 
 def default_tolerance(f: ScalarField, identity: str) -> float:
+    if identity == "GAUSS":
+        return GAUSS_TOL
+    if identity == "JUMP":
+        return JUMP_TOL
     if identity in ("F2", "F3"):
         return DOUBLE_INTEGRAL_TOL
     if identity == "GREEN_RIEMANN_BOUNDARY":
@@ -124,6 +133,21 @@ def _require_sobolev(f: ScalarField, domain: Domain, p) -> LebesgueExponent:
 # ---------------------------------------------------------------------------
 # Core identities
 # ---------------------------------------------------------------------------
+
+
+def check_gauss(domain: Domain, y, order: int = 64, tolerance=GAUSS_TOL) -> IdentityReport:
+    """Unit-moment double layer against its value 1, 1/2 or 0 at y."""
+    dl = double_layer(1.0, domain, y, order)
+    expect = {INTERIOR: 1.0, BOUNDARY: 0.5, EXTERIOR: 0.0}[dl.location_class]
+    return _report("GAUSS", dl.value, expect, tolerance, order, [y])
+
+
+def check_jump(f: ScalarField, domain: Domain, y0, distances, order: int = 64, tolerance=JUMP_TOL) -> IdentityReport:
+    """Difference of the one-sided limits of the double layer at boundary y0
+    against the moment value there."""
+    res = jump_relation_check(f, domain, y0, distances, order)
+    lhs = res.interior_limit_estimate - res.exterior_limit_estimate
+    return _report("JUMP", lhs, f.evaluate(y0), tolerance, order, [y0])
 
 
 def check_f1(f: ScalarField, domain: Domain, y, order: int = 128, tolerance=None, p=np.inf) -> IdentityReport:
@@ -177,53 +201,36 @@ def check_ball_corollaries(
     if which in ("MAT", "COM", "CERC") and ball.classify(y) != INTERIOR:
         raise PlacementError(f"{which} represents interior values of the ball")
     tol = default_tolerance(f, which) if tolerance is None else tolerance
-
-    brule = ball.boundary_rule(order)
-    fvals = f.evaluate(brule.nodes)
-    surface_mean = float(brule.weights @ fvals) / ball.surface_measure
     lhs = f.evaluate(y)
+    vol = gradient_volume_integral(f, ball, y, order)
 
-    if which == "REP2":
-        vol = gradient_volume_integral(f, ball, a, order)
-        rhs = surface_mean - vol
-        return _report("REP2", lhs, rhs, tol, order, [a], surface_mean=surface_mean, volume=vol)
-
-    vrule = volume_rule(ball, order)
-    volume_mean = float(vrule.weights @ f.evaluate(vrule.nodes)) / ball.volume_measure
-
-    if which == "REP3":
-        sing = gradient_volume_integral(f, ball, a, order)
+    if which in ("REP2", "CERC", "COM"):
+        brule = ball.boundary_rule(order)
+        fvals = f.evaluate(brule.nodes)
+        surface_mean = float(brule.weights @ fvals) / ball.surface_measure
+    if which in ("REP3", "CERC"):
+        vrule = volume_rule(ball, order)
+        volume_mean = float(vrule.weights @ f.evaluate(vrule.nodes)) / ball.volume_measure
         grule = _gradient_adapted_rule(f, ball, order)
         smooth = float(
             grule.weights @ np.einsum("ij,ij->i", f.gradient(grule.nodes), grule.nodes - a)
         ) / (omega * R**n)
-        rhs = volume_mean - sing + smooth
+
+    if which == "REP2":
+        return _report("REP2", lhs, surface_mean - vol, tol, order, [a], surface_mean=surface_mean, volume=vol)
+    if which == "REP3":
         return _report(
-            "REP3", lhs, rhs, tol, order, [a], volume_mean=volume_mean, singular_part=sing, smooth_part=smooth
+            "REP3", lhs, volume_mean - vol + smooth, tol, order, [a],
+            volume_mean=volume_mean, singular_part=vol, smooth_part=smooth,
         )
 
     dl = double_layer(f, ball, y, order).value
-    vol = gradient_volume_integral(f, ball, y, order)
-
     if which == "MAT":
         return _report("MAT", lhs, dl - vol, tol, order, [y], double_layer=dl, volume=vol)
-
     if which == "CERC":
-        grule = _gradient_adapted_rule(f, ball, order)
-        smooth = float(
-            grule.weights @ np.einsum("ij,ij->i", f.gradient(grule.nodes), grule.nodes - a)
-        ) / (omega * R**n)
         rhs = volume_mean - surface_mean + dl - vol + smooth
         return _report(
-            "CERC",
-            lhs,
-            rhs,
-            tol,
-            order,
-            [y],
-            volume_mean=volume_mean,
-            surface_mean=surface_mean,
-            double_layer=dl,
+            "CERC", lhs, rhs, tol, order, [y], volume_mean=volume_mean, surface_mean=surface_mean, double_layer=dl
         )
 
     # COM: route the boundary contribution through the harmonic extension.
@@ -389,13 +396,3 @@ def check_green_riemann(
     if cls == INTERIOR:
         return _report("GREEN_RIEMANN_INTERIOR", f.evaluate(y), rhs, tol, order, [y])
     return _report("GREEN_RIEMANN_EXTERIOR", 0.0, rhs, tol, order, [y])
-
-
-def check_grr_and_green_riemann(
-    f: ScalarField, domain: Domain, y, order: int = 64, tolerance=None
-) -> list[IdentityReport]:
-    """Both the flux identity and its classical consequence at the same point."""
-    return [
-        check_grr(f, domain, y, order, tolerance),
-        check_green_riemann(f, domain, y, order, tolerance),
-    ]

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import DimensionError
-from .fields import ScalarField
-from .geometry import Ball, as_point
+from layerpot.errors import DimensionError
+from layerpot.fields import ScalarField
+from layerpot.geometry import Ball, as_point, sphere_directions
 
 
 def fd_laplacian(func, x, step: float = 1e-3) -> float:
@@ -55,3 +57,24 @@ def loglog_slope(xs, ys) -> float:
     ys = np.abs(np.asarray(ys, dtype=float))
     mask = ys > 0
     return float(np.polyfit(np.log(xs[mask]), np.log(ys[mask]), 1)[0])
+
+
+def holder_ratio(field: ScalarField, a, alpha: float, radii, samples: int = 64) -> np.ndarray:
+    """Max of |f(x) - f(a)| / |x - a|^alpha over spheres of the given radii.
+
+    The pointwise Holder hypothesis at a singular point holds when these
+    ratios stay bounded as the radius shrinks.
+    """
+    a = as_point(a)
+    fa = field.evaluate(a)
+    n = a.size
+    out = []
+    for eps in np.atleast_1d(radii):
+        if n == 2:
+            th = 2.0 * math.pi * np.arange(samples) / samples
+            dirs = np.column_stack([np.cos(th), np.sin(th)])
+        else:
+            dirs, _ = sphere_directions(max(4, samples // 8))
+        pts = a + eps * dirs
+        out.append(float(np.max(np.abs(field.evaluate(pts) - fa)) / eps**alpha))
+    return np.asarray(out)

@@ -11,7 +11,6 @@ from layerpot.errors import (
     DimensionError,
     ParameterError,
     PlacementError,
-    RangeError,
 )
 from layerpot.geometry import escalated_order, gauss_jacobi_01
 
@@ -85,18 +84,18 @@ def test_volume_rule_measures():
 
 def test_polar_centered_integrates_kernel_power():
     disk = unit_disk()
-    rule = lp.volume_rule(disk, 64, mode="polar-centered", target=[0.0, 0.0])
+    rule = lp.composite_volume_rule(disk, 64, [0.0, 0.0], kernel_power=-1.0)
     r = np.linalg.norm(rule.nodes, axis=1)
     assert rule.integrate(1.0 / r) == pytest.approx(2 * math.pi, abs=1e-8)
     ball = unit_ball3()
-    rule = lp.volume_rule(ball, 24, mode="polar-centered", target=[0.0, 0.0, 0.0])
+    rule = lp.composite_volume_rule(ball, 24, [0.0, 0.0, 0.0], kernel_power=-2.0)
     r = np.linalg.norm(rule.nodes, axis=1)
     assert rule.integrate(1.0 / r**2) == pytest.approx(4 * math.pi, abs=1e-8)
 
 
 def test_polar_centered_never_places_node_at_target():
     target = np.array([0.3, -0.1])
-    rule = lp.volume_rule(unit_disk(), 32, mode="polar-centered", target=target)
+    rule = lp.composite_volume_rule(unit_disk(), 32, target, kernel_power=-1.0)
     assert np.min(np.linalg.norm(rule.nodes - target, axis=1)) > 1e-8
     assert rule.weights.sum() == pytest.approx(math.pi, abs=1e-9)
 
@@ -104,9 +103,9 @@ def test_polar_centered_never_places_node_at_target():
 def test_polar_centered_rejects_bad_targets():
     disk = unit_disk()
     with pytest.raises(PlacementError):
-        lp.volume_rule(disk, 32, mode="polar-centered", target=[1.0, 0.0])
+        lp.composite_volume_rule(disk, 32, [1.0, 0.0], kernel_power=-1.0)
     with pytest.raises(PlacementError):
-        lp.volume_rule(disk, 32, mode="polar-centered", target=[2.0, 0.0])
+        lp.composite_volume_rule(disk, 32, [2.0, 0.0], kernel_power=-1.0)
 
 
 @pytest.mark.parametrize("domain", [unit_disk(), unit_ball3(), star_domain()])
@@ -145,7 +144,7 @@ def test_star_measures_and_normals():
 def test_star_ray_exit_lands_on_boundary():
     star = star_domain()
     dirs = np.column_stack([np.cos([0.3, 2.1, 4.0]), np.sin([0.3, 2.1, 4.0])])
-    t = star.ray_exit([0.1, -0.2], dirs)
+    t, _ = star.ray_segments([0.1, -0.2], dirs)
     for ti, d in zip(t, dirs):
         assert star.classify([0.1, -0.2] + ti * d) == "boundary"
 
@@ -163,25 +162,6 @@ def test_ball_normal_formula():
     ball = lp.Ball([1.0, -2.0], 3.0)
     x = np.array([4.0, -2.0])
     np.testing.assert_allclose(ball.outward_normal(x), [1.0, 0.0], atol=1e-15)
-
-
-def test_closest_boundary_approach_examples():
-    disk = unit_disk()
-    pts = lp.closest_boundary_approach(disk, [1.0, 0.0], [0.1])
-    np.testing.assert_allclose(pts[0], [0.9, 0.0], atol=1e-14)
-    pts = lp.closest_boundary_approach(disk, [0.0, 1.0], [0.5])
-    np.testing.assert_allclose(pts[0], [0.0, 0.5], atol=1e-14)
-    big = lp.Ball([1.0, 0.0], 2.0)
-    pts = lp.closest_boundary_approach(big, [3.0, 0.0], [0.2])
-    np.testing.assert_allclose(pts[0], [2.8, 0.0], atol=1e-14)
-
-
-def test_closest_boundary_approach_errors():
-    disk = unit_disk()
-    with pytest.raises(RangeError):
-        lp.closest_boundary_approach(disk, [1.0, 0.0], [1.5])
-    with pytest.raises(PlacementError):
-        lp.closest_boundary_approach(disk, [0.5, 0.0], [0.1])
 
 
 def test_quadrature_dimension_guard():
@@ -259,10 +239,10 @@ def test_star_finite_difference_derivative_fallback():
     assert fd.curvature(0.7) == pytest.approx(analytic.curvature(0.7), abs=1e-6)
 
 
-def test_closest_boundary_approach_on_star():
-    star = star_domain()
-    z = star.boundary_point(1.1)
-    pts = lp.closest_boundary_approach(star, z, [0.05, 0.1])
-    for p in pts:
-        assert star.classify(p) == "interior"
-    np.testing.assert_allclose(pts[0], z - 0.05 * star.outward_normal(z), atol=1e-12)
+@pytest.mark.parametrize("beta", [0.0, -0.5])
+def test_cached_gauss_arrays_are_read_only(beta):
+    # the rule caches are shared across threads: nobody may write into them
+    nodes, weights = gauss_jacobi_01(8, beta)
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0

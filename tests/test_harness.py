@@ -132,6 +132,36 @@ probes.margin = 0.4
     assert rates[0].lhs < -2.0  # spectral decay fitted as a steep power
 
 
+def test_converge_exit_code_reports_failing_rows():
+    cfg = build_config(
+        """
+domain.shape = ball
+domain.dim = 2
+fields = distance:1.2,-0.4
+identities = F1
+orders = 8, 16, 32
+probes.count = 1
+probes.seed = 7
+probes.margin = 0.4
+tolerances.F1 = 1e-18
+"""
+    )
+    rows, code = run_converge(cfg)
+    assert code == 1
+    checked = [r for r in rows if not r.point.startswith("rate")]
+    assert checked and not any(r.passed for r in checked)
+    # fitted-rate rows keep their form
+    assert all(r.passed for r in rows if r.point.startswith("rate"))
+
+
+@pytest.mark.parametrize("key, value", [("probes.count", 0), ("probes.count", -3), ("probes.exterior_count", 0)])
+def test_probe_counts_must_be_positive(key, value):
+    with pytest.raises(ConfigError) as err:
+        build_config(f"identities = GAUSS\n{key} = {value}\n")
+    assert err.value.line == 2
+    assert key in str(err.value)
+
+
 def test_table_rows():
     cfg = build_config("table.dims = 2,3,4\ntable.exponents = inf,3\ntable.radii = 1.0\n")
     rows, code = run_table(cfg)

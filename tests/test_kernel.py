@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import layerpot as lp
-from layerpot.diagnostics import fd_gradient, fd_laplacian
+from diagnostics import fd_gradient, fd_laplacian
 from layerpot.errors import DimensionError, ParameterError, SingularityError
 
 
@@ -76,40 +76,36 @@ def test_normal_derivative_requires_unit_normal():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_harmonic_by_finite_differences(dim):
     rng = np.random.default_rng(17)
-    E = lp.FundamentalSolution(dim)
     for _ in range(20):
         x = rng.normal(size=dim)
         x *= rng.uniform(0.5, 2.0) / np.linalg.norm(x)
-        assert abs(fd_laplacian(E.value, x, 1e-3)) < 1e-4
+        assert abs(fd_laplacian(lp.fundamental_solution, x, 1e-3)) < 1e-4
 
 
 def test_fd_laplacian_second_order():
-    E = lp.FundamentalSolution(2)
     x = np.array([0.8, 0.4])
-    coarse = abs(fd_laplacian(E.value, x, 2e-3))
-    fine = abs(fd_laplacian(E.value, x, 1e-3))
+    coarse = abs(fd_laplacian(lp.fundamental_solution, x, 2e-3))
+    fine = abs(fd_laplacian(lp.fundamental_solution, x, 1e-3))
     assert fine < coarse / 2.0
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_gradient_consistent_with_value(dim):
     rng = np.random.default_rng(23)
-    E = lp.FundamentalSolution(dim)
     for _ in range(10):
         x = rng.normal(size=dim)
         x *= rng.uniform(0.8, 1.2) / np.linalg.norm(x)
-        np.testing.assert_allclose(E.gradient(x), fd_gradient(E.value, x), atol=1e-6)
+        np.testing.assert_allclose(lp.fundamental_gradient(x), fd_gradient(lp.fundamental_solution, x), atol=1e-6)
 
 
 def test_scaling_law():
-    E2 = lp.FundamentalSolution(2)
+    E = lp.fundamental_solution
     x = np.array([0.3, -0.7])
     for lam in (0.5, 2.0, 7.0):
-        assert E2.value(lam * x) == pytest.approx(E2.value(x) + math.log(lam) / (2 * math.pi), rel=1e-13)
-    E3 = lp.FundamentalSolution(3)
+        assert E(lam * x) == pytest.approx(E(x) + math.log(lam) / (2 * math.pi), rel=1e-13)
     x = np.array([0.3, -0.7, 0.2])
     for lam in (0.5, 2.0, 7.0):
-        assert E3.value(lam * x) == pytest.approx(lam ** (2 - 3) * E3.value(x), rel=1e-13)
+        assert E(lam * x) == pytest.approx(lam ** (2 - 3) * E(x), rel=1e-13)
 
 
 def test_batch_evaluation_matches_single():

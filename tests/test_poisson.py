@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import layerpot as lp
-from layerpot.diagnostics import fd_laplacian
+from diagnostics import fd_laplacian
 from layerpot.errors import PlacementError
 
 DISK = lp.Ball([0.0, 0.0], 1.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import layerpot as lp
-from layerpot.diagnostics import fd_laplacian, loglog_slope, sphere_ratio
+from diagnostics import fd_laplacian, loglog_slope, sphere_ratio
 from layerpot.errors import CapabilityError, PlacementError
 
 DISK = lp.Ball([0.0, 0.0], 1.0)
