@@ -89,9 +89,12 @@ class ScalarField:
     sup_gradient: float | None = None
 
     def __post_init__(self):
-        if len(self.singular_points) > MAX_SINGULAR_POINTS:
+        # plain float tuples keep the field hashable: it keys memoized integrals
+        points = tuple(tuple(np.asarray(a, dtype=float).ravel().tolist()) for a in self.singular_points)
+        object.__setattr__(self, "singular_points", points)
+        if len(points) > MAX_SINGULAR_POINTS:
             raise ParameterError(
-                f"singular family capped at {MAX_SINGULAR_POINTS} points, got {len(self.singular_points)}"
+                f"singular family capped at {MAX_SINGULAR_POINTS} points, got {len(points)}"
             )
 
     # -- evaluation ---------------------------------------------------------

@@ -13,12 +13,15 @@ The gradient volume integral int <grad E(x - y), grad f(x)> dx is computed
 with polar rules centered at y whose radial weight absorbs both the kernel
 singularity there and the field's own gradient growth at its singular
 points; secondary singular points are excised into their own polar blocks.
+Its values are memoized per process, since most identities of one suite
+share the same (field, target, order) terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from .geometry import (
     as_point,
     composite_volume_rule,
     escalated_order,
+    max_nodes_budget,
 )
 from .kernel import sphere_area
 
@@ -251,6 +255,11 @@ def _volume_order_for_target(domain: Domain, order: int, y) -> int:
     return eff
 
 
+#: Distinct gradient volume integrals kept per process; each entry is a float
+#: plus references to a field and a domain the caller already holds.
+_VOLUME_INTEGRAL_CACHE_SIZE = 4096
+
+
 def gradient_volume_integral(f: ScalarField, domain: Domain, y, order: int = 64) -> float:
     """int_Omega <grad E(x - y), grad f(x)> dx for y off the boundary.
 
@@ -259,8 +268,21 @@ def gradient_volume_integral(f: ScalarField, domain: Domain, y, order: int = 64)
     around the field's other singular points; exterior targets use a
     regular rule (the kernel is smooth on the closure).  A singular point
     of f coinciding with y is folded into the radial weight, not an error.
+
+    Values are memoized by (field, domain, target, order, node budget); the
+    budget is read on every call because it decides whether the rule may be
+    built.  Errors are not memoized: they are raised again on every call.
     """
     y = as_point(y, domain.dim)
+    return _gradient_volume_integral(f, domain, tuple(y.tolist()), order, max_nodes_budget())
+
+
+@lru_cache(maxsize=_VOLUME_INTEGRAL_CACHE_SIZE, typed=True)
+def _gradient_volume_integral(f: ScalarField, domain: Domain, y: tuple, order: int, budget: int) -> float:
+    # ``budget`` only keys the memo: composite_volume_rule reads it itself;
+    # ``typed`` keeps a float order, which fails to build a rule, from
+    # hitting the value cached for the equal int order
+    y = np.array(y)
     cls = domain.classify(y)
     if cls == BOUNDARY:
         raise PlacementError("target on the boundary; use boundary_limit_zeta instead")

@@ -224,7 +224,8 @@ def check_ball_corollaries(
             volume_mean=volume_mean, singular_part=vol, smooth_part=smooth,
         )
 
-    dl = double_layer(f, ball, y, order).value
+    if which in ("MAT", "CERC"):
+        dl = double_layer(f, ball, y, order).value
     if which == "MAT":
         return _report("MAT", lhs, dl - vol, tol, order, [y], double_layer=dl, volume=vol)
     if which == "CERC":

@@ -167,6 +167,21 @@ def test_singular_family_cap():
         )
 
 
+def test_array_singular_points_are_normalised():
+    # the field keys memoized volume integrals, so it must hash with array points
+    ref = lp.catalog("distance", [0.2, 0.1])
+    f = lp.ScalarField(
+        name="distance-from-array",
+        evaluate_fn=ref.evaluate_fn,
+        gradient_fn=ref.gradient_fn,
+        singular_points=[np.array([0.2, 0.1])],
+        dim=2,
+    )
+    y = [-0.3, 0.4]
+    assert lp.gradient_volume_integral(f, DISK, y, 64) == lp.gradient_volume_integral(ref, DISK, y, 64)
+    assert f.singular_points == ((0.2, 0.1),)
+
+
 def test_harmonic_poly_is_harmonic():
     for k in (1, 2, 3, 4):
         f = lp.catalog("harmonic_poly", k)

@@ -1,13 +1,17 @@
 """Tests for double-layer evaluation, jump relations, and volume integrals."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import layerpot as lp
+import layerpot.fields
+import layerpot.potentials
 from diagnostics import fd_laplacian, loglog_slope, sphere_ratio
-from layerpot.errors import CapabilityError, PlacementError
+from layerpot.errors import BudgetError, CapabilityError, PlacementError
 
 DISK = lp.Ball([0.0, 0.0], 1.0)
 BALL3 = lp.Ball([0.0, 0.0, 0.0], 1.0)
@@ -132,8 +136,61 @@ def test_gradient_volume_integral_exterior_equals_double_layer():
 
 
 def test_gradient_volume_integral_boundary_target_rejected():
-    with pytest.raises(PlacementError):
-        lp.gradient_volume_integral(lp.catalog("coordinate", 1), DISK, [1.0, 0.0], 64)
+    f = lp.catalog("coordinate", 1)
+    for _ in range(2):  # errors are not memoized: the second call raises too
+        with pytest.raises(PlacementError):
+            lp.gradient_volume_integral(f, DISK, [1.0, 0.0], 64)
+
+
+def _count_volume_rules(monkeypatch):
+    """Node counts of the volume rules the gradient volume integral builds."""
+    built = []
+    build = layerpot.fields.composite_volume_rule
+
+    def counting(*args, **kwargs):
+        rule = build(*args, **kwargs)
+        built.append(len(rule.weights))
+        return rule
+
+    monkeypatch.setattr(layerpot.fields, "composite_volume_rule", counting)
+    monkeypatch.delenv("LAYERPOT_MAX_NODES", raising=False)
+    return built
+
+
+def test_gradient_volume_integral_is_memoized(monkeypatch):
+    built = _count_volume_rules(monkeypatch)
+    f = lp.catalog("harmonic_poly", 2)  # a new field, so nothing is cached for it yet
+    first = lp.gradient_volume_integral(f, DISK, [0.3, -0.2], 64)
+    assert lp.gradient_volume_integral(f, DISK, np.array([0.3, -0.2]), 64) == first
+    assert len(built) == 1
+
+
+def test_memoized_gradient_volume_integral_matches_uncached_under_threads(monkeypatch):
+    # more threads than cores race on the first calls of a few keys; every
+    # result must equal the uncached computation of the same term
+    monkeypatch.delenv("LAYERPOT_MAX_NODES", raising=False)
+    f = lp.catalog("harmonic_poly", 4)
+    targets = [(0.1 * k, -0.05 * k) for k in range(4)] + [(1.5, 0.5)]
+    uncached = layerpot.potentials._gradient_volume_integral.__wrapped__
+    expected = {y: uncached(f, DISK, y, 16, layerpot.geometry.max_nodes_budget()) for y in targets}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            futures = {pool.submit(lp.gradient_volume_integral, f, DISK, y, 16): y for y in targets * 8}
+            for future, y in futures.items():
+                assert future.result(timeout=60) == expected[y]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_memoized_gradient_volume_integral_respects_node_budget(monkeypatch):
+    built = _count_volume_rules(monkeypatch)
+    f = lp.catalog("harmonic_poly", 3)
+    lp.gradient_volume_integral(f, DISK, [0.1, 0.4], 64)
+    monkeypatch.setenv("LAYERPOT_MAX_NODES", str(built[0] - 1))
+    with pytest.raises(BudgetError):
+        lp.gradient_volume_integral(f, DISK, [0.1, 0.4], 64)
 
 
 def test_singular_point_coinciding_with_target_is_not_an_error():
