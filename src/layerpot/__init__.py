@@ -30,7 +30,6 @@ from .geometry import (
 from .kernel import (
     fundamental_gradient,
     fundamental_solution,
-    normal_derivative,
     sphere_area,
 )
 from .poisson import DirichletSolution, dirichlet_chi, mean_value_check, poisson_evaluate
@@ -98,7 +97,6 @@ __all__ = [
     "moment_integral_closed_form",
     "montgomery_identity_1d",
     "newtonian_integrals",
-    "normal_derivative",
     "ostrowski_bound_ball",
     "ostrowski_bound_general",
     "ostrowski_bounds_1d",

@@ -26,7 +26,7 @@ from .errors import (
     ParameterError,
     SingularityError,
 )
-from .geometry import EXTERIOR, Ball, Domain, as_point, composite_volume_rule
+from .geometry import EXTERIOR, Ball, Domain, as_point, composite_volume_rule, volume_rule
 from .kernel import _as_batch, sphere_area
 
 #: Cap on the size of the singular family carried by one field.
@@ -440,7 +440,7 @@ def grad_norm(field: ScalarField, domain: Domain, p, order: int = 64) -> float:
     if p.is_infinite:
         if field.sup_gradient is not None:
             return float(field.sup_gradient)
-        rule = composite_volume_rule(domain, order, domain.center)
+        rule = volume_rule(domain, order)
         return float(np.max(np.linalg.norm(field.gradient(rule.nodes), axis=1)))
     rule = _gradient_adapted_rule(field, domain, order, power_scale=p.value)
     vals = np.linalg.norm(field.gradient(rule.nodes), axis=1) ** p.value

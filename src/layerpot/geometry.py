@@ -25,6 +25,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -621,93 +622,79 @@ def _radial_block(t: np.ndarray, n_r: int, dim: int, kappa: float, log_kernel: b
     return rho, weights
 
 
-def _panel_block(a: float, b: float, n_r: int, dim: int):
-    """Radial Gauss-Legendre panel on [a, b] with the rho^(N-1) Jacobian folded in."""
+def _panel_block(a: np.ndarray, b: np.ndarray, n_r: int, dim: int):
+    """Radial Gauss-Legendre panels on [a, b] with the rho^(N-1) Jacobian folded in."""
     u, w = gauss_legendre_01(n_r)
-    rho = a + (b - a) * u
-    weights = (b - a) * w * rho ** (dim - 1)
+    h = (b - a)[:, None]
+    rho = a[:, None] + h * u
+    weights = h * w * rho ** (dim - 1)
     return rho, weights
 
 
-def _subtract_intervals(segments, cuts):
-    """Set difference of interval lists: segments minus the (merged) cuts."""
-    if not cuts:
-        return list(segments)
-    cuts = sorted(cuts)
-    merged = [list(cuts[0])]
-    for lo, hi in cuts[1:]:
-        if lo <= merged[-1][1] + 1e-15:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    out = []
-    for a, b in segments:
-        pieces = [(a, b)]
-        for lo, hi in merged:
-            nxt = []
-            for pa, pb in pieces:
-                if hi <= pa or lo >= pb:
-                    nxt.append((pa, pb))
-                    continue
-                if lo > pa:
-                    nxt.append((pa, lo))
-                if hi < pb:
-                    nxt.append((hi, pb))
-            pieces = nxt
-        out.extend(pieces)
-    return [(a, b) for a, b in out if b - a > 1e-15]
+def _interval_table(center, dirs, t, extras, holes):
+    """Covered radial intervals of every ray of a polar rule about ``center``.
 
-
-def _polar_blocks(center, dirs, w_ang, t, extras, n_r, dim, kappa, log_kernel, holes):
-    """Assemble node/weight arrays for a polar rule about ``center``.
-
-    ``t`` holds the first-exit length per direction and ``extras`` the
-    re-entered intervals of non-convex shapes; ``holes`` (center, radius)
-    are excised from every covered interval.  The interval touching the
-    rule center gets the singularity-adapted radial block, every other
-    interval a plain Gauss panel with the volume Jacobian folded in.
+    Ray i covers [0, t[i]] plus its re-entered ``extras[i]``, minus the
+    chords of the ``holes`` (center, radius, power); pieces no longer than
+    1e-15, such as those between touching chords, are dropped.
+    Returns the ray index, start and end of every piece: first the rays with
+    no cut and no re-entry, then the others in index order, each ray's
+    pieces ascending.
     """
-    nodes_list, weights_list = [], []
-    hole_ivs = [[] for _ in range(len(dirs))]
-    for hc, hr in holes:
+    n = len(dirs)
+    # per ray: a cut at -inf, the hole chords, and a sentinel; a chord the
+    # ray misses stays (inf, inf) and sorts last with the sentinel
+    starts = np.full((n, len(holes) + 2), np.inf)
+    ends = np.full((n, len(holes) + 2), np.inf)
+    starts[:, 0] = ends[:, 0] = -np.inf
+    for k, (hc, hr, _) in enumerate(holes, start=1):
         v = hc - center
         proj = dirs @ v
         disc = proj**2 - float(v @ v) + hr**2
-        mask = disc > 0.0
-        if not np.any(mask):
-            continue
-        sq = np.sqrt(disc[mask])
-        lo = np.maximum(proj[mask] - sq, 0.0)
-        hi = proj[mask] + sq
-        for k, i in enumerate(np.nonzero(mask)[0]):
-            if hi[k] > lo[k] + 1e-15:
-                hole_ivs[i].append((float(lo[k]), float(hi[k])))
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        enter, leave = np.maximum(proj - sq, 0.0), proj + sq
+        cut = (disc > 0.0) & (leave > enter + 1e-15)
+        starts[cut, k], ends[cut, k] = enter[cut], leave[cut]
+    rows = np.arange(n)[:, None]
+    by_start = np.argsort(starts, axis=1, kind="stable")
+    # the gap after each cut runs to the next cut's start, or is empty when
+    # an earlier cut reaches past that
+    gap_lo = np.maximum.accumulate(ends[rows, by_start], axis=1)[:, :-1]
+    gap_hi = starts[rows, by_start][:, 1:]
+    plain = gap_hi[:, 0] == np.inf
 
-    slow = np.zeros(len(dirs), dtype=bool)
-    for i in range(len(dirs)):
-        if hole_ivs[i] or i in extras:
-            slow[i] = True
+    reentered = np.fromiter(extras, dtype=int, count=len(extras))
+    plain[reentered] = False
+    spans = np.array(list(chain.from_iterable(extras.values())), dtype=float).reshape(-1, 2)
+    seg_ray = np.concatenate([np.arange(n), np.repeat(reentered, list(map(len, extras.values())))])
+    seg = np.argsort(np.where(plain[seg_ray], seg_ray, seg_ray + n), kind="stable")
+    seg_ray = seg_ray[seg]
+    a = np.maximum(np.concatenate([np.zeros(n), spans[:, 0]])[seg, None], gap_lo[seg_ray])
+    b = np.minimum(np.concatenate([t, spans[:, 1]])[seg, None], gap_hi[seg_ray])
+    piece = np.nonzero(b - a > 1e-15)
+    return seg_ray[piece[0]], a[piece], b[piece]
 
-    fast = ~slow
-    if np.any(fast):
-        rho, wr = _radial_block(t[fast], n_r, dim, kappa, log_kernel)
-        nodes = center + rho[..., None] * dirs[fast][:, None, :]
-        weights = wr * w_ang[fast][:, None]
-        nodes_list.append(nodes.reshape(-1, dim))
-        weights_list.append(weights.reshape(-1))
 
-    for i in np.nonzero(slow)[0]:
-        covered = [(0.0, float(t[i]))] + [tuple(seg) for seg in extras.get(i, [])]
-        for a, b in _subtract_intervals(covered, hole_ivs[i]):
-            if a == 0.0:
-                rho, wr = _radial_block(np.array([b]), n_r, dim, kappa, log_kernel)
-                rho, wr = rho[0], wr[0]
-            else:
-                rho, wr = _panel_block(a, b, n_r, dim)
-            nodes_list.append(center + rho[:, None] * dirs[i][None, :])
-            weights_list.append(wr * w_ang[i])
+def _polar_block(center, dirs, w_ang, t, extras, holes, n_r, dim, kappa, log_kernel):
+    """Nodes and weights of a polar rule about ``center`` over the interval
+    table of its rays (see ``_interval_table``).
 
-    return nodes_list, weights_list
+    The interval starting at the rule center gets the singularity-adapted
+    radial block, every other interval a Gauss panel with the volume
+    Jacobian folded in.
+    """
+    ray, a, b = _interval_table(center, dirs, t, extras, holes)
+    rho, wr = _radial_block(b, n_r, dim, kappa, log_kernel)
+    # pieces off the center: panels replace their radial rows
+    panel = np.flatnonzero(a)
+    rho[panel], wr[panel] = _panel_block(a[panel], b[panel], n_r, dim)
+    # one coordinate at a time keeps the inner loops on the radial nodes
+    nodes = np.empty((len(ray), n_r, dim))
+    for k in range(dim):
+        np.multiply(rho, dirs[ray, k, None], out=nodes[..., k])
+        nodes[..., k] += center[k]
+    wr *= w_ang[ray][:, None]
+    return nodes.reshape(-1, dim), wr.reshape(-1)
 
 
 def composite_volume_rule(
@@ -734,21 +721,17 @@ def composite_volume_rule(
     kappa = 0.0 if kernel_power is None else float(kernel_power)
     dirs, w_ang = angular_rule(domain.dim, order * domain.angular_oversampling)
     t, extras = domain.ray_segments(center, dirs)
-    hole_geoms = [(as_point(hc, domain.dim), float(hr)) for hc, hr, _ in holes]
-    nodes_list, weights_list = _polar_blocks(
-        center, dirs, w_ang, t, extras, order, domain.dim, kappa, log_kernel, hole_geoms
-    )
-    for (hc, hr, hp) in holes:
-        hc = as_point(hc, domain.dim)
+    holes = [(as_point(hc, domain.dim), float(hr), float(hp)) for hc, hr, hp in holes]
+    blocks = [_polar_block(center, dirs, w_ang, t, extras, holes, order, domain.dim, kappa, log_kernel)]
+    for hc, hr, hp in holes:
         hdirs, hw_ang = angular_rule(domain.dim, order)
-        ht = np.full(len(hdirs), float(hr))
-        rho, wr = _radial_block(ht, order, domain.dim, float(hp), False)
-        nodes = hc + rho[..., None] * hdirs[:, None, :]
-        weights = wr * hw_ang[:, None]
-        nodes_list.append(nodes.reshape(-1, domain.dim))
-        weights_list.append(weights.reshape(-1))
-    nodes = np.concatenate(nodes_list, axis=0)
-    weights = np.concatenate(weights_list, axis=0)
+        ht = np.full(len(hdirs), hr)
+        blocks.append(_polar_block(hc, hdirs, hw_ang, ht, {}, (), order, domain.dim, hp, False))
+    if len(blocks) == 1:
+        nodes, weights = blocks[0]
+    else:
+        nodes = np.concatenate([block[0] for block in blocks])
+        weights = np.concatenate([block[1] for block in blocks])
     if nodes.shape[0] > max_nodes_budget():
         raise BudgetError(
             f"volume rule would use {nodes.shape[0]} nodes, over the budget "

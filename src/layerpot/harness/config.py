@@ -103,31 +103,25 @@ def _parse_int(raw, key, default):
         raise ConfigError(f"{key} must be an integer, got {val!r}", line=raw[key][1]) from None
 
 
-def _parse_floats(raw, key, default):
-    val = _get(raw, key)
-    if val is None:
-        return default
-    try:
-        return tuple(float(v) for v in val.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"{key} must be a comma list of numbers, got {val!r}", line=raw[key][1]) from None
-
-
-def _parse_ints(raw, key, default):
-    val = _get(raw, key)
-    if val is None:
-        return default
-    try:
-        return tuple(int(v) for v in val.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"{key} must be a comma list of integers, got {val!r}", line=raw[key][1]) from None
-
-
 def _parse_exponent(token: str) -> float:
     token = token.strip().lower()
     if token in ("inf", "infinity", "oo"):
         return math.inf
     return float(token)
+
+
+def _parse_list(raw, key, default, item=float, kind="numbers"):
+    """A comma list of ``item`` values; empty lists and bad entries are config errors."""
+    val = _get(raw, key)
+    if val is None:
+        return default
+    try:
+        values = tuple(item(v) for v in val.split(",") if v.strip())
+    except ValueError:
+        raise ConfigError(f"{key} must be a comma list of {kind}, got {val!r}", line=raw[key][1]) from None
+    if not values:
+        raise ConfigError(f"{key} must list at least one value", line=raw[key][1])
+    return values
 
 
 def parse_field_spec(spec: str, dim: int):
@@ -192,7 +186,7 @@ def build_config(text: str) -> SuiteConfig:
 
     shape = _get(raw, "domain.shape", "ball").lower()
     dim = _parse_int(raw, "domain.dim", 2)
-    center = _parse_floats(raw, "domain.center", tuple([0.0] * dim))
+    center = _parse_list(raw, "domain.center", tuple([0.0] * dim))
     if len(center) != dim:
         raise ConfigError(f"domain.center has {len(center)} coordinates for dim {dim}")
     if shape == "ball":
@@ -226,7 +220,7 @@ def build_config(text: str) -> SuiteConfig:
                 raise ConfigError(f"unknown identity {name!r}", line=raw["identities"][1])
         cfg.identities = names
 
-    cfg.orders = _parse_ints(raw, "orders", (64,))
+    cfg.orders = _parse_list(raw, "orders", (64,), int, "integers")
     cfg.probe_count = _parse_int(raw, "probes.count", 5)
     cfg.exterior_count = _parse_int(raw, "probes.exterior_count", 2)
     for key, count in (("probes.count", cfg.probe_count), ("probes.exterior_count", cfg.exterior_count)):
@@ -236,26 +230,22 @@ def build_config(text: str) -> SuiteConfig:
     cfg.margin = _parse_float(raw, "probes.margin", 0.25)
     if not (0.0 < cfg.margin < 1.0):
         raise ConfigError("probes.margin must lie in (0, 1)")
-    cfg.jump_distances = _parse_floats(raw, "jump.distances", (1e-2, 5e-3))
+    cfg.jump_distances = _parse_list(raw, "jump.distances", (1e-2, 5e-3))
     cfg.order_outer = _parse_int(raw, "double.order_outer", 32)
     cfg.order_inner = _parse_int(raw, "double.order_inner", 64)
     cfg.zeta_mode = _get(raw, "zeta.mode", "limit")
     if cfg.zeta_mode not in ("limit", "algebraic"):
         raise ConfigError(f"zeta.mode must be 'limit' or 'algebraic', got {cfg.zeta_mode!r}")
 
-    val = _get(raw, "bound.exponents")
-    if val is not None:
-        cfg.bound_exponents = tuple(_parse_exponent(v) for v in val.split(",") if v.strip())
+    cfg.bound_exponents = _parse_list(raw, "bound.exponents", cfg.bound_exponents, _parse_exponent, "exponents")
     flag = _get(raw, "bound.include_extremal")
     if flag is not None:
         if flag.lower() not in ("true", "false"):
             raise ConfigError("bound.include_extremal must be true or false")
         cfg.bound_include_extremal = flag.lower() == "true"
-    cfg.table_dims = _parse_ints(raw, "table.dims", (2, 3, 4))
-    val = _get(raw, "table.exponents")
-    if val is not None:
-        cfg.table_exponents = tuple(_parse_exponent(v) for v in val.split(",") if v.strip())
-    cfg.table_radii = _parse_floats(raw, "table.radii", (1.0,))
+    cfg.table_dims = _parse_list(raw, "table.dims", (2, 3, 4), int, "integers")
+    cfg.table_exponents = _parse_list(raw, "table.exponents", cfg.table_exponents, _parse_exponent, "exponents")
+    cfg.table_radii = _parse_list(raw, "table.radii", (1.0,))
 
     for key, (val, lineno) in raw.items():
         if key.startswith("tolerances."):

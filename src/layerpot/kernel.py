@@ -1,9 +1,8 @@
 """Fundamental solution of Laplace's equation in N >= 2 dimensions.
 
 Provides the radially symmetric free-space kernel (logarithmic in 2-D, a
-power of the distance in higher dimensions), its gradient, its normal
-derivative, and the area of the unit sphere computed from exact
-integer/half-integer Gamma values.
+power of the distance in higher dimensions), its gradient, and the area of
+the unit sphere computed from exact integer/half-integer Gamma values.
 
 All evaluation functions accept a single point (shape ``(N,)``) or a batch
 (shape ``(m, N)``) and are pure; they never return infinities, raising
@@ -86,20 +85,3 @@ def fundamental_gradient(x) -> np.ndarray:
     grad = pts / (sphere_area(n) * r[:, None] ** n)
     return grad[0] if single else grad
 
-
-def normal_derivative(x, nu) -> float | np.ndarray:
-    """Directional derivative <grad, nu> of the kernel, nu a unit vector.
-
-    This is the double-layer kernel when x is (boundary point - target) and
-    nu the outward normal at the boundary point.
-    """
-    pts, single = _as_batch(x)
-    nus, _ = _as_batch(nu)
-    if nus.shape[1] != pts.shape[1]:
-        raise DimensionError("x and nu must share a dimension")
-    lengths = np.linalg.norm(nus, axis=1)
-    if np.any(np.abs(lengths - 1.0) > 1e-8):
-        raise ParameterError("nu must be a unit vector")
-    grad = np.atleast_2d(fundamental_gradient(pts))
-    val = np.einsum("ij,ij->i", grad, np.broadcast_to(nus, grad.shape))
-    return float(val[0]) if single else val

@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import ParameterError, PlacementError
 from .fields import ScalarField
-from .geometry import INTERIOR, Ball, as_point, escalated_order, volume_rule
+from .geometry import INTERIOR, Ball, as_point, volume_rule
 from .kernel import sphere_area
-from .potentials import _moment_callable
+from .potentials import _moment_callable, _target_rule
 
 #: Interior evaluation is restricted to this fraction of the radius; closer
 #: to the sphere the kernel peak outruns the escalation cap, and we fail
@@ -47,9 +47,7 @@ def poisson_evaluate(ball: Ball, phi, y, order: int = 64) -> float:
             f"target at {off / ball.radius:.3f} R exceeds the supported interior range "
             f"{MAX_RELATIVE_OFFSET} R"
         )
-    eff, _ = escalated_order(ball, order, y)
-    pole = (y - ball.center) if ball.dim == 3 and off > 1e-14 else None
-    rule = ball.boundary_rule(eff, pole=pole)
+    rule, _, _ = _target_rule(ball, order, y)
     vals = _moment_callable(phi)(rule.nodes)
     return float(rule.weights @ (vals * poisson_kernel(ball, rule.nodes, y)))
 

@@ -36,8 +36,9 @@ from .geometry import (
     composite_volume_rule,
     escalated_order,
     max_nodes_budget,
+    volume_rule,
 )
-from .kernel import sphere_area
+from .kernel import fundamental_gradient, fundamental_solution, sphere_area
 
 
 def _moment_callable(h):
@@ -103,6 +104,19 @@ def _boundary_value(h, domain: Domain, z: np.ndarray, order: int) -> float:
     return float(rule.weights @ (moment(rule.nodes) * kernel))
 
 
+def _target_rule(domain: Domain, order: int, y: np.ndarray):
+    """Boundary rule for kernels peaked at the off-boundary target y.
+
+    The order escalates with the target's boundary distance, and 3-D rules
+    put their pole along y - center.  Returns the rule, the effective order
+    and the escalation warning.
+    """
+    eff, warn = escalated_order(domain, order, y)
+    axis = y - domain.center
+    pole = axis if domain.dim == 3 and np.linalg.norm(axis) > 1e-14 else None
+    return domain.boundary_rule(eff, pole=pole), eff, warn
+
+
 def double_layer(h, domain: Domain, y, order: int = 64) -> LayerEvaluation:
     """Double-layer potential with moment h evaluated at y.
 
@@ -115,12 +129,7 @@ def double_layer(h, domain: Domain, y, order: int = 64) -> LayerEvaluation:
     if cls == BOUNDARY:
         value = _boundary_value(h, domain, y, order)
         return LayerEvaluation(value=value, location_class=cls, quadrature_order=order)
-    eff, warn = escalated_order(domain, order, y)
-    pole = None
-    if domain.dim == 3:
-        axis = y - domain.center
-        pole = axis if np.linalg.norm(axis) > 1e-14 else None
-    rule = domain.boundary_rule(eff, pole=pole)
+    rule, eff, warn = _target_rule(domain, order, y)
     vals = _moment_callable(h)(rule.nodes)
     value = float(rule.weights @ (vals * dl_kernel(rule.nodes, rule.normals, y)))
     return LayerEvaluation(value=value, location_class=cls, quadrature_order=eff, warning=warn)
@@ -292,10 +301,7 @@ def _gradient_volume_integral(f: ScalarField, domain: Domain, y: tuple, order: i
         rule = _singular_rule(f, domain, order, y, singulars, kernel_power=float(1 - domain.dim))
     else:
         rule = _singular_rule(f, domain, order, domain.center, singulars)
-    d = rule.nodes - y
-    r = np.linalg.norm(d, axis=1)
-    kern = d / (sphere_area(domain.dim) * r[:, None] ** domain.dim)
-    vals = np.einsum("ij,ij->i", kern, f.gradient(rule.nodes))
+    vals = np.einsum("ij,ij->i", fundamental_gradient(rule.nodes - y), f.gradient(rule.nodes))
     return float(rule.weights @ vals)
 
 
@@ -355,16 +361,12 @@ def newtonian_integrals(f: ScalarField, domain: Domain, y, order: int = 64) -> N
     cls = domain.classify(y)
     if cls == BOUNDARY:
         raise PlacementError("Newtonian integrals are evaluated off the boundary")
-    eff, _ = escalated_order(domain, order, y)
-    pole = (y - domain.center) if domain.dim == 3 and np.linalg.norm(y - domain.center) > 1e-14 else None
-    brule = domain.boundary_rule(eff, pole=pole)
+    brule, _, _ = _target_rule(domain, order, y)
     dfdnu = np.einsum("ij,ij->i", f.gradient(brule.nodes), brule.normals)
-    from .kernel import fundamental_solution
-
     boundary_term = float(brule.weights @ (dfdnu * fundamental_solution(brule.nodes - y)))
     if cls == INTERIOR:
         vrule = composite_volume_rule(domain, order, y, log_kernel=True)
     else:
-        vrule = composite_volume_rule(domain, order, domain.center)
+        vrule = volume_rule(domain, order)
     volume_term = float(vrule.weights @ (f.laplacian(vrule.nodes) * fundamental_solution(vrule.nodes - y)))
     return NewtonianIntegrals(boundary_term=boundary_term, volume_term=volume_term)

@@ -12,7 +12,7 @@ from layerpot.errors import (
     ParameterError,
     PlacementError,
 )
-from layerpot.geometry import escalated_order, gauss_jacobi_01
+from layerpot.geometry import _interval_table, angular_rule, escalated_order, gauss_jacobi_01
 
 
 def unit_disk():
@@ -225,6 +225,111 @@ def test_ray_segments_cover_reentrant_chords():
     assert extras == {}
     th = np.arctan2(dirs[:, 1], dirs[:, 0])
     np.testing.assert_allclose(t, 1.0 + 0.25 * np.cos(3 * th), atol=1e-12)
+
+
+def _nodes_in_ball(rule, center, radius):
+    return int(np.sum(np.linalg.norm(rule.nodes - np.asarray(center), axis=1) < radius))
+
+
+def test_hole_on_reentered_chord():
+    # a hole on a re-entered segment is cut out of that segment only and
+    # re-covered by its own block of 2 * order^2 nodes
+    star = star_domain()
+    z = star.boundary_point(0.9)
+    origin = z - 0.01 * star.outward_normal(z)
+    order = 64
+    dirs, _ = angular_rule(2, order * star.angular_oversampling)
+    _, extras = star.ray_segments(origin, dirs)
+    ray, segments = next(iter(extras.items()))
+    enter, leave = segments[0]
+    mid = origin + 0.5 * (enter + leave) * dirs[ray]
+    radius = 0.5 * star.boundary_distance(mid)
+    rule = lp.composite_volume_rule(star, order, origin, holes=[(mid, radius, 0.0)])
+    assert _nodes_in_ball(rule, mid, radius) == 2 * order**2
+    assert rule.weights.sum() == pytest.approx(star.volume_measure, abs=1e-4)
+
+
+@pytest.mark.parametrize("order", [32, 64])
+def test_touching_holes(order):
+    # two holes touching at (0.4, 0): on the ray along the x-axis their
+    # chords meet and merge, and each hole still holds only its own block
+    holes = [([0.3, 0.0], 0.1, 0.0), ([0.5, 0.0], 0.1, 0.0)]
+    rule = lp.composite_volume_rule(unit_disk(), order, [0.0, 0.0], holes=holes)
+    for center, radius, _ in holes:
+        assert _nodes_in_ball(rule, center, radius) == 2 * order**2
+    assert rule.weights.sum() == pytest.approx(math.pi, abs=1e-3)
+
+
+def subtract_intervals(segments, cuts):
+    """Set difference of interval lists: segments minus the (merged) cuts."""
+    if not cuts:
+        return list(segments)
+    cuts = sorted(cuts)
+    merged = [list(cuts[0])]
+    for lo, hi in cuts[1:]:
+        if lo <= merged[-1][1] + 1e-15:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    out = []
+    for a, b in segments:
+        pieces = [(a, b)]
+        for lo, hi in merged:
+            nxt = []
+            for pa, pb in pieces:
+                if hi <= pa or lo >= pb:
+                    nxt.append((pa, pb))
+                    continue
+                if lo > pa:
+                    nxt.append((pa, lo))
+                if hi < pb:
+                    nxt.append((hi, pb))
+            pieces = nxt
+        out.extend(pieces)
+    return [(a, b) for a, b in out if b - a > 1e-15]
+
+
+def loop_interval_table(center, dirs, t, extras, holes):
+    """Per-ray loop reference for the vectorised interval table."""
+    cuts = [[] for _ in dirs]
+    for hc, hr, _ in holes:
+        v = hc - center
+        proj = dirs @ v
+        disc = proj**2 - float(v @ v) + hr**2
+        for i in np.nonzero(disc > 0.0)[0]:
+            sq = math.sqrt(disc[i])
+            lo, hi = max(proj[i] - sq, 0.0), proj[i] + sq
+            if hi > lo + 1e-15:
+                cuts[i].append((lo, hi))
+    plain, other = [], []
+    for i in range(len(dirs)):
+        pieces = subtract_intervals([(0.0, t[i])] + extras.get(i, []), cuts[i])
+        (other if cuts[i] or i in extras else plain).extend((i, a, b) for a, b in pieces)
+    return tuple(np.array(column) for column in zip(*(plain + other)))
+
+
+@pytest.mark.parametrize("domain", [unit_disk(), unit_ball3(), star_domain()])
+def test_interval_table_matches_loop_reference(domain):
+    # origins close to the boundary give re-entrant rays on the star; holes
+    # may overlap here, so that their chords merge
+    rng = np.random.default_rng(11)
+    dirs, _ = angular_rule(domain.dim, 16 * domain.angular_oversampling)
+    for _ in range(20):
+        u = rng.normal(size=domain.dim)
+        u /= np.linalg.norm(u)
+        exit_length, _ = domain.ray_segments(domain.center, u[None, :])
+        origin = domain.center + (exit_length[0] - rng.choice([0.01, 0.3])) * u
+        t, extras = domain.ray_segments(origin, dirs)
+        holes = []
+        for _ in range(rng.integers(1, 5)):
+            ray = rng.choice(list(extras)) if extras and rng.random() < 0.5 else rng.integers(len(dirs))
+            start, end = ([(0.0, t[ray])] + extras.get(ray, []))[-1]
+            a = origin + rng.uniform(start + 0.2 * (end - start), end - 0.2 * (end - start)) * dirs[ray]
+            radius = 0.5 * min(np.linalg.norm(a - origin), domain.boundary_distance(a))
+            holes.append((a, radius, 0.0))
+        got = _interval_table(origin, dirs, t, extras, holes)
+        for column, want in zip(got, loop_interval_table(origin, dirs, t, extras, holes)):
+            np.testing.assert_array_equal(column, want)
 
 
 def test_star_finite_difference_derivative_fallback():

@@ -4,6 +4,7 @@ Regenerate a golden file only for a change meant to alter numbers, with
 ``layerpot COMMAND --config CONFIG --out tests/golden/NAME.csv``.
 """
 
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -27,4 +28,16 @@ def test_report_matches_golden(name, tmp_path, capsys):
     out = tmp_path / f"{name}.csv"
     main([command, "--config", str(config), "--out", str(out)])
     capsys.readouterr()
-    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+    got, golden = out.read_bytes(), (GOLDEN / f"{name}.csv").read_bytes()
+    assert got == golden, first_difference(got, golden)
+
+
+def first_difference(got: bytes, golden: bytes) -> str:
+    """The first differing report row, with its line number and both versions."""
+    got_rows, golden_rows = got.decode().splitlines(), golden.decode().splitlines()
+    pairs = zip_longest(got_rows, golden_rows, fillvalue="<no row>")
+    for lineno, (row, want) in enumerate(pairs, start=1):
+        if row != want:
+            header = golden_rows[0] if golden_rows else ""
+            return f"line {lineno} differs\n header: {header}\n golden: {want}\n    got: {row}"
+    return "the reports differ only in line endings"

@@ -231,6 +231,24 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("bound", "bound.exponents = abc"),
+        ("table", "table.exponents = 3,x"),
+        ("verify", "orders ="),
+        ("bound", "orders ="),
+    ],
+)
+def test_cli_unparsable_value_exit_2_with_line(command, line, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"fields = coordinate:1\n{line}\n")
+    out = tmp_path / "report.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"line 2: {line.split()[0]} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_missing_config_exit_2(capsys):
     assert main(["verify"]) == 2
     assert main(["verify", "--config", "/nonexistent/path.cfg"]) == 2

@@ -7,7 +7,7 @@ import pytest
 
 import layerpot as lp
 from diagnostics import fd_gradient, fd_laplacian
-from layerpot.errors import DimensionError, ParameterError, SingularityError
+from layerpot.errors import DimensionError, SingularityError
 
 
 def test_sphere_area_low_dimensions():
@@ -57,22 +57,6 @@ def test_gradient_odd_symmetry():
         )
 
 
-def test_normal_derivative_examples():
-    # constant kernel on a circle about the target
-    R = 1.7
-    x = np.array([R * math.cos(0.4), R * math.sin(0.4)])
-    nu = x / R
-    val = lp.normal_derivative(x, nu)
-    assert val == pytest.approx(1 / (2 * math.pi * R), rel=1e-14)
-    assert lp.normal_derivative([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0, abs=1e-16)
-    assert lp.normal_derivative([2.0, 0.0], [1.0, 0.0]) == pytest.approx(1 / (4 * math.pi), rel=1e-14)
-
-
-def test_normal_derivative_requires_unit_normal():
-    with pytest.raises(ParameterError):
-        lp.normal_derivative([1.0, 0.0], [0.0, 2.0])
-
-
 @pytest.mark.parametrize("dim", [2, 3])
 def test_harmonic_by_finite_differences(dim):
     rng = np.random.default_rng(17)
@@ -113,11 +97,3 @@ def test_batch_evaluation_matches_single():
     vals = lp.fundamental_solution(pts)
     for p, v in zip(pts, vals):
         assert lp.fundamental_solution(p) == pytest.approx(v, rel=1e-15)
-
-
-def test_normal_derivative_constant_on_spheres_3d():
-    # on a sphere about the target the kernel is 1 / (omega_N R^(N-1))
-    R = 1.3
-    x = np.array([0.0, R * math.sin(1.1), R * math.cos(1.1)])
-    val = lp.normal_derivative(x, x / R)
-    assert val == pytest.approx(1 / (4 * math.pi * R**2), rel=1e-14)
