@@ -19,6 +19,7 @@ CASES = {
     "converge-star": ("converge", ROOT / "configs" / "star-convergence.cfg"),
     "bound-unit-disk": ("bound", ROOT / "configs" / "unit-disk.cfg"),
     "verify-all-identities": ("verify", GOLDEN / "all-identities.cfg"),
+    "verify-ball3d": ("verify", GOLDEN / "ball3d-identities.cfg"),
 }
 
 
