@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ExponentError, IntegrabilityError, ParameterError, RangeError
 from .fields import LebesgueExponent, ScalarField, grad_norm
 from .geometry import Ball, Domain, as_point, composite_volume_rule, gauss_legendre_01
-from .kernel import sphere_area
+from .kernel import row_norms, sphere_area
 from .potentials import double_layer
 from .representations import IdentityReport, _report
 
@@ -71,7 +71,7 @@ def moment_integral(domain: Domain, y, conjugate: float, order: int = 64) -> flo
     if kappa <= -domain.dim:
         raise IntegrabilityError("kernel moment diverges for this conjugate exponent")
     rule = composite_volume_rule(domain, order, y, kernel_power=kappa)
-    r = np.linalg.norm(rule.nodes - y, axis=1)
+    r = row_norms(rule.nodes - y)
     return float(rule.weights @ r**kappa)
 
 

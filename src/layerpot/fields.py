@@ -27,7 +27,7 @@ from .errors import (
     SingularityError,
 )
 from .geometry import EXTERIOR, Ball, Domain, as_point, composite_volume_rule, volume_rule
-from .kernel import _as_batch, sphere_area
+from .kernel import _as_batch, row_dots, row_norms, sphere_area
 
 #: Cap on the size of the singular family carried by one field.
 MAX_SINGULAR_POINTS = 16
@@ -110,7 +110,7 @@ class ScalarField:
     def gradient(self, x):
         pts, single = _as_batch(x, self.dim)
         for a in self.singular_arrays():
-            if np.any(np.linalg.norm(pts - a, axis=1) < 1e-14):
+            if np.any(row_norms(pts - a) < 1e-14):
                 raise SingularityError(f"gradient of {self.name} requested at singular point {a.tolist()}")
         grad = np.asarray(self.gradient_fn(pts), dtype=float)
         return grad[0] if single else grad
@@ -169,7 +169,7 @@ def linear(offset: float, slope) -> ScalarField:
 
     return ScalarField(
         name=f"linear({offset:g},{slope.tolist()})",
-        evaluate_fn=lambda x: offset + x @ slope,
+        evaluate_fn=lambda x: offset + row_dots(x, slope),
         gradient_fn=lambda x: np.broadcast_to(slope, x.shape).copy(),
         laplacian_fn=lambda x: np.zeros(len(x)),
         dim=slope.size,
@@ -308,15 +308,14 @@ def distance(center) -> ScalarField:
     a = as_point(center)
 
     def ev(x):
-        return np.linalg.norm(x - a, axis=1)
+        return row_norms(x - a)
 
     def gr(x):
         d = x - a
-        return d / np.linalg.norm(d, axis=1)[:, None]
+        return d / row_norms(d)[:, None]
 
     def lap(x):
-        r = np.linalg.norm(x - a, axis=1)
-        return (x.shape[1] - 1) / r
+        return (x.shape[1] - 1) / row_norms(x - a)
 
     return ScalarField(
         name=f"distance({a.tolist()})",
@@ -343,15 +342,14 @@ def power_distance(center, power: float) -> ScalarField:
         return distance(a)
 
     def ev(x):
-        return np.linalg.norm(x - a, axis=1) ** beta
+        return row_norms(x - a) ** beta
 
     def gr(x):
         d = x - a
-        r = np.linalg.norm(d, axis=1)
-        return beta * r[:, None] ** (beta - 2.0) * d
+        return beta * row_norms(d)[:, None] ** (beta - 2.0) * d
 
     def lap(x):
-        r = np.linalg.norm(x - a, axis=1)
+        r = row_norms(x - a)
         return beta * (beta + x.shape[1] - 2.0) * r ** (beta - 2.0)
 
     return ScalarField(
@@ -441,9 +439,9 @@ def grad_norm(field: ScalarField, domain: Domain, p, order: int = 64) -> float:
         if field.sup_gradient is not None:
             return float(field.sup_gradient)
         rule = volume_rule(domain, order)
-        return float(np.max(np.linalg.norm(field.gradient(rule.nodes), axis=1)))
+        return float(np.max(row_norms(field.gradient(rule.nodes))))
     rule = _gradient_adapted_rule(field, domain, order, power_scale=p.value)
-    vals = np.linalg.norm(field.gradient(rule.nodes), axis=1) ** p.value
+    vals = row_norms(field.gradient(rule.nodes)) ** p.value
     total = float(rule.weights @ vals)
     if not np.isfinite(total) or total < 0:
         raise IntegrabilityError(f"gradient L^{p.value} norm of {field.name} did not converge")

@@ -37,6 +37,7 @@ from .errors import (
     PlacementError,
     RangeError,
 )
+from .kernel import row_norms, sphere_area
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -303,14 +304,10 @@ class Ball(Domain):
 
     @property
     def surface_measure(self) -> float:
-        from .kernel import sphere_area
-
         return sphere_area(self.dim) * self.radius ** (self.dim - 1)
 
     @property
     def volume_measure(self) -> float:
-        from .kernel import sphere_area
-
         return sphere_area(self.dim) * self.radius**self.dim / self.dim
 
     @property
@@ -369,8 +366,6 @@ class Ball(Domain):
         return int(math.ceil(14.0 * math.sqrt(ratio))) + 16
 
     def kernel_diagonal(self, z) -> float:
-        from .kernel import sphere_area
-
         if self.dim != 2:
             raise DimensionError("kernel diagonal limit is used on curves (N=2) only")
         return 1.0 / (2.0 * sphere_area(2) * self.radius)
@@ -405,7 +400,8 @@ class StarShaped2D(Domain):
         rp = self._rp(grid)
         self._surface = float(np.mean(np.sqrt(r**2 + rp**2)) * 2.0 * math.pi)
         self._volume = float(np.mean(r**2 / 2.0) * 2.0 * math.pi)
-        self._bnd_cache = self.center + r[:, None] * np.column_stack([np.cos(grid), np.sin(grid)])
+        # coordinate-major, as volume-rule nodes are
+        self._bnd_cache = (self.center[:, None] + r * np.stack([np.cos(grid), np.sin(grid)])).T
 
     def __repr__(self):
         return f"StarShaped2D(center={self.center.tolist()}, r_min={self._r_min:.3g}, r_max={self._r_max:.3g})"
@@ -440,7 +436,7 @@ class StarShaped2D(Domain):
 
     def boundary_distance(self, y) -> float:
         y = as_point(y, 2)
-        return float(np.min(np.linalg.norm(self._bnd_cache - y, axis=1)))
+        return float(np.min(row_norms(self._bnd_cache - y)))
 
     @property
     def surface_measure(self) -> float:
@@ -479,8 +475,6 @@ class StarShaped2D(Domain):
         return (r**2 + 2 * rp**2 - r * rpp) / (r**2 + rp**2) ** 1.5
 
     def kernel_diagonal(self, z) -> float:
-        from .kernel import sphere_area
-
         z = as_point(z, 2)
         v = z - self.center
         theta = math.atan2(v[1], v[0])
@@ -496,7 +490,7 @@ class StarShaped2D(Domain):
         nodes = self.center + r[:, None] * np.column_stack([ct, st])
         weights = (2.0 * math.pi / order) * np.sqrt(r**2 + rp**2)
         normals = np.column_stack([r * ct + rp * st, r * st - rp * ct])
-        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        normals /= row_norms(normals)[:, None]
         return BoundaryQuadrature(nodes=nodes, weights=weights, normals=normals)
 
     def min_resolving_order(self, distance: float) -> int:
@@ -520,45 +514,44 @@ class StarShaped2D(Domain):
         t_max = float(np.linalg.norm(origin - self.center)) + 2.05 * self._r_max
         m = 512
         grid = np.linspace(0.0, t_max, m)
-        pts = origin[None, None, :] + grid[None, :, None] * dirs[:, None, :]
-        rel = pts - self.center
-        rho = np.linalg.norm(rel, axis=2)
-        theta = np.arctan2(rel[..., 1], rel[..., 0])
-        g = rho - self._r(theta)
+        # (rays, grid) planes, one per coordinate
+        g = self._level(grid, dirs[:, 0, None], dirs[:, 1, None], origin)
         inside = g < 0.0
         inside[:, 0] = True
         flips = inside[:, :-1] != inside[:, 1:]
+        # row-major order lists each ray's crossings by grid cell, and
+        # bisection keeps every crossing inside its cell: they come sorted
         ray_idx, grid_idx = np.nonzero(flips)
-        # refine every crossing simultaneously by bisection
-        lo = grid[grid_idx].copy()
-        hi = grid[grid_idx + 1].copy()
-        d_sub = dirs[ray_idx]
-        g_lo = g[ray_idx, grid_idx]
+        lo = grid[grid_idx]
+        hi = grid[grid_idx + 1]
+        dx, dy = dirs[ray_idx, 0], dirs[ray_idx, 1]
+        lo_inside = g[ray_idx, grid_idx] < 0.0
         for _ in range(48):
             mid = 0.5 * (lo + hi)
-            p = origin[None, :] + mid[:, None] * d_sub
-            relm = p - self.center
-            gm = np.linalg.norm(relm, axis=1) - self._r(np.arctan2(relm[:, 1], relm[:, 0]))
-            same = (gm < 0.0) == (g_lo < 0.0)
+            same = (self._level(mid, dx, dy, origin) < 0.0) == lo_inside
             lo = np.where(same, mid, lo)
             hi = np.where(same, hi, mid)
         crossings = 0.5 * (lo + hi)
-        t_first = np.full(n_rays, np.nan)
+        counts = np.bincount(ray_idx, minlength=n_rays)
+        if np.any(counts == 0):
+            raise RangeError("ray failed to exit the domain")
+        first = np.cumsum(counts) - counts
+        t_first = crossings[first]
+        # crossings after the first pair up into re-entered (enter, exit)
+        # intervals; an unpaired last one is dropped
+        pos = np.arange(ray_idx.size) - first[ray_idx]
+        paired = (pos > 0) & (pos <= (counts[ray_idx] - 1) // 2 * 2)
         extras: dict[int, list[tuple[float, float]]] = {}
-        for i in range(n_rays):
-            cs = np.sort(crossings[ray_idx == i])
-            if cs.size == 0:
-                raise RangeError("ray failed to exit the domain")
-            t_first[i] = cs[0]
-            if cs.size > 2:
-                pairs = cs[1:]
-                segs = [
-                    (float(pairs[k]), float(pairs[k + 1]))
-                    for k in range(0, 2 * ((pairs.size) // 2), 2)
-                ]
-                if segs:
-                    extras[i] = segs
+        for i, seg in zip(ray_idx[paired][::2].tolist(), crossings[paired].reshape(-1, 2).tolist()):
+            extras.setdefault(i, []).append(tuple(seg))
         return t_first, extras
+
+    def _level(self, t, dx, dy, origin):
+        """rho - r(theta) at the points origin + t (dx, dy), by broadcasting;
+        negative inside the domain."""
+        rx = origin[0] + t * dx - self.center[0]
+        ry = origin[1] + t * dy - self.center[1]
+        return np.sqrt(rx * rx + ry * ry) - self._r(np.arctan2(ry, rx))
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +609,7 @@ def _radial_block(t: np.ndarray, n_r: int, dim: int, kappa: float, log_kernel: b
         raise ParameterError(f"kernel power {kappa} is not integrable in dimension {dim}")
     u, w = gauss_jacobi_01(n_r, beta)
     rho = t[:, None] * u[None, :]
-    weights = t[:, None] ** (beta + 1.0) * np.broadcast_to(w, rho.shape).copy()
+    weights = t[:, None] ** (beta + 1.0) * w
     if kappa != 0.0:
         weights *= rho ** (-kappa)
     return rho, weights
@@ -688,13 +681,13 @@ def _polar_block(center, dirs, w_ang, t, extras, holes, n_r, dim, kappa, log_ker
     # pieces off the center: panels replace their radial rows
     panel = np.flatnonzero(a)
     rho[panel], wr[panel] = _panel_block(a[panel], b[panel], n_r, dim)
-    # one coordinate at a time keeps the inner loops on the radial nodes
-    nodes = np.empty((len(ray), n_r, dim))
+    # coordinate-major: each coordinate is one contiguous run over the nodes
+    nodes = np.empty((dim, len(ray), n_r))
     for k in range(dim):
-        np.multiply(rho, dirs[ray, k, None], out=nodes[..., k])
-        nodes[..., k] += center[k]
+        np.multiply(rho, dirs[ray, k, None], out=nodes[k])
+        nodes[k] += center[k]
     wr *= w_ang[ray][:, None]
-    return nodes.reshape(-1, dim), wr.reshape(-1)
+    return nodes.reshape(dim, -1).T, wr.reshape(-1)
 
 
 def composite_volume_rule(

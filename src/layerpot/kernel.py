@@ -7,6 +7,11 @@ the unit sphere computed from exact integer/half-integer Gamma values.
 All evaluation functions accept a single point (shape ``(N,)``) or a batch
 (shape ``(m, N)``) and are pure; they never return infinities, raising
 SingularityError instead when the argument is (numerically) the origin.
+
+``row_norms`` and ``row_dots`` are the per-point norm and dot product used
+across the library.  They work one coordinate at a time, so on the
+coordinate-major node arrays of volume rules every operation runs over the
+contiguous points instead of an inner loop of length N.
 """
 
 from __future__ import annotations
@@ -46,6 +51,30 @@ def sphere_area(dim: int) -> float:
     return 2.0 * math.pi ** (dim / 2.0) / _gamma_half(dim)
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, summed in coordinate order.
+
+    Gives the same bits as numpy's 2-norm over the last axis for N in
+    {2, 3}, in either memory layout.
+    """
+    total = x[..., 0] * x[..., 0]
+    for k in range(1, x.shape[-1]):
+        total += x[..., k] * x[..., k]
+    return np.sqrt(total)
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, summed in coordinate order.
+
+    Equals einsum ``ij,ij->i`` bit for bit in 2-D; in 3-D einsum's summation
+    order depends on the memory layout and the row count, this one does not.
+    """
+    total = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        total += a[..., k] * b[..., k]
+    return total
+
+
 def _as_batch(x, dim: int | None = None) -> tuple[np.ndarray, bool]:
     """Coerce x to a (m, N) float array; report whether input was a single point."""
     arr = np.asarray(x, dtype=float)
@@ -65,7 +94,7 @@ def fundamental_solution(x) -> float | np.ndarray:
     """
     pts, single = _as_batch(x)
     n = pts.shape[1]
-    r = np.linalg.norm(pts, axis=1)
+    r = row_norms(pts)
     if np.any(r < MIN_RADIUS):
         raise SingularityError("fundamental solution evaluated at the origin")
     if n == 2:
@@ -79,7 +108,7 @@ def fundamental_gradient(x) -> np.ndarray:
     """Gradient of the free-space kernel: x / (omega_N |x|^N), any N >= 2."""
     pts, single = _as_batch(x)
     n = pts.shape[1]
-    r = np.linalg.norm(pts, axis=1)
+    r = row_norms(pts)
     if np.any(r < MIN_RADIUS):
         raise SingularityError("fundamental gradient evaluated at the origin")
     grad = pts / (sphere_area(n) * r[:, None] ** n)

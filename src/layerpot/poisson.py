@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ParameterError, PlacementError
 from .fields import ScalarField
 from .geometry import INTERIOR, Ball, as_point, volume_rule
-from .kernel import sphere_area
+from .kernel import row_norms, sphere_area
 from .potentials import _moment_callable, _target_rule
 
 #: Interior evaluation is restricted to this fraction of the radius; closer
@@ -28,7 +28,7 @@ MAX_RELATIVE_OFFSET = 0.95
 def poisson_kernel(ball: Ball, nodes: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Reproducing-kernel rows for boundary nodes against an interior target."""
     r2 = float(np.sum((y - ball.center) ** 2))
-    dist = np.linalg.norm(nodes - y, axis=1)
+    dist = row_norms(nodes - y)
     return (ball.radius**2 - r2) / (ball.radius * sphere_area(ball.dim) * dist**ball.dim)
 
 

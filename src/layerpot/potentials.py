@@ -38,7 +38,7 @@ from .geometry import (
     max_nodes_budget,
     volume_rule,
 )
-from .kernel import fundamental_gradient, fundamental_solution, sphere_area
+from .kernel import fundamental_gradient, fundamental_solution, row_dots, row_norms, sphere_area
 
 
 def _moment_callable(h):
@@ -53,9 +53,8 @@ def _moment_callable(h):
 def dl_kernel(nodes: np.ndarray, normals: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Double-layer kernel rows <x - y, nu(x)> / (omega_N |x - y|^N)."""
     d = nodes - y
-    r = np.linalg.norm(d, axis=1)
     n = nodes.shape[1]
-    return np.einsum("ij,ij->i", d, normals) / (sphere_area(n) * r**n)
+    return row_dots(d, normals) / (sphere_area(n) * row_norms(d) ** n)
 
 
 @dataclass(frozen=True)
@@ -88,15 +87,15 @@ def _boundary_value(h, domain: Domain, z: np.ndarray, order: int) -> float:
         if domain.dim == 2:
             kernel = np.full(len(vals), 1.0 / (2.0 * sphere_area(2) * domain.radius))
         else:
-            r = np.linalg.norm(rule.nodes - z, axis=1)
+            r = row_norms(rule.nodes - z)
             kernel = r ** (2 - domain.dim) / (2.0 * domain.radius * sphere_area(domain.dim))
         return float(rule.weights @ (vals * kernel))
     rule = domain.boundary_rule(order)
     d = rule.nodes - z
-    r = np.linalg.norm(d, axis=1)
+    r = row_norms(d)
     kernel = np.empty(len(r))
     coincident = r <= 1e-10 * domain.diameter
-    kernel[~coincident] = np.einsum("ij,ij->i", d[~coincident], rule.normals[~coincident]) / (
+    kernel[~coincident] = row_dots(d[~coincident], rule.normals[~coincident]) / (
         sphere_area(2) * r[~coincident] ** 2
     )
     if np.any(coincident):
@@ -301,7 +300,7 @@ def _gradient_volume_integral(f: ScalarField, domain: Domain, y: tuple, order: i
         rule = _singular_rule(f, domain, order, y, singulars, kernel_power=float(1 - domain.dim))
     else:
         rule = _singular_rule(f, domain, order, domain.center, singulars)
-    vals = np.einsum("ij,ij->i", fundamental_gradient(rule.nodes - y), f.gradient(rule.nodes))
+    vals = row_dots(fundamental_gradient(rule.nodes - y), f.gradient(rule.nodes))
     return float(rule.weights @ vals)
 
 
@@ -362,7 +361,7 @@ def newtonian_integrals(f: ScalarField, domain: Domain, y, order: int = 64) -> N
     if cls == BOUNDARY:
         raise PlacementError("Newtonian integrals are evaluated off the boundary")
     brule, _, _ = _target_rule(domain, order, y)
-    dfdnu = np.einsum("ij,ij->i", f.gradient(brule.nodes), brule.normals)
+    dfdnu = row_dots(f.gradient(brule.nodes), brule.normals)
     boundary_term = float(brule.weights @ (dfdnu * fundamental_solution(brule.nodes - y)))
     if cls == INTERIOR:
         vrule = composite_volume_rule(domain, order, y, log_kernel=True)

@@ -39,7 +39,7 @@ from .geometry import (
     max_nodes_budget,
     volume_rule,
 )
-from .kernel import sphere_area
+from .kernel import row_dots, row_norms, sphere_area
 from .poisson import dirichlet_chi
 from .potentials import (
     boundary_limit_zeta,
@@ -167,10 +167,10 @@ def _fig_terms(f: ScalarField, domain: Domain, z, order: int) -> tuple[float, fl
     """The boundary and volume pairings with x - z used by FIG and RP0."""
     z = as_point(z, domain.dim)
     brule = domain.boundary_rule(order)
-    moments = f.evaluate(brule.nodes) * np.einsum("ij,ij->i", brule.nodes - z, brule.normals)
+    moments = f.evaluate(brule.nodes) * row_dots(brule.nodes - z, brule.normals)
     boundary_term = float(brule.weights @ moments)
     vrule = _gradient_adapted_rule(f, domain, order)
-    vol_vals = np.einsum("ij,ij->i", f.gradient(vrule.nodes), vrule.nodes - z)
+    vol_vals = row_dots(f.gradient(vrule.nodes), vrule.nodes - z)
     volume_term = float(vrule.weights @ vol_vals)
     return boundary_term, volume_term
 
@@ -212,9 +212,7 @@ def check_ball_corollaries(
         vrule = volume_rule(ball, order)
         volume_mean = float(vrule.weights @ f.evaluate(vrule.nodes)) / ball.volume_measure
         grule = _gradient_adapted_rule(f, ball, order)
-        smooth = float(
-            grule.weights @ np.einsum("ij,ij->i", f.gradient(grule.nodes), grule.nodes - a)
-        ) / (omega * R**n)
+        smooth = float(grule.weights @ row_dots(f.gradient(grule.nodes), grule.nodes - a)) / (omega * R**n)
 
     if which == "REP2":
         return _report("REP2", lhs, surface_mean - vol, tol, order, [a], surface_mean=surface_mean, volume=vol)
@@ -237,7 +235,7 @@ def check_ball_corollaries(
     # COM: route the boundary contribution through the harmonic extension.
     chi = dirichlet_chi(ball, f, order).evaluate(y)
     d = y - brule.nodes
-    r = np.linalg.norm(d, axis=1)
+    r = row_norms(d)
     kernel = (d @ (y - a)) / (R * omega * r**n)
     correction = float(brule.weights @ (fvals * kernel))
     rhs = chi + correction - vol

@@ -28,6 +28,17 @@ CATALOG_2D = [
     lp.catalog("power_distance", [0.3, 0.1], 0.5),
 ]
 
+CATALOG_3D = [
+    lp.catalog("constant", 5.0),
+    lp.catalog("linear", 0.5, [1.0, -2.0, 0.7]),
+    lp.catalog("coordinate", 3),
+    lp.catalog("quadratic_radial", [0.2, -0.1, 0.3]),
+    lp.catalog("harmonic_poly", 1, dim=3),
+    lp.catalog("harmonic_poly", 2, dim=3),
+    lp.catalog("distance", [0.3, 0.1, -0.2]),
+    lp.catalog("power_distance", [0.3, 0.1, -0.2], 0.5),
+]
+
 
 @pytest.mark.parametrize("field", CATALOG_2D, ids=lambda f: f.name)
 def test_gradient_matches_finite_differences(field):
@@ -200,3 +211,17 @@ def test_grad_norm_matches_moment_based_formula():
         conj = p / (p - 1.0)
         moment = lp.moment_integral_closed_form(n, 1.0, conj)
         assert lp.grad_norm(f, ball, p) == pytest.approx(beta * moment ** (1.0 / p), rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "dim, field",
+    [(2, f) for f in CATALOG_2D] + [(3, f) for f in CATALOG_3D],
+    ids=lambda p: p.name if isinstance(p, lp.ScalarField) else f"{p}d",
+)
+def test_fields_do_not_depend_on_memory_layout(dim, field):
+    # volume-rule nodes are coordinate-major; a row-major copy of the same
+    # batch must give the same bits (17,728 rows is the size of a volume rule)
+    x = np.random.default_rng(6).uniform(-1.0, 1.0, size=(17_728, dim))
+    xf = np.asfortranarray(x)
+    for method in (field.evaluate, field.gradient, field.laplacian):
+        np.testing.assert_array_equal(method(xf), method(x))

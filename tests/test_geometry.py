@@ -332,6 +332,73 @@ def test_interval_table_matches_loop_reference(domain):
             np.testing.assert_array_equal(column, want)
 
 
+def loop_ray_segments(star, origin, dirs):
+    """Per-ray loop reference for StarShaped2D.ray_segments: the same
+    marching grid and bisection on (rays, grid, 2) arrays, then each ray's
+    crossings regrouped and sorted one ray at a time."""
+    t_max = float(np.linalg.norm(origin - star.center)) + 2.05 * star._r_max
+    grid = np.linspace(0.0, t_max, 512)
+    rel = origin[None, None, :] + grid[None, :, None] * dirs[:, None, :] - star.center
+    g = np.linalg.norm(rel, axis=2) - star._r(np.arctan2(rel[..., 1], rel[..., 0]))
+    inside = g < 0.0
+    inside[:, 0] = True
+    ray_idx, grid_idx = np.nonzero(inside[:, :-1] != inside[:, 1:])
+    lo, hi = grid[grid_idx].copy(), grid[grid_idx + 1].copy()
+    g_lo = g[ray_idx, grid_idx]
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        relm = origin[None, :] + mid[:, None] * dirs[ray_idx] - star.center
+        gm = np.linalg.norm(relm, axis=1) - star._r(np.arctan2(relm[:, 1], relm[:, 0]))
+        same = (gm < 0.0) == (g_lo < 0.0)
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    crossings = 0.5 * (lo + hi)
+    t_first = np.full(len(dirs), np.nan)
+    extras = {}
+    for i in range(len(dirs)):
+        cs = np.sort(crossings[ray_idx == i])
+        t_first[i] = cs[0]
+        if cs.size > 2:
+            pairs = cs[1:]
+            extras[i] = [(float(pairs[k]), float(pairs[k + 1])) for k in range(0, 2 * (pairs.size // 2), 2)]
+    return t_first, extras
+
+
+@pytest.mark.parametrize("order", [16, 64])
+@pytest.mark.parametrize("reentrant", [True, False])
+def test_ray_segments_match_loop_reference(order, reentrant):
+    star = star_domain()
+    if reentrant:
+        z = star.boundary_point(0.9)
+        origin = z - 0.01 * star.outward_normal(z)
+    else:
+        origin = star.center
+    dirs, _ = angular_rule(2, order * star.angular_oversampling)
+    t, extras = star.ray_segments(origin, dirs)
+    want_t, want_extras = loop_ray_segments(star, origin, dirs)
+    np.testing.assert_array_equal(t, want_t)
+    assert extras == want_extras
+    assert bool(extras) == reentrant
+
+
+@pytest.mark.parametrize(
+    "domain, holes",
+    [
+        (unit_disk(), ()),
+        (unit_ball3(), ()),
+        (star_domain(), ()),
+        (unit_disk(), [([0.3, 0.0], 0.1, 0.0)]),
+        (unit_ball3(), [([0.3, 0.0, 0.0], 0.1, 0.0), ([-0.3, 0.2, 0.0], 0.1, -1.0)]),
+    ],
+    ids=["disk", "ball3", "star", "disk-hole", "ball3-holes"],
+)
+def test_volume_rule_nodes_are_coordinate_major(domain, holes):
+    # (m, N) with each coordinate contiguous: per-node arithmetic then runs
+    # over the m nodes, not over an inner axis of length N
+    rule = lp.composite_volume_rule(domain, 8, domain.center + 0.05, holes=holes)
+    assert rule.nodes.shape == (len(rule.weights), domain.dim)
+    assert rule.nodes.flags.f_contiguous
+
+
 def test_star_finite_difference_derivative_fallback():
     # derivatives omitted: fourth-order differences must reproduce the
     # analytic normals and curvature closely

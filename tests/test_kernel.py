@@ -8,6 +8,7 @@ import pytest
 import layerpot as lp
 from diagnostics import fd_gradient, fd_laplacian
 from layerpot.errors import DimensionError, SingularityError
+from layerpot.kernel import row_dots, row_norms
 
 
 def test_sphere_area_low_dimensions():
@@ -97,3 +98,27 @@ def test_batch_evaluation_matches_single():
     vals = lp.fundamental_solution(pts)
     for p, v in zip(pts, vals):
         assert lp.fundamental_solution(p) == pytest.approx(v, rel=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(1000, 2), (1000, 3), (64, 512, 2)])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_row_norms_match_numpy_bitwise(shape, layout):
+    x = np.asarray(np.random.default_rng(3).normal(size=shape), order=layout)
+    np.testing.assert_array_equal(row_norms(x), np.linalg.norm(x, axis=-1))
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_row_dots_match_einsum_in_2d(layout):
+    rng = np.random.default_rng(4)
+    a, b = (np.asarray(rng.normal(size=(1000, 2)), order=layout) for _ in range(2))
+    np.testing.assert_array_equal(row_dots(a, b), np.einsum("ij,ij->i", a, b))
+
+
+def test_row_dots_3d_do_not_depend_on_layout_or_row_count():
+    # einsum sums 3-D rows in an order that depends on both; row_dots does not
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(1000, 3)), rng.normal(size=(1000, 3))
+    full = row_dots(a, b)
+    np.testing.assert_array_equal(row_dots(np.asfortranarray(a), np.asfortranarray(b)), full)
+    for rows in (2, 3):
+        np.testing.assert_array_equal(row_dots(a[:rows], b[:rows]), full[:rows])
