@@ -51,18 +51,6 @@ def sphere_area(dim: int) -> float:
     return 2.0 * math.pi ** (dim / 2.0) / _gamma_half(dim)
 
 
-def row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis, summed in coordinate order.
-
-    Gives the same bits as numpy's 2-norm over the last axis for N in
-    {2, 3}, in either memory layout.
-    """
-    total = x[..., 0] * x[..., 0]
-    for k in range(1, x.shape[-1]):
-        total += x[..., k] * x[..., k]
-    return np.sqrt(total)
-
-
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products along the last axis, summed in coordinate order.
 
@@ -73,6 +61,15 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for k in range(1, a.shape[-1]):
         total += a[..., k] * b[..., k]
     return total
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, summed in coordinate order.
+
+    Gives the same bits as numpy's 2-norm over the last axis for N in
+    {2, 3}, in either memory layout.
+    """
+    return np.sqrt(row_dots(x, x))
 
 
 def _as_batch(x, dim: int | None = None) -> tuple[np.ndarray, bool]:
