@@ -32,7 +32,7 @@ from .kernel import (
     fundamental_solution,
     sphere_area,
 )
-from .poisson import DirichletSolution, dirichlet_chi, mean_value_check, poisson_evaluate
+from .poisson import DirichletSolution, dirichlet_chi, poisson_evaluate
 from .potentials import (
     LayerEvaluation,
     boundary_limit_zeta,
@@ -92,7 +92,6 @@ __all__ = [
     "grad_norm",
     "gradient_volume_integral",
     "jump_relation_check",
-    "mean_value_check",
     "moment_integral",
     "moment_integral_closed_form",
     "montgomery_identity_1d",

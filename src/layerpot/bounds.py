@@ -63,16 +63,23 @@ def moment_integral_closed_form(dim: int, radius: float, conjugate: float) -> fl
 
 def moment_integral(domain: Domain, y, conjugate: float, order: int = 64) -> float:
     """int_Omega |x - y|^(-(N-1) p') dx, closed form on centered balls, else
-    a polar rule matched to the kernel power."""
+    by ``moment_quadrature``."""
     y = as_point(y, domain.dim)
     if isinstance(domain, Ball) and np.allclose(y, domain.center):
         return moment_integral_closed_form(domain.dim, domain.radius, conjugate)
+    return moment_quadrature(domain, y, conjugate, order)
+
+
+def moment_quadrature(domain: Domain, y, conjugate: float, order: int = 64) -> float:
+    """int_Omega |x - y|^(-(N-1) p') dx by a polar rule about y whose radial
+    weight absorbs the kernel power."""
+    y = as_point(y, domain.dim)
     kappa = -(domain.dim - 1) * conjugate
     if kappa <= -domain.dim:
         raise IntegrabilityError("kernel moment diverges for this conjugate exponent")
     rule = composite_volume_rule(domain, order, y, kernel_power=kappa)
     r = row_norms(rule.nodes - y)
-    return float(rule.weights @ r**kappa)
+    return rule.integrate(r**kappa)
 
 
 def sharp_ball_constant(dim: int, radius: float, p) -> float:
@@ -118,7 +125,7 @@ def ostrowski_bound_ball(f: ScalarField, ball: Ball, p, order: int = 64) -> Boun
     p = LebesgueExponent.of(p)
     p.require_above_dimension(ball.dim)
     rule = ball.boundary_rule(order)
-    surface_mean = float(rule.weights @ f.evaluate(rule.nodes)) / ball.surface_measure
+    surface_mean = rule.integrate(f.evaluate(rule.nodes)) / ball.surface_measure
     deviation = abs(f.evaluate(ball.center) - surface_mean)
     constant = sharp_ball_constant(ball.dim, ball.radius, p)
     norm = grad_norm(f, ball, p, order)

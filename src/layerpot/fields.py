@@ -1,10 +1,10 @@
 """Catalog of scalar test fields with exact gradients and norm helpers.
 
 A ScalarField bundles a function, its gradient, an optional Laplacian, the
-finite set of points where the gradient is singular, and enough metadata
-(a pointwise Holder exponent and the power-law growth of the gradient near
-each singular point) for quadrature rules to adapt to the field.  All
-evaluation callables are vectorized over point batches of shape (m, N).
+finite set of points where the gradient is singular, and the power-law
+growth of the gradient near each singular point, so quadrature rules can
+adapt to the field.  All evaluation callables are vectorized over point
+batches of shape (m, N).
 
 Fields are immutable closures over their parameters and are safe to share
 across threads.
@@ -82,7 +82,6 @@ class ScalarField:
     gradient_fn: Callable = dataclass_field(repr=False)
     laplacian_fn: Callable | None = dataclass_field(default=None, repr=False)
     singular_points: tuple = ()
-    holder_exponent: float | None = None
     gradient_power: float = 0.0
     dim: int | None = None
     grad_norm_closed: Callable | None = dataclass_field(default=None, repr=False)
@@ -137,7 +136,7 @@ class ScalarField:
 
 
 def _no_singularities(grad_bound=None):
-    return dict(singular_points=(), holder_exponent=None, gradient_power=0.0, sup_gradient=grad_bound)
+    return dict(singular_points=(), gradient_power=0.0, sup_gradient=grad_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +322,6 @@ def distance(center) -> ScalarField:
         gradient_fn=gr,
         laplacian_fn=lap,
         singular_points=(tuple(a),),
-        holder_exponent=None,
         gradient_power=0.0,
         dim=a.size,
         grad_norm_closed=_power_distance_norm(a, 1.0),
@@ -332,8 +330,7 @@ def distance(center) -> ScalarField:
 
 
 def power_distance(center, power: float) -> ScalarField:
-    """|x - a|^beta for beta > 0; registers a as singular and, for
-    beta in (0, 1), the Holder exponent beta."""
+    """|x - a|^beta for beta > 0; registers a as singular."""
     a = as_point(center)
     beta = float(power)
     if beta <= 0.0:
@@ -358,7 +355,6 @@ def power_distance(center, power: float) -> ScalarField:
         gradient_fn=gr,
         laplacian_fn=lap,
         singular_points=(tuple(a),),
-        holder_exponent=beta if beta < 1.0 else None,
         gradient_power=beta - 1.0,
         dim=a.size,
         grad_norm_closed=_power_distance_norm(a, beta),
@@ -386,33 +382,17 @@ def catalog(name: str, *args, **kwargs) -> ScalarField:
     return builder(*args, **kwargs)
 
 
-def extremal_field(p, y, sign: int = 1) -> ScalarField:
+def extremal_field(p, y) -> ScalarField:
     """The deviation-bound equality witness centered at y.
 
-    Returns sign * |x - y| when p = inf and sign * |x - y|^((p-N)/(p-1))
-    for finite p > N (N inferred from y).
+    Returns |x - y| when p = inf and |x - y|^((p-N)/(p-1)) for finite
+    p > N (N inferred from y).
     """
     y = as_point(y)
     n = y.size
     p = LebesgueExponent.of(p)
     p.require_above_dimension(n)
-    if sign not in (1, -1):
-        raise ParameterError(f"sign must be +1 or -1, got {sign}")
-    base = distance(y) if p.is_infinite else power_distance(y, (p.value - n) / (p.value - 1.0))
-    if sign == 1:
-        return base
-    return ScalarField(
-        name="-" + base.name,
-        evaluate_fn=lambda x: -base.evaluate_fn(x),
-        gradient_fn=lambda x: -base.gradient_fn(x),
-        laplacian_fn=(lambda x: -base.laplacian_fn(x)) if base.laplacian_fn else None,
-        singular_points=base.singular_points,
-        holder_exponent=base.holder_exponent,
-        gradient_power=base.gradient_power,
-        dim=base.dim,
-        grad_norm_closed=base.grad_norm_closed,
-        sup_gradient=base.sup_gradient,
-    )
+    return distance(y) if p.is_infinite else power_distance(y, (p.value - n) / (p.value - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +422,7 @@ def grad_norm(field: ScalarField, domain: Domain, p, order: int = 64) -> float:
         return float(np.max(row_norms(field.gradient(rule.nodes))))
     rule = _gradient_adapted_rule(field, domain, order, power_scale=p.value)
     vals = row_norms(field.gradient(rule.nodes)) ** p.value
-    total = float(rule.weights @ vals)
+    total = rule.integrate(vals)
     if not np.isfinite(total) or total < 0:
         raise IntegrabilityError(f"gradient L^{p.value} norm of {field.name} did not converge")
     return total ** (1.0 / p.value)

@@ -272,11 +272,6 @@ class Domain:
         """Order needed for boundary-integral kernels peaked at this distance."""
         raise NotImplementedError
 
-    def kernel_diagonal(self, z) -> float:
-        """Limit of the double-layer kernel as the source approaches z on the
-        boundary (2-D only; equals curvature / (4 pi))."""
-        raise NotImplementedError
-
 
 class Ball(Domain):
     """Open ball of given center and radius.
@@ -364,11 +359,6 @@ class Ball(Domain):
         if self.dim == 2:
             return int(math.ceil(24.0 * ratio))
         return int(math.ceil(14.0 * math.sqrt(ratio))) + 16
-
-    def kernel_diagonal(self, z) -> float:
-        if self.dim != 2:
-            raise DimensionError("kernel diagonal limit is used on curves (N=2) only")
-        return 1.0 / (2.0 * sphere_area(2) * self.radius)
 
 
 class StarShaped2D(Domain):
@@ -475,6 +465,8 @@ class StarShaped2D(Domain):
         return (r**2 + 2 * rp**2 - r * rpp) / (r**2 + rp**2) ** 1.5
 
     def kernel_diagonal(self, z) -> float:
+        """Limit of the double-layer kernel as the source approaches the
+        boundary point z; equals curvature / (4 pi)."""
         z = as_point(z, 2)
         v = z - self.center
         theta = math.atan2(v[1], v[0])

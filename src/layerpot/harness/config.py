@@ -44,7 +44,6 @@ KNOWN_KEYS = {
     "jump.distances",
     "double.order_outer",
     "double.order_inner",
-    "zeta.mode",
     "bound.exponents",
     "bound.include_extremal",
     "table.dims",
@@ -158,7 +157,6 @@ class SuiteConfig:
     suite: str = "default"
     domain: object = None
     fields: tuple = ()
-    field_specs: tuple = ()
     identities: tuple = DEFAULT_IDENTITIES
     orders: tuple = (64,)
     probe_count: int = 5
@@ -168,7 +166,6 @@ class SuiteConfig:
     jump_distances: tuple = (1e-2, 5e-3)
     order_outer: int = 32
     order_inner: int = 64
-    zeta_mode: str = "limit"
     bound_exponents: tuple = (math.inf, 3.0)
     bound_include_extremal: bool = True
     table_dims: tuple = (2, 3, 4)
@@ -182,7 +179,7 @@ class SuiteConfig:
 def build_config(text: str) -> SuiteConfig:
     raw = parse_config(text)
     cfg = SuiteConfig()
-    cfg.suite = _get(raw, "suite.name", "default")
+    cfg.suite = _get(raw, "suite.name", cfg.suite)
 
     shape = _get(raw, "domain.shape", "ball").lower()
     dim = _parse_int(raw, "domain.dim", 2)
@@ -209,8 +206,7 @@ def build_config(text: str) -> SuiteConfig:
         raise ConfigError(f"unknown domain.shape {shape!r}", line=raw["domain.shape"][1])
 
     specs = _get(raw, "fields", "constant:1 | coordinate:1")
-    cfg.field_specs = tuple(s.strip() for s in specs.split("|") if s.strip())
-    cfg.fields = tuple(parse_field_spec(s, dim) for s in cfg.field_specs)
+    cfg.fields = tuple(parse_field_spec(s, dim) for s in specs.split("|") if s.strip())
 
     idents = _get(raw, "identities")
     if idents is not None:
@@ -220,22 +216,19 @@ def build_config(text: str) -> SuiteConfig:
                 raise ConfigError(f"unknown identity {name!r}", line=raw["identities"][1])
         cfg.identities = names
 
-    cfg.orders = _parse_list(raw, "orders", (64,), int, "integers")
-    cfg.probe_count = _parse_int(raw, "probes.count", 5)
-    cfg.exterior_count = _parse_int(raw, "probes.exterior_count", 2)
+    cfg.orders = _parse_list(raw, "orders", cfg.orders, int, "integers")
+    cfg.probe_count = _parse_int(raw, "probes.count", cfg.probe_count)
+    cfg.exterior_count = _parse_int(raw, "probes.exterior_count", cfg.exterior_count)
     for key, count in (("probes.count", cfg.probe_count), ("probes.exterior_count", cfg.exterior_count)):
         if count < 1:
             raise ConfigError(f"{key} must be at least 1, got {count}", line=raw[key][1])
-    cfg.seed = _parse_int(raw, "probes.seed", 1234)
-    cfg.margin = _parse_float(raw, "probes.margin", 0.25)
+    cfg.seed = _parse_int(raw, "probes.seed", cfg.seed)
+    cfg.margin = _parse_float(raw, "probes.margin", cfg.margin)
     if not (0.0 < cfg.margin < 1.0):
         raise ConfigError("probes.margin must lie in (0, 1)")
-    cfg.jump_distances = _parse_list(raw, "jump.distances", (1e-2, 5e-3))
-    cfg.order_outer = _parse_int(raw, "double.order_outer", 32)
-    cfg.order_inner = _parse_int(raw, "double.order_inner", 64)
-    cfg.zeta_mode = _get(raw, "zeta.mode", "limit")
-    if cfg.zeta_mode not in ("limit", "algebraic"):
-        raise ConfigError(f"zeta.mode must be 'limit' or 'algebraic', got {cfg.zeta_mode!r}")
+    cfg.jump_distances = _parse_list(raw, "jump.distances", cfg.jump_distances)
+    cfg.order_outer = _parse_int(raw, "double.order_outer", cfg.order_outer)
+    cfg.order_inner = _parse_int(raw, "double.order_inner", cfg.order_inner)
 
     cfg.bound_exponents = _parse_list(raw, "bound.exponents", cfg.bound_exponents, _parse_exponent, "exponents")
     flag = _get(raw, "bound.include_extremal")
@@ -243,9 +236,9 @@ def build_config(text: str) -> SuiteConfig:
         if flag.lower() not in ("true", "false"):
             raise ConfigError("bound.include_extremal must be true or false")
         cfg.bound_include_extremal = flag.lower() == "true"
-    cfg.table_dims = _parse_list(raw, "table.dims", (2, 3, 4), int, "integers")
+    cfg.table_dims = _parse_list(raw, "table.dims", cfg.table_dims, int, "integers")
     cfg.table_exponents = _parse_list(raw, "table.exponents", cfg.table_exponents, _parse_exponent, "exponents")
-    cfg.table_radii = _parse_list(raw, "table.radii", (1.0,))
+    cfg.table_radii = _parse_list(raw, "table.radii", cfg.table_radii)
 
     for key, (val, lineno) in raw.items():
         if key.startswith("tolerances."):
@@ -254,8 +247,8 @@ def build_config(text: str) -> SuiteConfig:
             except ValueError:
                 raise ConfigError(f"{key} must be a number, got {val!r}", line=lineno) from None
 
-    cfg.output_format = _get(raw, "output.format", "csv").lower()
+    cfg.output_format = _get(raw, "output.format", cfg.output_format).lower()
     if cfg.output_format not in ("csv", "jsonl"):
         raise ConfigError(f"output.format must be csv or jsonl, got {cfg.output_format!r}")
-    cfg.output_path = _get(raw, "output.path", "-")
+    cfg.output_path = _get(raw, "output.path", cfg.output_path)
     return cfg

@@ -8,7 +8,6 @@ tolerance, pass.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass
 
@@ -69,9 +68,3 @@ def write_report(rows, fmt: str, stream) -> None:
             stream.write(json.dumps(row.as_record(), sort_keys=False) + "\n")
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-
-
-def render_report(rows, fmt: str) -> str:
-    buf = io.StringIO()
-    write_report(rows, fmt, buf)
-    return buf.getvalue()

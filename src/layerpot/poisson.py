@@ -1,5 +1,5 @@
-"""Harmonic machinery on balls: the interior reproducing kernel, mean-value
-checks, and boundary-data harmonic extensions.
+"""Harmonic machinery on balls: the interior reproducing kernel and
+boundary-data harmonic extensions.
 
 The reproducing kernel of the ball B_R(a) at an interior point y is
 (R^2 - |y - a|^2) / (R omega_N |x - y|^N); integrated against continuous
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, PlacementError
-from .fields import ScalarField
-from .geometry import INTERIOR, Ball, as_point, volume_rule
+from .geometry import INTERIOR, Ball, as_point
 from .kernel import row_norms, sphere_area
 from .potentials import _moment_callable, _target_rule
 
@@ -49,33 +48,7 @@ def poisson_evaluate(ball: Ball, phi, y, order: int = 64) -> float:
         )
     rule, _, _ = _target_rule(ball, order, y)
     vals = _moment_callable(phi)(rule.nodes)
-    return float(rule.weights @ (vals * poisson_kernel(ball, rule.nodes, y)))
-
-
-@dataclass(frozen=True)
-class MeanValueReport:
-    surface_mean: float
-    volume_mean: float
-    center_value: float
-
-
-def mean_value_check(u: ScalarField, ball: Ball, order: int = 64) -> MeanValueReport:
-    """Surface mean, volume mean, and center value over a ball.
-
-    For a function harmonic on a neighbourhood of the closed ball the three
-    numbers agree; the caller asserts that.  Fields singular inside the
-    closed ball are rejected.
-    """
-    for a in u.singular_arrays():
-        if np.linalg.norm(a - ball.center) <= ball.radius * (1 + 1e-12):
-            raise PlacementError(f"singular point {a.tolist()} lies in the closed ball")
-    brule = ball.boundary_rule(order)
-    vrule = volume_rule(ball, order)
-    return MeanValueReport(
-        surface_mean=float(brule.weights @ u.evaluate(brule.nodes)) / ball.surface_measure,
-        volume_mean=float(vrule.weights @ u.evaluate(vrule.nodes)) / ball.volume_measure,
-        center_value=u.evaluate(ball.center),
-    )
+    return rule.integrate(vals * poisson_kernel(ball, rule.nodes, y))
 
 
 @dataclass(frozen=True)

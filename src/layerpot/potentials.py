@@ -4,7 +4,7 @@ pairing the free-space kernel gradient with field gradients.
 The double-layer value at a target y is the boundary integral of the moment
 against the normal derivative of the free-space kernel.  Off the boundary
 the kernel is smooth but peaks at scale dist(y, boundary); rules escalate
-automatically (with a metadata warning) so near-boundary targets stay
+automatically (with a warning) so near-boundary targets stay
 accurate.  On the boundary the kernel has a removable (2-D) or weak,
 analytically cancelled (3-D spheres, pole-aligned rules) singularity and a
 dedicated smooth evaluation path is used.
@@ -20,7 +20,7 @@ share the same (field, target, order) terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -65,7 +65,6 @@ class LayerEvaluation:
     location_class: str
     quadrature_order: int
     warning: str | None = None
-    metadata: dict = dataclass_field(default_factory=dict)
 
     def __float__(self):
         return self.value
@@ -89,7 +88,7 @@ def _boundary_value(h, domain: Domain, z: np.ndarray, order: int) -> float:
         else:
             r = row_norms(rule.nodes - z)
             kernel = r ** (2 - domain.dim) / (2.0 * domain.radius * sphere_area(domain.dim))
-        return float(rule.weights @ (vals * kernel))
+        return rule.integrate(vals * kernel)
     rule = domain.boundary_rule(order)
     d = rule.nodes - z
     r = row_norms(d)
@@ -100,7 +99,7 @@ def _boundary_value(h, domain: Domain, z: np.ndarray, order: int) -> float:
     )
     if np.any(coincident):
         kernel[coincident] = domain.kernel_diagonal(z)
-    return float(rule.weights @ (moment(rule.nodes) * kernel))
+    return rule.integrate(moment(rule.nodes) * kernel)
 
 
 def _target_rule(domain: Domain, order: int, y: np.ndarray):
@@ -121,7 +120,7 @@ def double_layer(h, domain: Domain, y, order: int = 64) -> LayerEvaluation:
 
     h may be a ScalarField, a vectorized callable on points, or a number
     (constant moment).  Near-boundary targets escalate the rule order and
-    attach a warning to the returned metadata rather than failing.
+    record a warning in the result's ``warning`` field rather than failing.
     """
     y = as_point(y, domain.dim)
     cls = domain.classify(y)
@@ -130,7 +129,7 @@ def double_layer(h, domain: Domain, y, order: int = 64) -> LayerEvaluation:
         return LayerEvaluation(value=value, location_class=cls, quadrature_order=order)
     rule, eff, warn = _target_rule(domain, order, y)
     vals = _moment_callable(h)(rule.nodes)
-    value = float(rule.weights @ (vals * dl_kernel(rule.nodes, rule.normals, y)))
+    value = rule.integrate(vals * dl_kernel(rule.nodes, rule.normals, y))
     return LayerEvaluation(value=value, location_class=cls, quadrature_order=eff, warning=warn)
 
 
@@ -139,9 +138,12 @@ def double_layer_batch(h, domain: Domain, targets, order: int = 64) -> np.ndarra
 
     Off-boundary targets are grouped by required order so the kernel matrix
     is evaluated in a few vectorized passes; no state is shared, so batches
-    may also be fanned out across threads.
+    may also be fanned out across threads.  3-D targets are evaluated one
+    by one through ``double_layer``.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    if domain.dim == 3:
+        return np.array([double_layer(h, domain, y, order).value for y in targets])
     moment = _moment_callable(h)
     out = np.empty(len(targets))
     orders = np.empty(len(targets), dtype=int)
@@ -156,10 +158,6 @@ def double_layer_batch(h, domain: Domain, targets, order: int = 64) -> np.ndarra
         if eff < 0:
             for i in idx:
                 out[i] = _boundary_value(h, domain, targets[i], order)
-            continue
-        if domain.dim == 3:
-            for i in idx:
-                out[i] = double_layer(h, domain, targets[i], order).value
             continue
         rule = domain.boundary_rule(int(eff))
         vals = moment(rule.nodes)
@@ -177,10 +175,6 @@ class JumpRelationResult:
 
     interior_limit_estimate: float
     exterior_limit_estimate: float
-    boundary_value: float
-    distances: tuple
-    interior_values: tuple
-    exterior_values: tuple
 
 
 def _richardson(values, distances):
@@ -210,11 +204,10 @@ def _require_monotone(values, scale: float) -> None:
 def jump_relation_check(h, domain: Domain, y0, distances, order: int = 64) -> JumpRelationResult:
     """Estimate the one-sided limits of the double layer across the boundary.
 
-    Evaluates along y0 -/+ d nu(y0) for the given decreasing offsets,
-    extrapolates each side linearly from the two smallest offsets, and
-    returns both limits with the direct boundary value.  A non-monotone
-    difference sequence (beyond rounding noise) signals under-resolution
-    and raises ResolutionError.
+    Evaluates along y0 -/+ d nu(y0) for the given decreasing offsets and
+    extrapolates each side linearly from the two smallest offsets.  A
+    non-monotone difference sequence (beyond rounding noise) signals
+    under-resolution and raises ResolutionError.
     """
     y0 = as_point(y0, domain.dim)
     if domain.classify(y0) != BOUNDARY:
@@ -233,10 +226,6 @@ def jump_relation_check(h, domain: Domain, y0, distances, order: int = 64) -> Ju
     return JumpRelationResult(
         interior_limit_estimate=_richardson(ins, ds),
         exterior_limit_estimate=_richardson(outs, ds),
-        boundary_value=double_layer(h, domain, y0, order).value,
-        distances=tuple(ds),
-        interior_values=tuple(ins),
-        exterior_values=tuple(outs),
     )
 
 
@@ -301,35 +290,20 @@ def _gradient_volume_integral(f: ScalarField, domain: Domain, y: tuple, order: i
     else:
         rule = _singular_rule(f, domain, order, domain.center, singulars)
     vals = row_dots(fundamental_gradient(rule.nodes - y), f.gradient(rule.nodes))
-    return float(rule.weights @ vals)
+    return rule.integrate(vals)
 
 
-def boundary_limit_zeta(
-    f: ScalarField,
-    domain: Domain,
-    z,
-    order: int = 64,
-    mode: str = "algebraic",
-    distances=None,
-) -> float:
+def boundary_limit_zeta(f: ScalarField, domain: Domain, z, order: int = 64) -> float:
     """Boundary trace of the gradient volume integral.
 
-    ``algebraic`` mode uses the identity trace = (double layer of f at z)
-    minus f(z)/2, which is exact up to boundary-quadrature error;
-    ``limit`` mode extrapolates the interior values of the volume integral
-    along the inward normal (a diagnostic cross-check of the same
-    quantity through entirely different machinery).
+    Extrapolates the interior values of the volume integral at 2e-2 and
+    1e-2 inradii along the inward normal, so the trace comes from the
+    volume machinery and not from the double layer it is compared with.
     """
     z = as_point(z, domain.dim)
     if domain.classify(z) != BOUNDARY:
         raise PlacementError(f"{z.tolist()} is not a boundary point")
-    if mode == "algebraic":
-        return double_layer(f, domain, z, order).value - 0.5 * f.evaluate(z)
-    if mode != "limit":
-        raise ParameterError(f"unknown zeta mode {mode!r}")
-    if distances is None:
-        distances = (2e-2 * domain.inradius, 1e-2 * domain.inradius)
-    ds = np.sort(np.atleast_1d(np.asarray(distances, dtype=float)))[::-1]
+    ds = (2e-2 * domain.inradius, 1e-2 * domain.inradius)
     nu = domain.outward_normal(z)
     vals = [gradient_volume_integral(f, domain, z - d * nu, order) for d in ds]
     return _richardson(vals, ds)
@@ -362,10 +336,10 @@ def newtonian_integrals(f: ScalarField, domain: Domain, y, order: int = 64) -> N
         raise PlacementError("Newtonian integrals are evaluated off the boundary")
     brule, _, _ = _target_rule(domain, order, y)
     dfdnu = row_dots(f.gradient(brule.nodes), brule.normals)
-    boundary_term = float(brule.weights @ (dfdnu * fundamental_solution(brule.nodes - y)))
+    boundary_term = brule.integrate(dfdnu * fundamental_solution(brule.nodes - y))
     if cls == INTERIOR:
         vrule = composite_volume_rule(domain, order, y, log_kernel=True)
     else:
         vrule = volume_rule(domain, order)
-    volume_term = float(vrule.weights @ (f.laplacian(vrule.nodes) * fundamental_solution(vrule.nodes - y)))
+    volume_term = vrule.integrate(f.laplacian(vrule.nodes) * fundamental_solution(vrule.nodes - y))
     return NewtonianIntegrals(boundary_term=boundary_term, volume_term=volume_term)

@@ -168,10 +168,10 @@ def _fig_terms(f: ScalarField, domain: Domain, z, order: int) -> tuple[float, fl
     z = as_point(z, domain.dim)
     brule = domain.boundary_rule(order)
     moments = f.evaluate(brule.nodes) * row_dots(brule.nodes - z, brule.normals)
-    boundary_term = float(brule.weights @ moments)
+    boundary_term = brule.integrate(moments)
     vrule = _gradient_adapted_rule(f, domain, order)
     vol_vals = row_dots(f.gradient(vrule.nodes), vrule.nodes - z)
-    volume_term = float(vrule.weights @ vol_vals)
+    volume_term = vrule.integrate(vol_vals)
     return boundary_term, volume_term
 
 
@@ -179,7 +179,7 @@ def check_fig(f: ScalarField, domain: Domain, y, order: int = 64, tolerance=None
     """Volume integral of f via the divergence pairing with x - y (any y)."""
     y = as_point(y, domain.dim)
     vrule = volume_rule(domain, order)
-    lhs = float(vrule.weights @ f.evaluate(vrule.nodes))
+    lhs = vrule.integrate(f.evaluate(vrule.nodes))
     bnd, vol = _fig_terms(f, domain, y, order)
     n = domain.dim
     rhs = (bnd - vol) / n
@@ -207,12 +207,12 @@ def check_ball_corollaries(
     if which in ("REP2", "CERC", "COM"):
         brule = ball.boundary_rule(order)
         fvals = f.evaluate(brule.nodes)
-        surface_mean = float(brule.weights @ fvals) / ball.surface_measure
+        surface_mean = brule.integrate(fvals) / ball.surface_measure
     if which in ("REP3", "CERC"):
         vrule = volume_rule(ball, order)
-        volume_mean = float(vrule.weights @ f.evaluate(vrule.nodes)) / ball.volume_measure
+        volume_mean = vrule.integrate(f.evaluate(vrule.nodes)) / ball.volume_measure
         grule = _gradient_adapted_rule(f, ball, order)
-        smooth = float(grule.weights @ row_dots(f.gradient(grule.nodes), grule.nodes - a)) / (omega * R**n)
+        smooth = grule.integrate(row_dots(f.gradient(grule.nodes), grule.nodes - a)) / (omega * R**n)
 
     if which == "REP2":
         return _report("REP2", lhs, surface_mean - vol, tol, order, [a], surface_mean=surface_mean, volume=vol)
@@ -237,7 +237,7 @@ def check_ball_corollaries(
     d = y - brule.nodes
     r = row_norms(d)
     kernel = (d @ (y - a)) / (R * omega * r**n)
-    correction = float(brule.weights @ (fvals * kernel))
+    correction = brule.integrate(fvals * kernel)
     rhs = chi + correction - vol
     return _report("COM", lhs, rhs, tol, order, [y], chi=chi, correction=correction, volume=vol)
 
@@ -255,7 +255,7 @@ def check_rp(
     n = domain.dim
     meas = domain.volume_measure
     vrule = volume_rule(domain, order)
-    mean = float(vrule.weights @ f.evaluate(vrule.nodes)) / meas
+    mean = vrule.integrate(f.evaluate(vrule.nodes)) / meas
     dl = double_layer(f, domain, y, order).value
     vol = gradient_volume_integral(f, domain, y, order)
     bnd_z, vol_z = _fig_terms(f, domain, z, order)
@@ -297,7 +297,6 @@ def check_f2_f3(
     order_outer: int = 32,
     order_inner: int = 64,
     z=None,
-    zeta_mode: str = "limit",
     tolerance=None,
 ) -> tuple[IdentityReport, IdentityReport]:
     """The two integrated identities.
@@ -305,10 +304,8 @@ def check_f2_f3(
     F2 integrates the double layer over the volume and compares with the
     divergence pairing at a pivot z plus the integrated gradient volume
     integral; F3 integrates the double layer over the boundary against half
-    the trace plus the boundary limit of the volume integral.  The default
-    ``limit`` zeta mode extrapolates interior values so F3 exercises the
-    jump machinery; the algebraic mode would make both sides coincide by
-    construction.
+    the trace plus the boundary limit of the volume integral, which is
+    extrapolated from interior values so F3 exercises the jump machinery.
     """
     z = domain.center if z is None else as_point(z, domain.dim)
     budget = max_nodes_budget()
@@ -322,7 +319,7 @@ def check_f2_f3(
 
     outer = volume_rule(domain, order_outer)
     ubar = double_layer_batch(f, domain, outer.nodes, order_inner)
-    lhs_f2 = float(outer.weights @ ubar)
+    lhs_f2 = outer.integrate(ubar)
     bnd_z, vol_z = _fig_terms(f, domain, z, order_inner)
     if f.sup_gradient == 0.0:
         inner_total = 0.0
@@ -330,7 +327,7 @@ def check_f2_f3(
         inner_vals = np.array(
             [gradient_volume_integral(f, domain, yk, order_inner) for yk in outer.nodes]
         )
-        inner_total = float(outer.weights @ inner_vals)
+        inner_total = outer.integrate(inner_vals)
     rhs_f2 = (bnd_z - vol_z) / domain.dim + inner_total
     rep_f2 = _report(
         "F2", lhs_f2, rhs_f2, tol, order_outer, [z], order_inner=order_inner, inner_total=inner_total
@@ -338,18 +335,11 @@ def check_f2_f3(
 
     brule = domain.boundary_rule(order_outer)
     ubar_b = np.array([double_layer(f, domain, zk, order_inner).value for zk in brule.nodes])
-    lhs_f3 = float(brule.weights @ ubar_b)
-    trace = float(brule.weights @ f.evaluate(brule.nodes))
-    zetas = np.array(
-        [
-            boundary_limit_zeta(f, domain, zk, order_inner, mode=zeta_mode)
-            for zk in brule.nodes
-        ]
-    )
-    rhs_f3 = 0.5 * trace + float(brule.weights @ zetas)
-    rep_f3 = _report(
-        "F3", lhs_f3, rhs_f3, tol, order_outer, [], order_inner=order_inner, zeta_mode=zeta_mode
-    )
+    lhs_f3 = brule.integrate(ubar_b)
+    trace = brule.integrate(f.evaluate(brule.nodes))
+    zetas = np.array([boundary_limit_zeta(f, domain, zk, order_inner) for zk in brule.nodes])
+    rhs_f3 = 0.5 * trace + brule.integrate(zetas)
+    rep_f3 = _report("F3", lhs_f3, rhs_f3, tol, order_outer, [], order_inner=order_inner)
     return rep_f2, rep_f3
 
 
@@ -371,7 +361,7 @@ def check_grr(f: ScalarField, domain: Domain, y, order: int = 64, tolerance=None
 
 
 def check_green_riemann(
-    f: ScalarField, domain: Domain, y, order: int = 64, tolerance=None, distances=None
+    f: ScalarField, domain: Domain, y, order: int = 64, tolerance=None
 ) -> IdentityReport:
     """The classical representation through boundary flux and volume source.
 
@@ -384,7 +374,7 @@ def check_green_riemann(
     if cls == BOUNDARY:
         tol = default_tolerance(f, "GREEN_RIEMANN_BOUNDARY") if tolerance is None else tolerance
         dl = double_layer(f, domain, y, order).value
-        zeta = boundary_limit_zeta(f, domain, y, order, mode="limit", distances=distances)
+        zeta = boundary_limit_zeta(f, domain, y, order)
         return _report(
             "GREEN_RIEMANN_BOUNDARY", f.evaluate(y), 2.0 * dl - 2.0 * zeta, tol, order, [y], double_layer=dl
         )

@@ -74,7 +74,7 @@ def test_power_distance_gradient_formula():
     x = np.array([0.3, 0.4])
     r = np.linalg.norm(x)
     np.testing.assert_allclose(f.gradient(x), beta * r ** (beta - 2) * x, rtol=1e-14)
-    assert f.holder_exponent == pytest.approx(beta)
+    assert f.evaluate(x) == pytest.approx(r**beta, rel=1e-14)
     assert f.gradient_power == pytest.approx(beta - 1.0)
 
 
@@ -98,8 +98,8 @@ def test_extremal_field_shapes():
     assert f.evaluate([0.6, 0.8]) == pytest.approx(1.0, rel=1e-14)
     f = lp.extremal_field(3.0, [0.0, 0.0])  # N=2: beta = 1/2
     assert f.evaluate([0.25, 0.0]) == pytest.approx(0.5, rel=1e-14)
-    f = lp.extremal_field(5.0, [0.0, 0.0, 0.0], sign=-1)  # N=3: beta = 1/2
-    assert f.evaluate([0.25, 0.0, 0.0]) == pytest.approx(-0.5, rel=1e-14)
+    f = lp.extremal_field(5.0, [0.0, 0.0, 0.0])  # N=3: beta = 1/2
+    assert -f.evaluate([0.25, 0.0, 0.0]) == pytest.approx(-0.5, rel=1e-14)
 
 
 def test_extremal_field_requires_p_above_dim():
@@ -126,7 +126,6 @@ def test_grad_norm_closed_form_matches_quadrature():
         evaluate_fn=f.evaluate_fn,
         gradient_fn=f.gradient_fn,
         singular_points=f.singular_points,
-        holder_exponent=f.holder_exponent,
         gradient_power=f.gradient_power,
         dim=f.dim,
     )

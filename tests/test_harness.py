@@ -1,16 +1,26 @@
 """Tests for the configuration parser, report writer, runner, and CLI."""
 
+import io
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import layerpot as lp
 from layerpot.errors import ConfigError
 from layerpot.harness import parse_config
 from layerpot.harness.cli import main
-from layerpot.harness.config import build_config
-from layerpot.harness.report import render_report
+from layerpot.harness.config import KNOWN_KEYS, build_config
+from layerpot.harness.report import write_report
 from layerpot.harness.runner import run_bound, run_converge, run_table, run_verify
+from layerpot.kernel import row_norms
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE = """
 suite.name = unit
@@ -55,9 +65,15 @@ def test_build_config_validates_values():
         build_config("probes.margin = 2.0\n")
 
 
+def render_report(rows, fmt):
+    buf = io.StringIO()
+    write_report(rows, fmt, buf)
+    return buf.getvalue()
+
+
 def test_field_spec_parsing():
     cfg = build_config("fields = power_distance:0.1,0.2,0.5 | harmonic_poly:3\n")
-    assert cfg.fields[0].holder_exponent == pytest.approx(0.5)
+    assert cfg.fields[0].evaluate([0.1, 1.2]) == pytest.approx(1.0, rel=1e-14)  # |x - a|^0.5 at distance 1
     assert cfg.fields[1].name.startswith("harmonic_poly")
 
 
@@ -173,6 +189,22 @@ def test_table_rows():
     assert all(r.passed for r in rows)
 
 
+def test_table_moment_rows_use_the_polar_rule():
+    # no polar rule exists in N = 4, so no MOMENT row either
+    rows, _ = run_table(build_config("table.dims = 4\n"))
+    assert rows and not [r for r in rows if r.identity == "MOMENT"]
+    # each MOMENT rhs is the polar-rule value, not the closed form again
+    rows, code = run_table(build_config("table.dims = 2,3\ntable.exponents = inf,3,4\n"))
+    assert code == 0
+    moments = [r for r in rows if r.identity == "MOMENT"]
+    assert len(moments) == 5
+    for r in moments:
+        q = lp.LebesgueExponent.of(float(r.field.removeprefix("p="))).conjugate
+        kappa = -(r.dim - 1) * q
+        rule = lp.composite_volume_rule(lp.Ball([0.0] * r.dim, 1.0), 64, [0.0] * r.dim, kernel_power=kappa)
+        assert r.rhs == rule.integrate(row_norms(rule.nodes) ** kappa)
+
+
 def test_bound_rows_include_sharpness():
     cfg = build_config(
         """
@@ -286,3 +318,45 @@ def test_cli_order_and_seed_overrides(tmp_path):
     out = tmp_path / "r.csv"
     assert main(["verify", "--config", str(cfg), "--order", "32", "--seed", "77", "--out", str(out)]) == 0
     assert ",32," in out.read_text()
+
+
+def test_zeta_mode_is_an_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("fields = coordinate:1\nzeta.mode = limit\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key 'zeta.mode'" in err and "line 2" in err
+
+
+def test_readme_config_block_lists_the_known_keys():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration grammar", 1)[1]
+    block = section.split("```", 2)[1]
+    keys = set()
+    for line in block.splitlines():
+        line = line.lstrip("# ")
+        match = re.match(r"([a-z_.A-Z0-9]+)\s*=", line)
+        if match:
+            keys.add(match.group(1))
+    documented = {k for k in keys if not k.startswith("tolerances.")}
+    assert documented == {k for k in KNOWN_KEYS if not k.startswith("tolerances.")}
+    # the per-identity tolerance keys are covered by one example
+    assert len(keys - documented) == 1 and (keys - documented) <= KNOWN_KEYS
+
+
+def test_bench_tracer_installs_and_runner_takes_max_workers():
+    # the benchmark wraps layerpot functions by name and narrows the runner's
+    # pool with ``max_workers=``; a deleted or renamed name fails here
+    code = (
+        "import spans\n"
+        "from layerpot.harness import runner\n"
+        "spans.install(spans.Tracer())\n"
+        "assert runner._run_tasks([lambda: []], max_workers=1) == []\n"
+    )
+    env = dict(os.environ)
+    paths = [str(ROOT / "src"), str(ROOT / "bench"), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

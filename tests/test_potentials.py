@@ -63,7 +63,7 @@ def test_jump_relations_unit_moment():
     res = lp.jump_relation_check(1.0, DISK, [0.0, 1.0], [1e-2, 5e-3], 64)
     assert res.interior_limit_estimate == pytest.approx(1.0, abs=1e-7)
     assert res.exterior_limit_estimate == pytest.approx(0.0, abs=1e-7)
-    assert res.boundary_value == pytest.approx(0.5, abs=1e-12)
+    assert lp.double_layer(1.0, DISK, [0.0, 1.0], 64).value == pytest.approx(0.5, abs=1e-12)
 
 
 def test_jump_relations_coordinate_moment():
@@ -75,7 +75,7 @@ def test_jump_relations_coordinate_moment():
         assert jump == pytest.approx(h.evaluate(y0), abs=1e-4)
         # each one-sided limit against the direct boundary value
         assert res.interior_limit_estimate == pytest.approx(
-            0.5 * h.evaluate(y0) + res.boundary_value, abs=1e-4
+            0.5 * h.evaluate(y0) + lp.double_layer(h, DISK, y0, 64).value, abs=1e-4
         )
 
 
@@ -83,7 +83,7 @@ def test_jump_relations_zero_moment():
     res = lp.jump_relation_check(0.0, DISK, [1.0, 0.0], [1e-2, 5e-3], 64)
     assert res.interior_limit_estimate == pytest.approx(0.0, abs=1e-12)
     assert res.exterior_limit_estimate == pytest.approx(0.0, abs=1e-12)
-    assert res.boundary_value == 0.0
+    assert lp.double_layer(0.0, DISK, [1.0, 0.0], 64).value == 0.0
 
 
 def test_double_layer_harmonic_off_boundary():
@@ -206,8 +206,9 @@ def test_zeta_modes_agree():
         (lp.catalog("coordinate", 1), [1.0, 0.0]),
         (lp.catalog("distance", [0.0, 0.0]), [0.0, 1.0]),
     ]:
-        alg = lp.boundary_limit_zeta(f, DISK, z, 64, mode="algebraic")
-        lim = lp.boundary_limit_zeta(f, DISK, z, 64, mode="limit")
+        # the algebraic trace: double layer at z minus half the value there
+        alg = lp.double_layer(f, DISK, z, 64).value - 0.5 * f.evaluate(z)
+        lim = lp.boundary_limit_zeta(f, DISK, z, 64)
         assert alg == pytest.approx(lim, abs=1e-4)
 
 
@@ -245,6 +246,12 @@ def test_double_layer_batch_matches_scalar():
     batch = lp.double_layer_batch(h, DISK, targets, 64)
     for t, v in zip(targets, batch):
         assert v == pytest.approx(lp.double_layer(h, DISK, t, 64).value, abs=1e-13)
+    # 3-D targets go one by one through double_layer: bitwise equal, including
+    # a boundary target and one close enough to the sphere to escalate
+    h3 = lp.catalog("harmonic_poly", 2, dim=3)
+    targets3 = np.array([[0.3, 0.1, -0.2], [0.0, 0.6, 0.8], [1.5, 0.2, 0.1], [0.0, 0.0, 0.97]])
+    batch3 = lp.double_layer_batch(h3, BALL3, targets3, 16)
+    assert list(batch3) == [lp.double_layer(h3, BALL3, t, 16).value for t in targets3]
 
 
 def test_monotone_guard_flags_growing_differences():
@@ -273,8 +280,8 @@ def test_star_near_boundary_volume_integral_matches_interior_identity():
 def test_star_zeta_modes_agree():
     f = lp.catalog("harmonic_poly", 2)
     z = STAR.boundary_point(0.9)
-    alg = lp.boundary_limit_zeta(f, STAR, z, 64, mode="algebraic")
-    lim = lp.boundary_limit_zeta(f, STAR, z, 64, mode="limit")
+    alg = lp.double_layer(f, STAR, z, 64).value - 0.5 * f.evaluate(z)
+    lim = lp.boundary_limit_zeta(f, STAR, z, 64)
     assert alg == pytest.approx(lim, abs=1e-3)
 
 

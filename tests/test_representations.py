@@ -245,11 +245,6 @@ def test_f2_budget_guard(monkeypatch):
         lp.check_f2_f3(lp.catalog("constant", 1.0), DISK, 64, 128)
 
 
-def test_f3_algebraic_mode_is_exact_by_construction():
-    _, f3 = lp.check_f2_f3(lp.catalog("coordinate", 1), DISK, 16, 64, zeta_mode="algebraic")
-    assert f3.residual < 1e-13
-
-
 # ---------------------------------------------------------------------------
 # Green identities
 # ---------------------------------------------------------------------------
