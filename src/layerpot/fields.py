@@ -26,7 +26,7 @@ from .errors import (
     ParameterError,
     SingularityError,
 )
-from .geometry import EXTERIOR, Ball, Domain, as_point, composite_volume_rule, volume_rule
+from .geometry import INTERIOR, Ball, Domain, as_point, composite_volume_rule, volume_rule
 from .kernel import _as_batch, row_dots, row_norms, sphere_area
 
 #: Cap on the size of the singular family carried by one field.
@@ -358,7 +358,6 @@ def power_distance(center, power: float) -> ScalarField:
         gradient_power=beta - 1.0,
         dim=a.size,
         grad_norm_closed=_power_distance_norm(a, beta),
-        sup_gradient=None if beta < 1.0 else beta,
     )
 
 
@@ -420,7 +419,7 @@ def grad_norm(field: ScalarField, domain: Domain, p, order: int = 64) -> float:
             return float(field.sup_gradient)
         rule = volume_rule(domain, order)
         return float(np.max(row_norms(field.gradient(rule.nodes))))
-    rule = _gradient_adapted_rule(field, domain, order, power_scale=p.value)
+    rule = _singular_rule(field, domain, order, power_scale=p.value)
     vals = row_norms(field.gradient(rule.nodes)) ** p.value
     total = rule.integrate(vals)
     if not np.isfinite(total) or total < 0:
@@ -428,22 +427,19 @@ def grad_norm(field: ScalarField, domain: Domain, p, order: int = 64) -> float:
     return total ** (1.0 / p.value)
 
 
-def _gradient_adapted_rule(field: ScalarField, domain: Domain, order: int, power_scale: float = 1.0):
-    """Volume rule adapted to |grad f|^power_scale for the field's singular set,
-    centered at its first singular point off the exterior."""
-    singulars = [a for a in field.singular_arrays() if domain.classify(a) != EXTERIOR]
-    center = singulars[0] if singulars else domain.center
-    return _singular_rule(field, domain, order, center, singulars, power_scale=power_scale)
-
-
-def _singular_rule(f: ScalarField, domain: Domain, order: int, center, singulars, kernel_power=0.0, power_scale=1.0):
+def _singular_rule(f: ScalarField, domain: Domain, order: int, center=None, kernel_power=0.0, power_scale=1.0):
     """Polar rule about ``center`` for integrands behaving like
     rho^kernel_power there, times |grad f|^power_scale.
 
-    Singular points within 1e-12 diameters of the center fold the gradient's
-    growth into the radial power; the others are cut out as holes, each
-    re-covered by a polar block matched to that growth.
+    Only singular points of f inside the domain shape the rule; ``center``
+    defaults to the first of them, or to the domain center when there is
+    none.  Singular points within 1e-12 diameters of the center fold the
+    gradient's growth into the radial power; the others are cut out as
+    holes, each re-covered by a polar block matched to that growth.
     """
+    singulars = [a for a in f.singular_arrays() if domain.classify(a) == INTERIOR]
+    if center is None:
+        center = singulars[0] if singulars else domain.center
     power = f.gradient_power * power_scale
     rest = []
     for a in singulars:

@@ -660,15 +660,15 @@ def _interval_table(center, dirs, t, extras, holes):
     return seg_ray[piece[0]], a[piece], b[piece]
 
 
-def _polar_block(center, dirs, w_ang, t, extras, holes, n_r, dim, kappa, log_kernel):
+def _polar_block(center, dirs, w_ang, table, n_r, dim, kappa, log_kernel):
     """Nodes and weights of a polar rule about ``center`` over the interval
-    table of its rays (see ``_interval_table``).
+    ``table`` of its rays (see ``_interval_table``).
 
     The interval starting at the rule center gets the singularity-adapted
     radial block, every other interval a Gauss panel with the volume
     Jacobian folded in.
     """
-    ray, a, b = _interval_table(center, dirs, t, extras, holes)
+    ray, a, b = table
     rho, wr = _radial_block(b, n_r, dim, kappa, log_kernel)
     # pieces off the center: panels replace their radial rows
     panel = np.flatnonzero(a)
@@ -707,21 +707,28 @@ def composite_volume_rule(
     dirs, w_ang = angular_rule(domain.dim, order * domain.angular_oversampling)
     t, extras = domain.ray_segments(center, dirs)
     holes = [(as_point(hc, domain.dim), float(hr), float(hp)) for hc, hr, hp in holes]
-    blocks = [_polar_block(center, dirs, w_ang, t, extras, holes, order, domain.dim, kappa, log_kernel)]
-    for hc, hr, hp in holes:
+    # (center, directions, angular weights, interval table, radial power,
+    # log kernel) of the main block, then of each hole's block
+    plans = [(center, dirs, w_ang, _interval_table(center, dirs, t, extras, holes), kappa, log_kernel)]
+    if holes:
         hdirs, hw_ang = angular_rule(domain.dim, order)
-        ht = np.full(len(hdirs), hr)
-        blocks.append(_polar_block(hc, hdirs, hw_ang, ht, {}, (), order, domain.dim, hp, False))
+    for hc, hr, hp in holes:
+        table = _interval_table(hc, hdirs, np.full(len(hdirs), hr), {}, ())
+        plans.append((hc, hdirs, hw_ang, table, hp, False))
+    # every interval gets ``order`` radial nodes: check the budget before
+    # any node is allocated
+    count = order * sum(len(plan[3][0]) for plan in plans)
+    if count > max_nodes_budget():
+        raise BudgetError(
+            f"volume rule would use {count} nodes, over the budget "
+            f"{max_nodes_budget()}; lower the order or raise LAYERPOT_MAX_NODES"
+        )
+    blocks = [_polar_block(c, d, w, table, order, domain.dim, k, lg) for c, d, w, table, k, lg in plans]
     if len(blocks) == 1:
         nodes, weights = blocks[0]
     else:
         nodes = np.concatenate([block[0] for block in blocks])
         weights = np.concatenate([block[1] for block in blocks])
-    if nodes.shape[0] > max_nodes_budget():
-        raise BudgetError(
-            f"volume rule would use {nodes.shape[0]} nodes, over the budget "
-            f"{max_nodes_budget()}; lower the order or raise LAYERPOT_MAX_NODES"
-        )
     return VolumeQuadrature(nodes=nodes, weights=weights)
 
 

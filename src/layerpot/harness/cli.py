@@ -49,12 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> SuiteConfig:
     if args.config is None:
         if args.command == "table":
-            cfg = SuiteConfig()
-            from ..geometry import Ball
-
-            cfg.domain = Ball([0.0, 0.0], 1.0)
-            cfg.fields = ()
-            return cfg
+            return build_config("")
         raise ConfigError(f"the {args.command} command requires --config PATH")
     try:
         with open(args.config, "r", encoding="utf-8") as fh:

@@ -4,7 +4,9 @@ Grammar: one ``key = value`` pair per line, ``#`` starts a comment, blank
 lines are ignored.  Keys use dots for grouping (``domain.radius``), values
 are scalars, comma-separated lists, or ``|``-separated field specs of the
 form ``name:arg1,arg2``.  Unknown keys are rejected with their line number,
-never ignored.
+never ignored, and so is every inadmissible value: each key is declared
+once, in ``_SUITE_KEYS`` or ``_domain``, with its parser and what its value
+must be.
 """
 
 from __future__ import annotations
@@ -24,34 +26,6 @@ SUITE_IDENTITIES = IDENTITIES + ("GAUSS", "JUMP")
 
 #: Default verify selection: fast identities with analytic ground truth.
 DEFAULT_IDENTITIES = ("GAUSS", "F1", "FIG", "MAT", "REP2", "REP3", "C2_EXTERIOR")
-
-KNOWN_KEYS = {
-    "suite.name",
-    "domain.shape",
-    "domain.dim",
-    "domain.center",
-    "domain.radius",
-    "domain.base_radius",
-    "domain.cosine_amplitude",
-    "domain.cosine_frequency",
-    "fields",
-    "identities",
-    "orders",
-    "probes.count",
-    "probes.exterior_count",
-    "probes.seed",
-    "probes.margin",
-    "jump.distances",
-    "double.order_outer",
-    "double.order_inner",
-    "bound.exponents",
-    "bound.include_extremal",
-    "table.dims",
-    "table.exponents",
-    "table.radii",
-    "output.format",
-    "output.path",
-} | {f"tolerances.{name}" for name in SUITE_IDENTITIES}
 
 
 def parse_config(text: str) -> dict[str, tuple[str, int]]:
@@ -76,78 +50,138 @@ def parse_config(text: str) -> dict[str, tuple[str, int]]:
     return out
 
 
-def _get(raw, key, default=None):
-    if key in raw:
-        return raw[key][0]
-    return default
+def _value(convert, ok=lambda v: True):
+    """Parser of one value: ``convert`` it, then reject it unless ``ok``."""
+
+    def parse(text, dim):
+        value = convert(text.strip())
+        if not ok(value):
+            raise ValueError(text)
+        return value
+
+    return parse
 
 
-def _parse_float(raw, key, default):
-    val = _get(raw, key)
-    if val is None:
-        return default
-    try:
-        return float(val)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {val!r}", line=raw[key][1]) from None
+def _values(convert, ok=lambda v: True, at_least=1, distinct=False):
+    """Parser of a comma list of at least ``at_least`` values."""
+    item = _value(convert, ok)
+
+    def parse(text, dim):
+        values = tuple(item(v, dim) for v in text.split(",") if v.strip())
+        if len(values) < at_least or (distinct and len(set(values)) < len(values)):
+            raise ValueError(text)
+        return values
+
+    return parse
 
 
-def _parse_int(raw, key, default):
-    val = _get(raw, key)
-    if val is None:
-        return default
-    try:
-        return int(val)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {val!r}", line=raw[key][1]) from None
+def _choice(*options):
+    return _value(str.lower, lambda v: v in options)
 
 
-def _parse_exponent(token: str) -> float:
-    token = token.strip().lower()
-    if token in ("inf", "infinity", "oo"):
-        return math.inf
-    return float(token)
+def _exponent(token: str) -> float:
+    return math.inf if token.lower() in ("inf", "infinity", "oo") else float(token)
 
 
-def _parse_list(raw, key, default, item=float, kind="numbers"):
-    """A comma list of ``item`` values; empty lists and bad entries are config errors."""
-    val = _get(raw, key)
-    if val is None:
-        return default
-    try:
-        values = tuple(item(v) for v in val.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"{key} must be a comma list of {kind}, got {val!r}", line=raw[key][1]) from None
-    if not values:
-        raise ConfigError(f"{key} must list at least one value", line=raw[key][1])
-    return values
+def _flag(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(text)
+    return text.lower() == "true"
+
+
+def _positive(v) -> bool:
+    return 0.0 < v < math.inf
 
 
 def parse_field_spec(spec: str, dim: int):
-    """Build one catalog field from ``name:arg1,arg2`` (see README)."""
-    spec = spec.strip()
+    """Build one catalog field from ``name:arg1,arg2`` (see README); a bad
+    spec raises ValueError."""
     name, _, argstr = spec.partition(":")
     name = name.strip()
-    args = [a.strip() for a in argstr.split(",") if a.strip()] if argstr else []
+    args = [a.strip() for a in argstr.split(",") if a.strip()]
+    if name == "constant":
+        return catalog("constant", float(args[0]) if args else 1.0)
+    if name == "coordinate":
+        return catalog("coordinate", int(args[0]) if args else 1)
+    if name == "linear":
+        offset, *slope = args
+        return catalog("linear", float(offset), [float(a) for a in slope])
+    if name == "quadratic_radial":
+        return catalog("quadratic_radial", [float(a) for a in args] or [0.0] * dim)
+    if name == "harmonic_poly":
+        return catalog("harmonic_poly", int(args[0]) if args else 2, dim=dim)
+    if name == "distance":
+        return catalog("distance", [float(a) for a in args] or [0.0] * dim)
+    if name == "power_distance":
+        *center, power = args
+        return catalog("power_distance", [float(a) for a in center] or [0.0] * dim, float(power))
+    raise ValueError(f"unknown field {name!r}")
+
+
+def _fields(text, dim):
+    fields = tuple(parse_field_spec(s, dim) for s in text.split("|") if s.strip())
+    if len({f.name for f in fields}) < len(fields):
+        raise ValueError(text)
+    return fields
+
+
+_COUNT = (_value(int, lambda n: n >= 1), "an integer >= 1")
+_ORDER = (_value(int, lambda n: n >= 4), "an integer >= 4")
+_EXPONENTS = (_values(_exponent), "a comma list of exponents")
+
+#: key -> (SuiteConfig attribute, parser(text, dim), what the value must be)
+_SUITE_KEYS = {
+    "suite.name": ("suite", _value(str), "text"),
+    "fields": ("fields", _fields, "a '|' list of catalog field specs with distinct fields"),
+    "identities": (
+        "identities",
+        _values(str.upper, lambda v: v in SUITE_IDENTITIES, distinct=True),
+        f"a comma list of distinct identities from {', '.join(SUITE_IDENTITIES)}",
+    ),
+    "orders": ("orders", _values(int, lambda n: n >= 4, distinct=True), "a comma list of distinct integers >= 4"),
+    "probes.count": ("probe_count", *_COUNT),
+    "probes.exterior_count": ("exterior_count", *_COUNT),
+    "probes.seed": ("seed", _value(int), "an integer"),
+    "probes.margin": ("margin", _value(float, lambda v: 0.0 < v < 1.0), "a number in (0, 1)"),
+    "jump.distances": (
+        "jump_distances",
+        _values(float, _positive, at_least=2, distinct=True),
+        "a comma list of at least two distinct positive numbers",
+    ),
+    "double.order_outer": ("order_outer", *_ORDER),
+    "double.order_inner": ("order_inner", *_ORDER),
+    "bound.exponents": ("bound_exponents", *_EXPONENTS),
+    "bound.include_extremal": ("bound_include_extremal", _value(_flag), "true or false"),
+    "table.dims": ("table_dims", _values(int, lambda n: n >= 2), "a comma list of integers >= 2"),
+    "table.exponents": ("table_exponents", *_EXPONENTS),
+    "table.radii": ("table_radii", _values(float, _positive), "a comma list of positive numbers"),
+    "output.format": ("output_format", _choice("csv", "jsonl"), "csv or jsonl"),
+    "output.path": ("output_path", _value(str), "text"),
+}
+
+#: keys read by ``_domain``, which checks them against each other
+_DOMAIN_KEYS = ("shape", "dim", "center", "radius", "base_radius", "cosine_amplitude", "cosine_frequency")
+
+KNOWN_KEYS = (
+    set(_SUITE_KEYS)
+    | {f"domain.{name}" for name in _DOMAIN_KEYS}
+    | {f"tolerances.{name}" for name in SUITE_IDENTITIES}
+)
+
+
+def _reject(key, what, text, line):
+    raise ConfigError(f"{key} must be {what}, got {text!r}", line=line)
+
+
+def _read(raw, key, parse, what, default, dim=2):
+    """The parsed value of ``key``, or ``default`` when the config omits it."""
+    if key not in raw:
+        return default
+    text, line = raw[key]
     try:
-        if name == "constant":
-            return catalog("constant", float(args[0]) if args else 1.0)
-        if name == "coordinate":
-            return catalog("coordinate", int(args[0]) if args else 1)
-        if name == "linear":
-            return catalog("linear", float(args[0]), [float(a) for a in args[1:]])
-        if name == "quadratic_radial":
-            return catalog("quadratic_radial", [float(a) for a in args] or [0.0] * dim)
-        if name == "harmonic_poly":
-            return catalog("harmonic_poly", int(args[0]) if args else 2, dim=dim)
-        if name == "distance":
-            return catalog("distance", [float(a) for a in args] or [0.0] * dim)
-        if name == "power_distance":
-            *center, power = args
-            return catalog("power_distance", [float(a) for a in center] or [0.0] * dim, float(power))
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"bad field spec {spec!r}: {exc}") from None
-    raise ConfigError(f"unknown field {name!r} in spec {spec!r}")
+        return parse(text, dim)
+    except ValueError:
+        _reject(key, what, text, line)
 
 
 @dataclass
@@ -156,7 +190,7 @@ class SuiteConfig:
 
     suite: str = "default"
     domain: object = None
-    fields: tuple = ()
+    fields: tuple = (catalog("constant", 1.0), catalog("coordinate", 1))
     identities: tuple = DEFAULT_IDENTITIES
     orders: tuple = (64,)
     probe_count: int = 5
@@ -176,79 +210,37 @@ class SuiteConfig:
     output_path: str = "-"
 
 
+def _domain(raw):
+    """The ball (default: the unit disk) or star domain the ``domain.*`` keys describe."""
+    shape = _read(raw, "domain.shape", _choice("ball", "star"), "ball or star", "ball")
+    star = shape == "star"
+    what = "2 for a star domain" if star else "an integer >= 2"
+    dim = _read(raw, "domain.dim", _value(int, lambda n: n == 2 if star else n >= 2), what, 2)
+    coords = _value(lambda s: tuple(float(v) for v in s.split(",")), lambda c: len(c) == dim)
+    center = _read(raw, "domain.center", coords, f"{dim} comma-separated numbers", (0.0,) * dim)
+    if not star:
+        return Ball(center, _read(raw, "domain.radius", _value(float, _positive), "a positive number", 1.0))
+    base = _read(raw, "domain.base_radius", _value(float, _positive), "a positive number", 1.0)
+    amp = _read(raw, "domain.cosine_amplitude", _value(float), "a number", 0.25)
+    freq = _read(raw, "domain.cosine_frequency", _value(int), "an integer", 3)
+    if abs(amp) >= base:
+        key = "domain.cosine_amplitude" if "domain.cosine_amplitude" in raw else "domain.base_radius"
+        _reject(key, "such that |domain.cosine_amplitude| < domain.base_radius", *raw[key])
+    return StarShaped2D(
+        lambda th: base + amp * np.cos(freq * th),
+        center=center,
+        radius_d1=lambda th: -amp * freq * np.sin(freq * th),
+        radius_d2=lambda th: -amp * freq * freq * np.cos(freq * th),
+    )
+
+
 def build_config(text: str) -> SuiteConfig:
     raw = parse_config(text)
-    cfg = SuiteConfig()
-    cfg.suite = _get(raw, "suite.name", cfg.suite)
-
-    shape = _get(raw, "domain.shape", "ball").lower()
-    dim = _parse_int(raw, "domain.dim", 2)
-    center = _parse_list(raw, "domain.center", tuple([0.0] * dim))
-    if len(center) != dim:
-        raise ConfigError(f"domain.center has {len(center)} coordinates for dim {dim}")
-    if shape == "ball":
-        cfg.domain = Ball(center, _parse_float(raw, "domain.radius", 1.0))
-    elif shape == "star":
-        if dim != 2:
-            raise ConfigError("star domains are planar; set domain.dim = 2")
-        base = _parse_float(raw, "domain.base_radius", 1.0)
-        amp = _parse_float(raw, "domain.cosine_amplitude", 0.25)
-        freq = _parse_int(raw, "domain.cosine_frequency", 3)
-        if abs(amp) >= base:
-            raise ConfigError("cosine amplitude must stay below the base radius")
-        cfg.domain = StarShaped2D(
-            lambda th: base + amp * np.cos(freq * th),
-            center=center,
-            radius_d1=lambda th: -amp * freq * np.sin(freq * th),
-            radius_d2=lambda th: -amp * freq * freq * np.cos(freq * th),
-        )
-    else:
-        raise ConfigError(f"unknown domain.shape {shape!r}", line=raw["domain.shape"][1])
-
-    specs = _get(raw, "fields", "constant:1 | coordinate:1")
-    cfg.fields = tuple(parse_field_spec(s, dim) for s in specs.split("|") if s.strip())
-
-    idents = _get(raw, "identities")
-    if idents is not None:
-        names = tuple(s.strip().upper() for s in idents.split(",") if s.strip())
-        for name in names:
-            if name not in SUITE_IDENTITIES:
-                raise ConfigError(f"unknown identity {name!r}", line=raw["identities"][1])
-        cfg.identities = names
-
-    cfg.orders = _parse_list(raw, "orders", cfg.orders, int, "integers")
-    cfg.probe_count = _parse_int(raw, "probes.count", cfg.probe_count)
-    cfg.exterior_count = _parse_int(raw, "probes.exterior_count", cfg.exterior_count)
-    for key, count in (("probes.count", cfg.probe_count), ("probes.exterior_count", cfg.exterior_count)):
-        if count < 1:
-            raise ConfigError(f"{key} must be at least 1, got {count}", line=raw[key][1])
-    cfg.seed = _parse_int(raw, "probes.seed", cfg.seed)
-    cfg.margin = _parse_float(raw, "probes.margin", cfg.margin)
-    if not (0.0 < cfg.margin < 1.0):
-        raise ConfigError("probes.margin must lie in (0, 1)")
-    cfg.jump_distances = _parse_list(raw, "jump.distances", cfg.jump_distances)
-    cfg.order_outer = _parse_int(raw, "double.order_outer", cfg.order_outer)
-    cfg.order_inner = _parse_int(raw, "double.order_inner", cfg.order_inner)
-
-    cfg.bound_exponents = _parse_list(raw, "bound.exponents", cfg.bound_exponents, _parse_exponent, "exponents")
-    flag = _get(raw, "bound.include_extremal")
-    if flag is not None:
-        if flag.lower() not in ("true", "false"):
-            raise ConfigError("bound.include_extremal must be true or false")
-        cfg.bound_include_extremal = flag.lower() == "true"
-    cfg.table_dims = _parse_list(raw, "table.dims", cfg.table_dims, int, "integers")
-    cfg.table_exponents = _parse_list(raw, "table.exponents", cfg.table_exponents, _parse_exponent, "exponents")
-    cfg.table_radii = _parse_list(raw, "table.radii", cfg.table_radii)
-
-    for key, (val, lineno) in raw.items():
-        if key.startswith("tolerances."):
-            try:
-                cfg.tolerances[key.split(".", 1)[1]] = float(val)
-            except ValueError:
-                raise ConfigError(f"{key} must be a number, got {val!r}", line=lineno) from None
-
-    cfg.output_format = _get(raw, "output.format", cfg.output_format).lower()
-    if cfg.output_format not in ("csv", "jsonl"):
-        raise ConfigError(f"output.format must be csv or jsonl, got {cfg.output_format!r}")
-    cfg.output_path = _get(raw, "output.path", cfg.output_path)
+    cfg = SuiteConfig(domain=_domain(raw))
+    for key, (attr, parse, what) in _SUITE_KEYS.items():
+        setattr(cfg, attr, _read(raw, key, parse, what, getattr(cfg, attr), cfg.domain.dim))
+    for name in SUITE_IDENTITIES:
+        key = f"tolerances.{name}"
+        if key in raw:
+            cfg.tolerances[name] = _read(raw, key, _value(float), "a number", None)
     return cfg

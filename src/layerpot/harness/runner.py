@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from itertools import groupby
 
 import numpy as np
 
@@ -188,22 +189,18 @@ def run_converge(cfg: SuiteConfig):
         raise ConfigError("convergence studies need at least 3 orders")
     rows, exit_code = run_verify(cfg)
     out = list(rows)
-    for identity in cfg.identities:
-        for field in cfg.fields:
-            pts = sorted({r.point for r in rows if r.identity == identity and r.field == field.name})
-            for pt in pts:
-                series = sorted(
-                    [(r.order, r.residual) for r in rows if r.identity == identity and r.field == field.name and r.point == pt]
-                )
-                if len(series) < 3:
-                    continue
-                orders = np.array([s[0] for s in series], dtype=float)
-                resid = np.maximum(np.array([s[1] for s in series]), 1e-16)
-                slope = float(np.polyfit(np.log(orders), np.log(resid), 1)[0])
-                out.append(
-                    Row(cfg.suite, identity, field.name, cfg.domain.dim, f"rate[{pt}]", 0,
-                        slope, 0.0, abs(slope), 0.0, True)
-                )
+    names = {field.name for field in cfg.fields}
+    # rows arrive sorted by (identity, field, point, order): one group per series
+    for (identity, field, pt), group in groupby(rows, key=lambda r: r.sort_key()[:3]):
+        series = list(group)
+        if field not in names or len(series) < 3:
+            continue
+        orders = np.array([r.order for r in series], dtype=float)
+        resid = np.maximum(np.array([r.residual for r in series]), 1e-16)
+        slope = float(np.polyfit(np.log(orders), np.log(resid), 1)[0])
+        out.append(
+            Row(cfg.suite, identity, field, cfg.domain.dim, f"rate[{pt}]", 0, slope, 0.0, abs(slope), 0.0, True)
+        )
     return sorted(out, key=Row.sort_key), exit_code
 
 
@@ -266,7 +263,7 @@ def run_bound(cfg: SuiteConfig):
         if not exponent.value > domain.dim:
             raise ConfigError(f"bound exponents need p > N = {domain.dim}, got {p}")
         for field in cfg.fields:
-            if field.sup_gradient is None and exponent.is_infinite and not field.is_smooth:
+            if exponent.is_infinite and field.gradient_power < 0:
                 raise ConfigError(
                     f"field {field.name} has an unbounded gradient; use a finite exponent"
                 )

@@ -90,13 +90,9 @@ def _boundary_value(h, domain: Domain, z: np.ndarray, order: int) -> float:
             kernel = r ** (2 - domain.dim) / (2.0 * domain.radius * sphere_area(domain.dim))
         return rule.integrate(vals * kernel)
     rule = domain.boundary_rule(order)
-    d = rule.nodes - z
-    r = row_norms(d)
-    kernel = np.empty(len(r))
-    coincident = r <= 1e-10 * domain.diameter
-    kernel[~coincident] = row_dots(d[~coincident], rule.normals[~coincident]) / (
-        sphere_area(2) * r[~coincident] ** 2
-    )
+    coincident = row_norms(rule.nodes - z) <= 1e-10 * domain.diameter
+    kernel = np.empty(len(coincident))
+    kernel[~coincident] = dl_kernel(rule.nodes[~coincident], rule.normals[~coincident], z)
     if np.any(coincident):
         kernel[coincident] = domain.kernel_diagonal(z)
     return rule.integrate(moment(rule.nodes) * kernel)
@@ -136,10 +132,11 @@ def double_layer(h, domain: Domain, y, order: int = 64) -> LayerEvaluation:
 def double_layer_batch(h, domain: Domain, targets, order: int = 64) -> np.ndarray:
     """Double-layer values at many targets sharing one (escalated) rule.
 
-    Off-boundary targets are grouped by required order so the kernel matrix
-    is evaluated in a few vectorized passes; no state is shared, so batches
-    may also be fanned out across threads.  3-D targets are evaluated one
-    by one through ``double_layer``.
+    Off-boundary targets are grouped by required order so the kernel rows
+    are evaluated in a few vectorized passes; each row is then summed like
+    ``double_layer`` sums it, so the values equal its values bit for bit.
+    No state is shared, so batches may also be fanned out across threads.
+    3-D targets are evaluated one by one through ``double_layer``.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     if domain.dim == 3:
@@ -161,11 +158,8 @@ def double_layer_batch(h, domain: Domain, targets, order: int = 64) -> np.ndarra
             continue
         rule = domain.boundary_rule(int(eff))
         vals = moment(rule.nodes)
-        diff = rule.nodes[None, :, :] - targets[idx][:, None, :]
-        r2 = np.sum(diff**2, axis=2)
-        num = np.einsum("kij,ij->ki", diff, rule.normals)
-        kern = num / (sphere_area(2) * r2)
-        out[idx] = kern @ (rule.weights * vals)
+        kern = dl_kernel(rule.nodes, rule.normals, targets[idx][:, None, :])
+        out[idx] = [rule.integrate(vals * row) for row in kern]
     return out
 
 
@@ -283,12 +277,11 @@ def _gradient_volume_integral(f: ScalarField, domain: Domain, y: tuple, order: i
     cls = domain.classify(y)
     if cls == BOUNDARY:
         raise PlacementError("target on the boundary; use boundary_limit_zeta instead")
-    singulars = [a for a in f.singular_arrays() if domain.classify(a) == INTERIOR]
     if cls == INTERIOR:
         order = _volume_order_for_target(domain, order, y)
-        rule = _singular_rule(f, domain, order, y, singulars, kernel_power=float(1 - domain.dim))
+        rule = _singular_rule(f, domain, order, y, kernel_power=float(1 - domain.dim))
     else:
-        rule = _singular_rule(f, domain, order, domain.center, singulars)
+        rule = _singular_rule(f, domain, order, domain.center)
     vals = row_dots(fundamental_gradient(rule.nodes - y), f.gradient(rule.nodes))
     return rule.integrate(vals)
 

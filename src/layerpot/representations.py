@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BudgetError, ExponentError, ParameterError, PlacementError
-from .fields import LebesgueExponent, ScalarField, _gradient_adapted_rule
+from .fields import LebesgueExponent, ScalarField, _singular_rule
 from .geometry import (
     BOUNDARY,
     EXTERIOR,
@@ -169,7 +169,7 @@ def _fig_terms(f: ScalarField, domain: Domain, z, order: int) -> tuple[float, fl
     brule = domain.boundary_rule(order)
     moments = f.evaluate(brule.nodes) * row_dots(brule.nodes - z, brule.normals)
     boundary_term = brule.integrate(moments)
-    vrule = _gradient_adapted_rule(f, domain, order)
+    vrule = _singular_rule(f, domain, order)
     vol_vals = row_dots(f.gradient(vrule.nodes), vrule.nodes - z)
     volume_term = vrule.integrate(vol_vals)
     return boundary_term, volume_term
@@ -211,7 +211,7 @@ def check_ball_corollaries(
     if which in ("REP3", "CERC"):
         vrule = volume_rule(ball, order)
         volume_mean = vrule.integrate(f.evaluate(vrule.nodes)) / ball.volume_measure
-        grule = _gradient_adapted_rule(f, ball, order)
+        grule = _singular_rule(f, ball, order)
         smooth = grule.integrate(row_dots(f.gradient(grule.nodes), grule.nodes - a)) / (omega * R**n)
 
     if which == "REP2":

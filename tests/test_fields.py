@@ -152,6 +152,15 @@ def test_grad_norm_infinite_p_unbounded_gradient():
         lp.grad_norm(f, DISK, math.inf)
 
 
+def test_grad_norm_sup_of_power_distance_depends_on_the_domain():
+    # sup |grad |x - a|^2| = 2 max |x - a| = 3 on the unit disk for a = (0.5, 0)
+    f = lp.catalog("power_distance", [0.5, 0.0], 2.0)
+    assert 2.99 < lp.grad_norm(f, DISK, math.inf, 64) <= 3.0
+    # centred balls keep their closed form beta R^(beta - 1)
+    centred = lp.catalog("power_distance", [0.0, 0.0], 2.0)
+    assert lp.grad_norm(centred, lp.Ball([0.0, 0.0], 1.5), math.inf, 64) == 3.0
+
+
 def test_lebesgue_exponent_conjugates():
     assert LebesgueExponent.of(math.inf).conjugate == 1.0
     p = LebesgueExponent.of(3.0)

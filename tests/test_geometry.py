@@ -1,6 +1,7 @@
 """Tests for domains, classification, and quadrature rules."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,20 @@ def test_node_budget(monkeypatch):
     monkeypatch.setenv("LAYERPOT_MAX_NODES", "500")
     with pytest.raises(BudgetError):
         lp.volume_rule(unit_disk(), 64)
+
+
+def test_node_budget_is_checked_before_the_rule_is_built(monkeypatch):
+    # the 3-D order-64 rule has 524,288 nodes; refusing it must not first
+    # allocate even one of its coordinate columns
+    monkeypatch.setenv("LAYERPOT_MAX_NODES", "1000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="524288 nodes"):
+            lp.volume_rule(lp.Ball([0.0, 0.0, 0.0], 1.0), 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 524288 * 8
 
 
 def test_invalid_budget(monkeypatch):

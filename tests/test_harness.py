@@ -229,6 +229,16 @@ def test_bound_rejects_small_exponent():
         run_bound(cfg)
 
 
+def test_bound_at_infinite_exponent_needs_a_bounded_gradient():
+    cfg = build_config("fields = power_distance:0,0,0.5\nbound.exponents = inf\nprobes.count = 1\n")
+    with pytest.raises(ConfigError, match="unbounded gradient"):
+        run_bound(cfg)
+    # beta > 1: the gradient is bounded, its sup comes from the domain
+    cfg = build_config("fields = power_distance:0.5,0,2\nbound.exponents = inf\nprobes.count = 1\n")
+    rows, code = run_bound(cfg)
+    assert code == 0 and {r.identity for r in rows} >= {"BOUND_GENERAL", "BOUND_BALL"}
+
+
 def test_laplacian_requirement_checked():
     cfg = build_config("fields = distance:0,0\nidentities = GRR\n")
     with pytest.raises(ConfigError):
@@ -279,6 +289,49 @@ def test_cli_unparsable_value_exit_2_with_line(command, line, tmp_path, capsys):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert f"line 2: {line.split()[0]} must" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("verify", "orders = 2"),
+        ("verify", "double.order_inner = 2"),
+        ("verify", "jump.distances = 1e-2"),
+        ("verify", "jump.distances = 1e-2, 1e-2"),
+        ("verify", "jump.distances = -1e-2, 5e-3"),
+        ("verify", "identities = F1, F1"),
+        ("verify", "orders = 16, 16"),
+        ("verify", "fields = coordinate:1 | coordinate:1"),
+        ("table", "table.dims = 1"),
+        ("table", "table.radii = -1"),
+        ("verify", "domain.radius = -1"),
+        ("verify", "domain.dim = 1"),
+        ("verify", "probes.margin = 2"),
+        ("verify", "output.format = xml"),
+        ("bound", "bound.include_extremal = yes"),
+    ],
+)
+def test_cli_inadmissible_value_exit_2_with_line(command, line, tmp_path, capsys):
+    # every value is checked where the config is read, before any run starts
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"probes.count = 1\n{line}\n")
+    out = tmp_path / "report.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"line 2: {line.split()[0]} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_star_domain_values_are_checked_with_their_line():
+    with pytest.raises(ConfigError) as err:
+        build_config("domain.shape = star\ndomain.dim = 3\n")
+    assert err.value.line == 2 and "domain.dim must be 2" in str(err.value)
+    # the default amplitude 0.25 does not fit under this base radius
+    with pytest.raises(ConfigError) as err:
+        build_config("domain.shape = star\ndomain.base_radius = 0.2\n")
+    assert err.value.line == 2 and "domain.base_radius must be" in str(err.value)
+    with pytest.raises(ConfigError) as err:
+        build_config("domain.shape = star\n\ndomain.cosine_amplitude = -1\n")
+    assert err.value.line == 3 and "domain.cosine_amplitude must be" in str(err.value)
 
 
 def test_cli_missing_config_exit_2(capsys):

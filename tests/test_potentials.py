@@ -254,6 +254,20 @@ def test_double_layer_batch_matches_scalar():
     assert list(batch3) == [lp.double_layer(h3, BALL3, t, 16).value for t in targets3]
 
 
+@pytest.mark.parametrize("domain", [DISK, STAR], ids=["disk", "star"])
+def test_double_layer_batch_equals_double_layer_bitwise(domain):
+    # interior, exterior, boundary, and two near-boundary targets whose
+    # order escalates above 64
+    h = lp.catalog("harmonic_poly", 3)
+    edge = domain.boundary_point(0.4) if isinstance(domain, lp.StarShaped2D) else np.array([0.6, 0.8])
+    nu = domain.outward_normal(edge)
+    targets = np.array([[0.3, 0.1], [-0.2, 0.45], [2.0, 0.5], edge, edge - 0.01 * nu, edge + 0.004 * nu])
+    assert domain.classify(edge) == "boundary"
+    assert all(lp.double_layer(h, domain, t, 64).quadrature_order > 64 for t in targets[-2:])
+    batch = lp.double_layer_batch(h, domain, targets, 64)
+    assert list(batch) == [lp.double_layer(h, domain, t, 64).value for t in targets]
+
+
 def test_monotone_guard_flags_growing_differences():
     from layerpot.potentials import _require_monotone
     from layerpot.errors import ResolutionError

@@ -115,6 +115,17 @@ def test_fig_pivot_independence():
 # ---------------------------------------------------------------------------
 
 
+def test_singular_point_on_the_boundary_keeps_the_rows():
+    # |x - a| with a on the circle: the volume rules stay centred inside
+    f = lp.catalog("distance", [1.0, 0.0])
+    y = [0.3, 0.1]
+    residuals = [lp.check_fig(f, DISK, y, order).residual for order in (32, 64, 128)]
+    assert residuals[0] > residuals[1] > residuals[2]
+    for which in ("RP0", "RP1"):
+        assert np.isfinite(lp.check_rp(f, DISK, y, [-0.2, 0.4], 64, which).residual)
+    assert lp.grad_norm(f, DISK, 3.0, 64) == pytest.approx(math.pi ** (1.0 / 3.0), rel=1e-14)
+
+
 def test_rep2_distance_exact_cancellation():
     rep = lp.check_ball_corollaries(lp.catalog("distance", [0.0, 0.0]), DISK, None, 64, "REP2")
     assert rep.metadata["surface_mean"] == pytest.approx(1.0, rel=1e-12)
