@@ -102,7 +102,10 @@ def parse_field_spec(spec: str, dim: int):
     if name == "constant":
         return catalog("constant", float(args[0]) if args else 1.0)
     if name == "coordinate":
-        return catalog("coordinate", int(args[0]) if args else 1)
+        index = int(args[0]) if args else 1
+        if index > dim:
+            raise ValueError(spec)
+        return catalog("coordinate", index)
     if name == "linear":
         offset, *slope = args
         return catalog("linear", float(offset), [float(a) for a in slope])
@@ -120,7 +123,7 @@ def parse_field_spec(spec: str, dim: int):
 
 def _fields(text, dim):
     fields = tuple(parse_field_spec(s, dim) for s in text.split("|") if s.strip())
-    if len({f.name for f in fields}) < len(fields):
+    if len({f.name for f in fields}) < len(fields) or any(f.dim not in (None, dim) for f in fields):
         raise ValueError(text)
     return fields
 
@@ -132,7 +135,7 @@ _EXPONENTS = (_values(_exponent), "a comma list of exponents")
 #: key -> (SuiteConfig attribute, parser(text, dim), what the value must be)
 _SUITE_KEYS = {
     "suite.name": ("suite", _value(str), "text"),
-    "fields": ("fields", _fields, "a '|' list of catalog field specs with distinct fields"),
+    "fields": ("fields", _fields, "a '|' list of distinct catalog field specs in the domain's dimension"),
     "identities": (
         "identities",
         _values(str.upper, lambda v: v in SUITE_IDENTITIES, distinct=True),
@@ -152,7 +155,11 @@ _SUITE_KEYS = {
     "double.order_inner": ("order_inner", *_ORDER),
     "bound.exponents": ("bound_exponents", *_EXPONENTS),
     "bound.include_extremal": ("bound_include_extremal", _value(_flag), "true or false"),
-    "table.dims": ("table_dims", _values(int, lambda n: n >= 2), "a comma list of integers >= 2"),
+    "table.dims": (
+        "table_dims",
+        _values(int, lambda n: n >= 2, distinct=True),
+        "a comma list of distinct integers >= 2",
+    ),
     "table.exponents": ("table_exponents", *_EXPONENTS),
     "table.radii": ("table_radii", _values(float, _positive), "a comma list of positive numbers"),
     "output.format": ("output_format", _choice("csv", "jsonl"), "csv or jsonl"),
@@ -242,5 +249,5 @@ def build_config(text: str) -> SuiteConfig:
     for name in SUITE_IDENTITIES:
         key = f"tolerances.{name}"
         if key in raw:
-            cfg.tolerances[name] = _read(raw, key, _value(float), "a number", None)
+            cfg.tolerances[name] = _read(raw, key, _value(float, lambda v: v >= 0.0), "a number >= 0", None)
     return cfg

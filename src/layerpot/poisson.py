@@ -16,12 +16,7 @@ import numpy as np
 from .errors import ParameterError, PlacementError
 from .geometry import INTERIOR, Ball, as_point
 from .kernel import row_norms, sphere_area
-from .potentials import _moment_callable, _target_rule
-
-#: Interior evaluation is restricted to this fraction of the radius; closer
-#: to the sphere the kernel peak outruns the escalation cap, and we fail
-#: loudly instead of silently losing accuracy.
-MAX_RELATIVE_OFFSET = 0.95
+from .potentials import _peaked_integrals
 
 
 def poisson_kernel(ball: Ball, nodes: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -34,21 +29,14 @@ def poisson_kernel(ball: Ball, nodes: np.ndarray, y: np.ndarray) -> np.ndarray:
 def poisson_evaluate(ball: Ball, phi, y, order: int = 64) -> float:
     """Harmonic extension of boundary data phi evaluated at interior y.
 
-    The rule order escalates with the kernel peak; targets beyond
-    MAX_RELATIVE_OFFSET * R are rejected rather than silently degraded.
+    The rule order escalates with the kernel peak exactly as the double
+    layer's does at the same target.
     """
     y = as_point(y, ball.dim)
-    off = float(np.linalg.norm(y - ball.center))
     if ball.classify(y) != INTERIOR:
         raise PlacementError("the reproducing kernel extends boundary data to interior points only")
-    if off > MAX_RELATIVE_OFFSET * ball.radius:
-        raise PlacementError(
-            f"target at {off / ball.radius:.3f} R exceeds the supported interior range "
-            f"{MAX_RELATIVE_OFFSET} R"
-        )
-    rule, _, _ = _target_rule(ball, order, y)
-    vals = _moment_callable(phi)(rule.nodes)
-    return rule.integrate(vals * poisson_kernel(ball, rule.nodes, y))
+    values, _, _ = _peaked_integrals(phi, ball, y, order, lambda nodes, _, z: poisson_kernel(ball, nodes, z))
+    return float(values[0])
 
 
 @dataclass(frozen=True)

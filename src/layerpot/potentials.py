@@ -98,17 +98,32 @@ def _boundary_value(h, domain: Domain, z: np.ndarray, order: int) -> float:
     return rule.integrate(moment(rule.nodes) * kernel)
 
 
-def _target_rule(domain: Domain, order: int, y: np.ndarray):
-    """Boundary rule for kernels peaked at the off-boundary target y.
+def _peaked_integrals(h, domain: Domain, targets, order: int, kernel=dl_kernel):
+    """Boundary integrals of the moment h against kernels peaked at off-boundary targets.
 
-    The order escalates with the target's boundary distance, and 3-D rules
-    put their pole along y - center.  Returns the rule, the effective order
-    and the escalation warning.
+    The one order-escalation policy of boundary integrals: each target's
+    order escalates with its boundary distance, 3-D rules put their pole
+    along y - center, and targets needing the same rule share it.  Each
+    target's row ``kernel(nodes, normals, y)`` is summed with
+    ``rule.integrate``.  Returns the values, effective orders and warnings.
     """
-    eff, warn = escalated_order(domain, order, y)
-    axis = y - domain.center
-    pole = axis if domain.dim == 3 and np.linalg.norm(axis) > 1e-14 else None
-    return domain.boundary_rule(eff, pole=pole), eff, warn
+    targets = np.atleast_2d(targets)
+    moment = _moment_callable(h)
+    values = np.empty(len(targets))
+    orders, warnings, groups = [], [], {}
+    for i, y in enumerate(targets):
+        eff, warn = escalated_order(domain, order, y)
+        orders.append(eff)
+        warnings.append(warn)
+        axis = y - domain.center
+        pole = tuple(axis) if domain.dim == 3 and np.linalg.norm(axis) > 1e-14 else None
+        groups.setdefault((eff, pole), []).append(i)
+    for (eff, pole), idx in groups.items():
+        rule = domain.boundary_rule(eff, pole=None if pole is None else np.array(pole))
+        vals = moment(rule.nodes)
+        for i in idx:
+            values[i] = rule.integrate(vals * kernel(rule.nodes, rule.normals, targets[i]))
+    return values, orders, warnings
 
 
 def double_layer(h, domain: Domain, y, order: int = 64) -> LayerEvaluation:
@@ -123,43 +138,23 @@ def double_layer(h, domain: Domain, y, order: int = 64) -> LayerEvaluation:
     if cls == BOUNDARY:
         value = _boundary_value(h, domain, y, order)
         return LayerEvaluation(value=value, location_class=cls, quadrature_order=order)
-    rule, eff, warn = _target_rule(domain, order, y)
-    vals = _moment_callable(h)(rule.nodes)
-    value = rule.integrate(vals * dl_kernel(rule.nodes, rule.normals, y))
-    return LayerEvaluation(value=value, location_class=cls, quadrature_order=eff, warning=warn)
+    values, orders, warnings = _peaked_integrals(h, domain, y, order)
+    return LayerEvaluation(
+        value=float(values[0]), location_class=cls, quadrature_order=orders[0], warning=warnings[0]
+    )
 
 
 def double_layer_batch(h, domain: Domain, targets, order: int = 64) -> np.ndarray:
-    """Double-layer values at many targets sharing one (escalated) rule.
+    """Double-layer values at many targets, equal to ``double_layer``'s bit for bit.
 
-    Off-boundary targets are grouped by required order so the kernel rows
-    are evaluated in a few vectorized passes; each row is then summed like
-    ``double_layer`` sums it, so the values equal its values bit for bit.
-    No state is shared, so batches may also be fanned out across threads.
-    3-D targets are evaluated one by one through ``double_layer``.
+    Off-boundary targets needing the same rule share it; no state is
+    shared between calls, so batches may also be fanned out across threads.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    if domain.dim == 3:
-        return np.array([double_layer(h, domain, y, order).value for y in targets])
-    moment = _moment_callable(h)
+    on = np.array([domain.classify(y) == BOUNDARY for y in targets], dtype=bool)
     out = np.empty(len(targets))
-    orders = np.empty(len(targets), dtype=int)
-    for i, y in enumerate(targets):
-        cls = domain.classify(y)
-        if cls == BOUNDARY:
-            orders[i] = -1
-        else:
-            orders[i], _ = escalated_order(domain, order, y)
-    for eff in np.unique(orders):
-        idx = np.nonzero(orders == eff)[0]
-        if eff < 0:
-            for i in idx:
-                out[i] = _boundary_value(h, domain, targets[i], order)
-            continue
-        rule = domain.boundary_rule(int(eff))
-        vals = moment(rule.nodes)
-        kern = dl_kernel(rule.nodes, rule.normals, targets[idx][:, None, :])
-        out[idx] = [rule.integrate(vals * row) for row in kern]
+    out[~on] = _peaked_integrals(h, domain, targets[~on], order)[0]
+    out[on] = [_boundary_value(h, domain, z, order) for z in targets[on]]
     return out
 
 
@@ -327,9 +322,12 @@ def newtonian_integrals(f: ScalarField, domain: Domain, y, order: int = 64) -> N
     cls = domain.classify(y)
     if cls == BOUNDARY:
         raise PlacementError("Newtonian integrals are evaluated off the boundary")
-    brule, _, _ = _target_rule(domain, order, y)
-    dfdnu = row_dots(f.gradient(brule.nodes), brule.normals)
-    boundary_term = brule.integrate(dfdnu * fundamental_solution(brule.nodes - y))
+
+    # unit moment: the flux df/dnu needs the normals, so the kernel carries it
+    def flux(nodes, normals, target):
+        return row_dots(f.gradient(nodes), normals) * fundamental_solution(nodes - target)
+
+    boundary_term = float(_peaked_integrals(1.0, domain, y, order, flux)[0][0])
     if cls == INTERIOR:
         vrule = composite_volume_rule(domain, order, y, log_kernel=True)
     else:

@@ -309,6 +309,11 @@ def test_cli_unparsable_value_exit_2_with_line(command, line, tmp_path, capsys):
         ("verify", "probes.margin = 2"),
         ("verify", "output.format = xml"),
         ("bound", "bound.include_extremal = yes"),
+        ("verify", "fields = distance:1,0,0"),
+        ("verify", "fields = linear:0,1,0,0"),
+        ("verify", "fields = coordinate:3"),
+        ("table", "table.dims = 2, 2"),
+        ("verify", "tolerances.F1 = -1"),
     ],
 )
 def test_cli_inadmissible_value_exit_2_with_line(command, line, tmp_path, capsys):
@@ -319,6 +324,18 @@ def test_cli_inadmissible_value_exit_2_with_line(command, line, tmp_path, capsys
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert f"line 2: {line.split()[0]} must" in capsys.readouterr().err
     assert not out.exists()
+
+
+SHIPPED_CONFIGS = sorted(
+    p.relative_to(ROOT) for d in ("configs", "tests/golden", "bench/configs") for p in (ROOT / d).glob("*.cfg")
+)
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=str)
+def test_shipped_configs_are_admissible(path):
+    # a benchmark or golden config that a new admissibility rule rejected
+    # would otherwise surface only as a failed run
+    build_config((ROOT / path).read_text(encoding="utf-8"))
 
 
 def test_star_domain_values_are_checked_with_their_line():
@@ -337,6 +354,18 @@ def test_star_domain_values_are_checked_with_their_line():
 def test_cli_missing_config_exit_2(capsys):
     assert main(["verify"]) == 2
     assert main(["verify", "--config", "/nonexistent/path.cfg"]) == 2
+
+
+def test_com_close_to_the_sphere_keeps_every_row(tmp_path, capsys):
+    cfg = tmp_path / "com.cfg"
+    cfg.write_text(
+        "fields = harmonic_poly:2 | distance:0.2,0.1\nidentities = COM\norders = 32\n"
+        "probes.count = 20\nprobes.margin = 0.02\n"
+    )
+    out = tmp_path / "r.csv"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 2 * 20 and all(row.endswith(",true") for row in rows)
 
 
 def test_cli_numerical_failure_exit_1(tmp_path, capsys):

@@ -12,6 +12,8 @@ import layerpot.fields
 import layerpot.potentials
 from diagnostics import fd_laplacian, loglog_slope, sphere_ratio
 from layerpot.errors import BudgetError, CapabilityError, PlacementError
+from layerpot.geometry import escalated_order
+from layerpot.kernel import fundamental_solution, row_dots
 
 DISK = lp.Ball([0.0, 0.0], 1.0)
 BALL3 = lp.Ball([0.0, 0.0, 0.0], 1.0)
@@ -228,6 +230,17 @@ def test_newtonian_integrals_examples():
     # |x|^2: volume term is 2N int E = -1 on the unit disk (radial oracle)
     parts = lp.newtonian_integrals(lp.catalog("quadratic_radial", [0.0, 0.0]), DISK, [0.0, 0.0], 64)
     assert parts.volume_term == pytest.approx(-1.0, abs=1e-8)
+
+
+def test_newtonian_boundary_term_sums_on_the_pole_aligned_escalated_rule():
+    f = lp.catalog("harmonic_poly", 2, dim=3)
+    y = np.array([0.3, -0.2, 0.6])
+    eff, _ = escalated_order(BALL3, 16, y)
+    assert eff > 16
+    rule = BALL3.boundary_rule(eff, pole=y - BALL3.center)
+    flux = row_dots(f.gradient(rule.nodes), rule.normals)
+    expected = rule.integrate(flux * fundamental_solution(rule.nodes - y))
+    assert lp.newtonian_integrals(f, BALL3, y, 16).boundary_term == expected
 
 
 def test_newtonian_requires_laplacian():

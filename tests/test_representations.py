@@ -7,6 +7,9 @@ import pytest
 
 import layerpot as lp
 from layerpot.errors import BudgetError, ExponentError, PlacementError
+from layerpot.geometry import escalated_order
+from layerpot.kernel import row_norms, sphere_area
+from layerpot.poisson import poisson_kernel
 
 DISK = lp.Ball([0.0, 0.0], 1.0)
 BALL3 = lp.Ball([0.0, 0.0, 0.0], 1.0)
@@ -175,6 +178,30 @@ def test_com_equals_mat_for_harmonic_trace():
     com = lp.check_ball_corollaries(f, DISK, [0.25, 0.15], 96, "COM")
     mat = lp.check_ball_corollaries(f, DISK, [0.25, 0.15], 96, "MAT")
     assert com.rhs == pytest.approx(mat.rhs, abs=1e-6)
+
+
+def test_com_close_to_the_sphere_escalates_its_correction():
+    # the correction term needs the escalated rule of the chi term: summed
+    # on the order-32 rule it leaves a residual of 1.1e-5 here
+    f = lp.catalog("harmonic_poly", 2)
+    rep = lp.check_ball_corollaries(f, DISK, [-0.720067909722, 0.0287786705822], 32, "COM")
+    assert rep.residual < 1e-12
+
+
+def test_com_3d_sums_on_the_pole_aligned_escalated_rule():
+    f = lp.catalog("harmonic_poly", 2, dim=3)
+    y = np.array([-0.435215638745, 0.017394092044, 0.201047561379])
+    rep = lp.check_ball_corollaries(f, BALL3, y, 32, "COM")
+    eff, _ = escalated_order(BALL3, 32, y)
+    assert eff > 32
+    rule = BALL3.boundary_rule(eff, pole=y - BALL3.center)
+    vals = f.evaluate(rule.nodes)
+    chi = rule.integrate(vals * poisson_kernel(BALL3, rule.nodes, y))
+    d = y - rule.nodes
+    correction = rule.integrate(vals * ((d @ (y - BALL3.center)) / (1.0 * sphere_area(3) * row_norms(d) ** 3)))
+    vol = lp.gradient_volume_integral(f, BALL3, y, 32)
+    assert (rep.metadata["chi"], rep.metadata["correction"]) == (chi, correction)
+    assert rep.rhs == chi + correction - vol
 
 
 def test_cerc_nonharmonic_field():
