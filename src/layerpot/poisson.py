@@ -13,15 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, PlacementError
+from .errors import ParameterError, PlacementError, ResolutionError
 from .geometry import INTERIOR, Ball, as_point
-from .kernel import row_norms, sphere_area
+from .kernel import row_dots, row_norms, sphere_area
 from .potentials import _peaked_integrals
 
 
 def poisson_kernel(ball: Ball, nodes: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Reproducing-kernel rows for boundary nodes against an interior target."""
-    r2 = float(np.sum((y - ball.center) ** 2))
+    """Reproducing-kernel rows for boundary nodes against interior y; y may stack targets (m, 1, N)."""
+    r2 = row_dots(y - ball.center, y - ball.center)
     dist = row_norms(nodes - y)
     return (ball.radius**2 - r2) / (ball.radius * sphere_area(ball.dim) * dist**ball.dim)
 
@@ -29,13 +29,15 @@ def poisson_kernel(ball: Ball, nodes: np.ndarray, y: np.ndarray) -> np.ndarray:
 def poisson_evaluate(ball: Ball, phi, y, order: int = 64) -> float:
     """Harmonic extension of boundary data phi evaluated at interior y.
 
-    The rule order escalates with the kernel peak exactly as the double
-    layer's does at the same target.
+    The rule escalates as the double layer's does; ResolutionError is raised
+    where the order cap or node budget leaves the kernel peak unresolved.
     """
     y = as_point(y, ball.dim)
     if ball.classify(y) != INTERIOR:
         raise PlacementError("the reproducing kernel extends boundary data to interior points only")
-    values, _, _ = _peaked_integrals(phi, ball, y, order, lambda nodes, _, z: poisson_kernel(ball, nodes, z))
+    values, orders, warnings = _peaked_integrals(phi, ball, y, order, lambda x, _, z: poisson_kernel(ball, x, z))
+    if orders[0] < ball.min_resolving_order(ball.boundary_distance(y)):
+        raise ResolutionError(f"harmonic extension unresolved: {warnings[0]}")
     return float(values[0])
 
 

@@ -51,7 +51,7 @@ def _moment_callable(h):
 
 
 def dl_kernel(nodes: np.ndarray, normals: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Double-layer kernel rows <x - y, nu(x)> / (omega_N |x - y|^N)."""
+    """Double-layer kernel rows <x - y, nu(x)> / (omega_N |x - y|^N); y may stack targets (m, 1, N)."""
     d = nodes - y
     n = nodes.shape[1]
     return row_dots(d, normals) / (sphere_area(n) * row_norms(d) ** n)
@@ -103,8 +103,8 @@ def _peaked_integrals(h, domain: Domain, targets, order: int, kernel=dl_kernel):
 
     The one order-escalation policy of boundary integrals: each target's
     order escalates with its boundary distance, 3-D rules put their pole
-    along y - center, and targets needing the same rule share it.  Each
-    target's row ``kernel(nodes, normals, y)`` is summed with
+    along y - center, and targets needing the same rule share it.  One kernel
+    call on a group's (m, 1, N) targets gives their rows, each summed with
     ``rule.integrate``.  Returns the values, effective orders and warnings.
     """
     targets = np.atleast_2d(targets)
@@ -121,8 +121,8 @@ def _peaked_integrals(h, domain: Domain, targets, order: int, kernel=dl_kernel):
     for (eff, pole), idx in groups.items():
         rule = domain.boundary_rule(eff, pole=None if pole is None else np.array(pole))
         vals = moment(rule.nodes)
-        for i in idx:
-            values[i] = rule.integrate(vals * kernel(rule.nodes, rule.normals, targets[i]))
+        rows = kernel(rule.nodes, rule.normals, targets[idx][:, None, :])
+        values[idx] = [rule.integrate(vals * row) for row in rows]
     return values, orders, warnings
 
 
@@ -324,8 +324,9 @@ def newtonian_integrals(f: ScalarField, domain: Domain, y, order: int = 64) -> N
         raise PlacementError("Newtonian integrals are evaluated off the boundary")
 
     # unit moment: the flux df/dnu needs the normals, so the kernel carries it
-    def flux(nodes, normals, target):
-        return row_dots(f.gradient(nodes), normals) * fundamental_solution(nodes - target)
+    def flux(nodes, normals, targets):
+        kernel = fundamental_solution((nodes - targets).reshape(-1, domain.dim)).reshape(len(targets), -1)
+        return row_dots(f.gradient(nodes), normals) * kernel
 
     boundary_term = float(_peaked_integrals(1.0, domain, y, order, flux)[0][0])
     if cls == INTERIOR:

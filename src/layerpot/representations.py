@@ -234,9 +234,9 @@ def check_ball_corollaries(
         )
 
     # COM: route the boundary contribution through the harmonic extension.
-    def kernel(nodes, normals, target):
-        d = target - nodes
-        return (d @ (target - a)) / (R * omega * row_norms(d) ** n)
+    def kernel(nodes, normals, targets):
+        d = targets - nodes
+        return (d @ np.swapaxes(targets - a, 1, 2))[..., 0] / (R * omega * row_norms(d) ** n)
 
     chi = dirichlet_chi(ball, f, order).evaluate(y)
     correction = float(_peaked_integrals(f, ball, y, order, kernel)[0][0])

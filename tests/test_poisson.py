@@ -7,7 +7,7 @@ import pytest
 
 import layerpot as lp
 from diagnostics import fd_laplacian
-from layerpot.errors import PlacementError
+from layerpot.errors import PlacementError, ResolutionError
 
 DISK = lp.Ball([0.0, 0.0], 1.0)
 BALL3 = lp.Ball([0.0, 0.0, 0.0], 1.0)
@@ -73,6 +73,17 @@ def test_interior_restriction():
             assert lp.poisson_evaluate(domain, 1.0, y, 64) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(PlacementError):
         lp.poisson_evaluate(DISK, 1.0, [1.5, 0.0], 64)
+
+
+def test_unresolved_target_raises(monkeypatch):
+    # at 0.999 R the disk needs order 24000, above the cap of 4096; summed
+    # at 4096 the constant 1 would come back as 1.0338
+    with pytest.raises(ResolutionError, match="below the resolving order 24000"):
+        lp.poisson_evaluate(DISK, 1.0, [0.999, 0.0], 64)
+    # at 0.99 R the ball needs order 156; a 20000-node budget stops it at 64
+    monkeypatch.setenv("LAYERPOT_MAX_NODES", "20000")
+    with pytest.raises(ResolutionError, match="below the resolving order 156"):
+        lp.poisson_evaluate(BALL3, 1.0, [0.99, 0.0, 0.0], 64)
 
 
 def _means(u, ball, order):
