@@ -24,7 +24,7 @@ from .fields import LebesgueExponent, ScalarField, grad_norm
 from .geometry import Ball, Domain, as_point, composite_volume_rule, gauss_legendre_01
 from .kernel import row_norms, sphere_area
 from .potentials import double_layer
-from .representations import IdentityReport, _report
+from .representations import IdentityReport, _report, _surface_integral
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,7 @@ def ostrowski_bound_ball(f: ScalarField, ball: Ball, p, order: int = 64) -> Boun
     the sharp constant times the gradient norm."""
     p = LebesgueExponent.of(p)
     p.require_above_dimension(ball.dim)
-    rule = ball.boundary_rule(order)
-    surface_mean = rule.integrate(f.evaluate(rule.nodes)) / ball.surface_measure
+    surface_mean = _surface_integral(f, ball, order) / ball.surface_measure
     deviation = abs(f.evaluate(ball.center) - surface_mean)
     constant = sharp_ball_constant(ball.dim, ball.radius, p)
     norm = grad_norm(f, ball, p, order)
@@ -234,7 +233,8 @@ def montgomery_identity_1d(f: Field1D, a: float, b: float, x: float, n: int = 64
     right = _gauss_panel(lambda t: (t - b) * np.asarray(f.derivative(t), float), x, b, n) if x < b else 0.0
     rhs = mean + (left + right) / (b - a)
     return _report(
-        "MONTGOMERY_1D", float(f.value(np.asarray(x))), rhs, tolerance, n, [np.array([x, 0.0])], kernel=repr(kern)
+        "MONTGOMERY_1D", None, float(f.value(np.asarray(x))), rhs, tolerance, n, [np.array([x, 0.0])],
+        kernel=repr(kern),
     )
 
 

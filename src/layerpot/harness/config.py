@@ -19,10 +19,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..fields import catalog
 from ..geometry import Ball, StarShaped2D
-from ..representations import IDENTITIES
-
-#: Identities the verify command accepts, beyond the representation checks.
-SUITE_IDENTITIES = IDENTITIES + ("GAUSS", "JUMP")
+from ..representations import BALL_IDENTITIES, IDENTITIES
 
 #: Default verify selection: fast identities with analytic ground truth.
 DEFAULT_IDENTITIES = ("GAUSS", "F1", "FIG", "MAT", "REP2", "REP3", "C2_EXTERIOR")
@@ -121,6 +118,13 @@ def parse_field_spec(spec: str, dim: int):
     raise ValueError(f"unknown field {name!r}")
 
 
+def _bound_exponents(text, dim):
+    exponents = _values(_exponent)(text, dim)
+    if not all(p > dim for p in exponents):
+        raise ValueError(text)
+    return exponents
+
+
 def _fields(text, dim):
     fields = tuple(parse_field_spec(s, dim) for s in text.split("|") if s.strip())
     if len({f.name for f in fields}) < len(fields) or any(f.dim not in (None, dim) for f in fields):
@@ -130,7 +134,6 @@ def _fields(text, dim):
 
 _COUNT = (_value(int, lambda n: n >= 1), "an integer >= 1")
 _ORDER = (_value(int, lambda n: n >= 4), "an integer >= 4")
-_EXPONENTS = (_values(_exponent), "a comma list of exponents")
 
 #: key -> (SuiteConfig attribute, parser(text, dim), what the value must be)
 _SUITE_KEYS = {
@@ -138,8 +141,8 @@ _SUITE_KEYS = {
     "fields": ("fields", _fields, "a '|' list of distinct catalog field specs in the domain's dimension"),
     "identities": (
         "identities",
-        _values(str.upper, lambda v: v in SUITE_IDENTITIES, distinct=True),
-        f"a comma list of distinct identities from {', '.join(SUITE_IDENTITIES)}",
+        _values(str.upper, lambda v: v in IDENTITIES, distinct=True),
+        f"a comma list of distinct identities from {', '.join(IDENTITIES)}",
     ),
     "orders": ("orders", _values(int, lambda n: n >= 4, distinct=True), "a comma list of distinct integers >= 4"),
     "probes.count": ("probe_count", *_COUNT),
@@ -153,14 +156,14 @@ _SUITE_KEYS = {
     ),
     "double.order_outer": ("order_outer", *_ORDER),
     "double.order_inner": ("order_inner", *_ORDER),
-    "bound.exponents": ("bound_exponents", *_EXPONENTS),
+    "bound.exponents": ("bound_exponents", _bound_exponents, "a comma list of exponents > domain.dim"),
     "bound.include_extremal": ("bound_include_extremal", _value(_flag), "true or false"),
     "table.dims": (
         "table_dims",
         _values(int, lambda n: n >= 2, distinct=True),
         "a comma list of distinct integers >= 2",
     ),
-    "table.exponents": ("table_exponents", *_EXPONENTS),
+    "table.exponents": ("table_exponents", _values(_exponent), "a comma list of exponents"),
     "table.radii": ("table_radii", _values(float, _positive), "a comma list of positive numbers"),
     "output.format": ("output_format", _choice("csv", "jsonl"), "csv or jsonl"),
     "output.path": ("output_path", _value(str), "text"),
@@ -172,7 +175,7 @@ _DOMAIN_KEYS = ("shape", "dim", "center", "radius", "base_radius", "cosine_ampli
 KNOWN_KEYS = (
     set(_SUITE_KEYS)
     | {f"domain.{name}" for name in _DOMAIN_KEYS}
-    | {f"tolerances.{name}" for name in SUITE_IDENTITIES}
+    | {f"tolerances.{name}" for name in IDENTITIES}
 )
 
 
@@ -246,8 +249,15 @@ def build_config(text: str) -> SuiteConfig:
     cfg = SuiteConfig(domain=_domain(raw))
     for key, (attr, parse, what) in _SUITE_KEYS.items():
         setattr(cfg, attr, _read(raw, key, parse, what, getattr(cfg, attr), cfg.domain.dim))
-    for name in SUITE_IDENTITIES:
+    for name in IDENTITIES:
         key = f"tolerances.{name}"
         if key in raw:
             cfg.tolerances[name] = _read(raw, key, _value(float, lambda v: v >= 0.0), "a number >= 0", None)
+    ball_only = [name for name in cfg.identities if name in BALL_IDENTITIES]
+    if ball_only and not isinstance(cfg.domain, Ball):
+        if "identities" in raw:
+            what = f"free of the ball-only {', '.join(BALL_IDENTITIES)} on a star domain"
+            _reject("identities", what, *raw["identities"])
+        what = f"ball unless identities are set: the default {', '.join(ball_only)} hold on balls only"
+        _reject("domain.shape", what, *raw["domain.shape"])
     return cfg

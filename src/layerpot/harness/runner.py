@@ -26,6 +26,7 @@ from ..fields import LebesgueExponent, catalog, extremal_field
 from ..geometry import Ball
 from ..kernel import sphere_area
 from ..representations import (
+    BALL_IDENTITIES,
     check_ball_corollaries,
     check_c2_exterior,
     check_f1,
@@ -36,16 +37,12 @@ from ..representations import (
     check_grr,
     check_jump,
     check_rp,
-    default_tolerance,
 )
 from .config import SuiteConfig
 from .report import Row, format_point
 
 #: GAUSS rows check the unit moment, whatever fields the suite lists.
 UNIT_MOMENT = catalog("constant", 1.0)
-
-_NEEDS_LAPLACIAN = ("GRR", "GREEN_RIEMANN_INTERIOR", "GREEN_RIEMANN_EXTERIOR", "GREEN_RIEMANN_BOUNDARY")
-_BALL_ONLY = ("MAT", "COM", "CERC", "REP2", "REP3")
 
 
 def generate_probes(cfg: SuiteConfig):
@@ -82,12 +79,6 @@ def generate_probes(cfg: SuiteConfig):
     return interior, boundary, exterior
 
 
-def _tolerance(cfg: SuiteConfig, identity: str, field) -> float:
-    if identity in cfg.tolerances:
-        return cfg.tolerances[identity]
-    return default_tolerance(field, identity)
-
-
 def _row(cfg, report, field_name) -> Row:
     return Row(
         suite=cfg.suite,
@@ -111,12 +102,14 @@ def _verify_tasks(cfg: SuiteConfig):
     pair = tuple(i for i in ("F2", "F3") if i in cfg.identities)
 
     def f2_f3(f, y, order, tol):
-        # one evaluation yields both integrated identities; keep the rows asked for
-        reps = check_f2_f3(f, domain, cfg.order_outer, cfg.order_inner, tolerance=tol)
+        # one evaluation yields both integrated identities, each held to its
+        # own tolerance; keep the rows asked for
+        reps = check_f2_f3(f, domain, cfg.order_outer, cfg.order_inner, cfg.tolerances)
         return [r for r in reps if r.identity in pair]
 
-    # identity -> (probe points, check(field, point, order, tolerance)); the
-    # lambdas look each check up at call time, so a rebound module name is seen
+    # identity -> (probe points, check(field, point, order, tolerance)) for
+    # every name in IDENTITIES; the lambdas look each check up at call time,
+    # so a rebound module name is seen
     table = {
         "GAUSS": (interior[:1] + boundary[:1] + exterior[:1], lambda f, y, o, t: check_gauss(domain, y, o, t)),
         "JUMP": (boundary, lambda f, y, o, t: check_jump(f, domain, y, cfg.jump_distances, o, t)),
@@ -124,7 +117,7 @@ def _verify_tasks(cfg: SuiteConfig):
         "FIG": (interior + exterior, lambda f, y, o, t: check_fig(f, domain, y, o, t)),
         "RP0": (interior, lambda f, y, o, t: check_rp(f, domain, y, exterior[0], o, "RP0", t)),
         "RP1": (interior, lambda f, y, o, t: check_rp(f, domain, y, None, o, "RP1", t)),
-        "C2_EXTERIOR": (exterior, lambda f, y, o, t: check_c2_exterior(f, domain, y, math.inf, o, t)),
+        "C2_EXTERIOR": (exterior, lambda f, y, o, t: check_c2_exterior(f, domain, y, o, t)),
         "F2": ([None], f2_f3),
         "F3": ([None], f2_f3),
         "GRR": (interior + exterior, lambda f, y, o, t: check_grr(f, domain, y, o, t)),
@@ -132,19 +125,9 @@ def _verify_tasks(cfg: SuiteConfig):
         "GREEN_RIEMANN_EXTERIOR": (exterior, lambda f, y, o, t: check_green_riemann(f, domain, y, o, t)),
         "GREEN_RIEMANN_BOUNDARY": (boundary, lambda f, y, o, t: check_green_riemann(f, domain, y, o, t)),
     }
-    for which in _BALL_ONLY:
+    for which in BALL_IDENTITIES:
         points = [None] if which in ("REP2", "REP3") else interior
         table[which] = (points, lambda f, y, o, t, w=which: check_ball_corollaries(f, domain, y, o, w, t))
-
-    for identity in cfg.identities:
-        if identity not in table:
-            raise ConfigError(f"identity {identity} is not runnable by verify")
-        if identity in _NEEDS_LAPLACIAN:
-            missing = [f.name for f in cfg.fields if not f.has_laplacian]
-            if missing:
-                raise ConfigError(f"identity {identity} needs a Laplacian; missing for: {missing}")
-        if identity in _BALL_ONLY and not isinstance(domain, Ball):
-            raise ConfigError(f"identity {identity} is defined on balls; the domain is a star shape")
 
     def task(check, field, y, order, tol):
         def run():
@@ -161,8 +144,8 @@ def _verify_tasks(cfg: SuiteConfig):
             if identity in pair and (identity != pair[0] or order != cfg.orders[0]):
                 continue
             points, check = table[identity]
+            tol = cfg.tolerances.get(identity)
             for field in (UNIT_MOMENT,) if identity == "GAUSS" else cfg.fields:
-                tol = _tolerance(cfg, identity, field)
                 for y in points:
                     yield task(check, field, y, order, tol)
 
@@ -260,8 +243,6 @@ def run_bound(cfg: SuiteConfig):
 
     for p in cfg.bound_exponents:
         exponent = LebesgueExponent.of(p)
-        if not exponent.value > domain.dim:
-            raise ConfigError(f"bound exponents need p > N = {domain.dim}, got {p}")
         for field in cfg.fields:
             if exponent.is_infinite and field.gradient_power < 0:
                 raise ConfigError(

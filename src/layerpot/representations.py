@@ -2,9 +2,9 @@
 
 Each check returns an IdentityReport carrying the two sides, their absolute
 difference, the tolerance the check was held to, and the quadrature
-metadata.  Default tolerances follow the field class: 1e-6 for smooth
-fields, 1e-4 for fields with singular points, and 1e-3 for the
-double-integral identities, which are dominated by the outer rule.
+metadata.  A check given no tolerance takes the identity's entry in
+``IDENTITIES``: a fixed value, or the field class's (1e-6 for smooth
+fields, 1e-4 for fields with singular points).
 
 Identity identifiers
 --------------------
@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetError, ExponentError, ParameterError, PlacementError
-from .fields import LebesgueExponent, ScalarField, _singular_rule
+from .errors import BudgetError, ParameterError, PlacementError
+from .fields import ScalarField, _singular_rule
 from .geometry import (
     BOUNDARY,
     EXTERIOR,
@@ -52,30 +52,36 @@ from .potentials import (
 )
 from dataclasses import dataclass, field as dataclass_field
 
-IDENTITIES = (
-    "F1",
-    "FIG",
-    "MAT",
-    "COM",
-    "RP0",
-    "RP1",
-    "CERC",
-    "REP2",
-    "REP3",
-    "F2",
-    "F3",
-    "C2_EXTERIOR",
-    "GRR",
-    "GREEN_RIEMANN_INTERIOR",
-    "GREEN_RIEMANN_EXTERIOR",
-    "GREEN_RIEMANN_BOUNDARY",
-)
-
-GAUSS_TOL = 1e-8
-JUMP_TOL = 1e-4
 SMOOTH_TOL = 1e-6
 SINGULAR_TOL = 1e-4
-DOUBLE_INTEGRAL_TOL = 1e-3
+DOUBLE_INTEGRAL_TOL = 1e-3  # dominated by the outer rule
+
+#: Every verify identity and its default tolerance; None takes the field
+#: class's, SMOOTH_TOL or SINGULAR_TOL.
+IDENTITIES = {
+    "GAUSS": 1e-8,
+    "JUMP": 1e-4,
+    "F1": None,
+    "FIG": None,
+    "MAT": None,
+    "COM": None,
+    "RP0": None,
+    "RP1": None,
+    "CERC": None,
+    "REP2": None,
+    "REP3": None,
+    "F2": DOUBLE_INTEGRAL_TOL,
+    "F3": DOUBLE_INTEGRAL_TOL,
+    "C2_EXTERIOR": None,
+    "GRR": None,
+    "GREEN_RIEMANN_INTERIOR": None,
+    "GREEN_RIEMANN_EXTERIOR": None,
+    # limited by the one-sided extrapolation of the boundary limit
+    "GREEN_RIEMANN_BOUNDARY": DOUBLE_INTEGRAL_TOL,
+}
+
+#: The identities defined on balls only.
+BALL_IDENTITIES = ("MAT", "COM", "CERC", "REP2", "REP3")
 
 
 @dataclass(frozen=True)
@@ -95,21 +101,16 @@ class IdentityReport:
 
 
 def default_tolerance(f: ScalarField, identity: str) -> float:
-    if identity == "GAUSS":
-        return GAUSS_TOL
-    if identity == "JUMP":
-        return JUMP_TOL
-    if identity in ("F2", "F3"):
-        return DOUBLE_INTEGRAL_TOL
-    if identity == "GREEN_RIEMANN_BOUNDARY":
-        # Limited by the one-sided extrapolation of the boundary limit.
-        return DOUBLE_INTEGRAL_TOL
-    if not f.is_smooth:
-        return SINGULAR_TOL
-    return SMOOTH_TOL
+    tolerance = IDENTITIES[identity]
+    if tolerance is not None:
+        return tolerance
+    return SMOOTH_TOL if f.is_smooth else SINGULAR_TOL
 
 
-def _report(identity, lhs, rhs, tolerance, order, points, **metadata) -> IdentityReport:
+def _report(identity, f, lhs, rhs, tolerance, order, points, **metadata) -> IdentityReport:
+    """The report of ``identity`` for field ``f``; a None tolerance takes the default."""
+    if tolerance is None:
+        tolerance = default_tolerance(f, identity)
     lhs, rhs = float(lhs), float(rhs)
     residual = abs(lhs - rhs)
     return IdentityReport(
@@ -125,10 +126,27 @@ def _report(identity, lhs, rhs, tolerance, order, points, **metadata) -> Identit
     )
 
 
-def _require_sobolev(f: ScalarField, domain: Domain, p) -> LebesgueExponent:
-    p = LebesgueExponent.of(p)
-    p.require_above_dimension(domain.dim)
-    return p
+# ---------------------------------------------------------------------------
+# Shared integrals
+# ---------------------------------------------------------------------------
+
+
+def _volume_integral(f: ScalarField, domain: Domain, order: int) -> float:
+    """int_Omega f on the plain volume rule."""
+    rule = volume_rule(domain, order)
+    return rule.integrate(f.evaluate(rule.nodes))
+
+
+def _surface_integral(f: ScalarField, domain: Domain, order: int) -> float:
+    """int_{boundary} f on the boundary rule."""
+    rule = domain.boundary_rule(order)
+    return rule.integrate(f.evaluate(rule.nodes))
+
+
+def _gradient_pairing(f: ScalarField, domain: Domain, z, order: int) -> float:
+    """int_Omega <grad f(x), x - z> on the rule adapted to f's singular points."""
+    rule = _singular_rule(f, domain, order)
+    return rule.integrate(row_dots(f.gradient(rule.nodes), rule.nodes - z))
 
 
 # ---------------------------------------------------------------------------
@@ -136,32 +154,30 @@ def _require_sobolev(f: ScalarField, domain: Domain, p) -> LebesgueExponent:
 # ---------------------------------------------------------------------------
 
 
-def check_gauss(domain: Domain, y, order: int = 64, tolerance=GAUSS_TOL) -> IdentityReport:
+def check_gauss(domain: Domain, y, order: int = 64, tolerance=None) -> IdentityReport:
     """Unit-moment double layer against its value 1, 1/2 or 0 at y."""
     dl = double_layer(1.0, domain, y, order)
     expect = {INTERIOR: 1.0, BOUNDARY: 0.5, EXTERIOR: 0.0}[dl.location_class]
-    return _report("GAUSS", dl.value, expect, tolerance, order, [y])
+    return _report("GAUSS", None, dl.value, expect, tolerance, order, [y])
 
 
-def check_jump(f: ScalarField, domain: Domain, y0, distances, order: int = 64, tolerance=JUMP_TOL) -> IdentityReport:
+def check_jump(f: ScalarField, domain: Domain, y0, distances, order: int = 64, tolerance=None) -> IdentityReport:
     """Difference of the one-sided limits of the double layer at boundary y0
     against the moment value there."""
     res = jump_relation_check(f, domain, y0, distances, order)
     lhs = res.interior_limit_estimate - res.exterior_limit_estimate
-    return _report("JUMP", lhs, f.evaluate(y0), tolerance, order, [y0])
+    return _report("JUMP", f, lhs, f.evaluate(y0), tolerance, order, [y0])
 
 
-def check_f1(f: ScalarField, domain: Domain, y, order: int = 128, tolerance=None, p=np.inf) -> IdentityReport:
+def check_f1(f: ScalarField, domain: Domain, y, order: int = 128, tolerance=None) -> IdentityReport:
     """Point value versus double layer minus gradient volume integral."""
     y = as_point(y, domain.dim)
     if domain.classify(y) != INTERIOR:
         raise PlacementError("this identity represents interior values")
-    _require_sobolev(f, domain, p)
     lhs = f.evaluate(y)
     dl = double_layer(f, domain, y, order)
     vol = gradient_volume_integral(f, domain, y, order)
-    tol = default_tolerance(f, "F1") if tolerance is None else tolerance
-    return _report("F1", lhs, dl.value - vol, tol, order, [y], double_layer=dl.value, volume=vol)
+    return _report("F1", f, lhs, dl.value - vol, tolerance, order, [y], double_layer=dl.value, volume=vol)
 
 
 def _fig_terms(f: ScalarField, domain: Domain, z, order: int) -> tuple[float, float]:
@@ -169,30 +185,23 @@ def _fig_terms(f: ScalarField, domain: Domain, z, order: int) -> tuple[float, fl
     z = as_point(z, domain.dim)
     brule = domain.boundary_rule(order)
     moments = f.evaluate(brule.nodes) * row_dots(brule.nodes - z, brule.normals)
-    boundary_term = brule.integrate(moments)
-    vrule = _singular_rule(f, domain, order)
-    vol_vals = row_dots(f.gradient(vrule.nodes), vrule.nodes - z)
-    volume_term = vrule.integrate(vol_vals)
-    return boundary_term, volume_term
+    return brule.integrate(moments), _gradient_pairing(f, domain, z, order)
 
 
 def check_fig(f: ScalarField, domain: Domain, y, order: int = 64, tolerance=None) -> IdentityReport:
     """Volume integral of f via the divergence pairing with x - y (any y)."""
     y = as_point(y, domain.dim)
-    vrule = volume_rule(domain, order)
-    lhs = vrule.integrate(f.evaluate(vrule.nodes))
+    lhs = _volume_integral(f, domain, order)
     bnd, vol = _fig_terms(f, domain, y, order)
-    n = domain.dim
-    rhs = (bnd - vol) / n
-    tol = default_tolerance(f, "FIG") if tolerance is None else tolerance
-    return _report("FIG", lhs, rhs, tol, order, [y], boundary_term=bnd, volume_term=vol)
+    rhs = (bnd - vol) / domain.dim
+    return _report("FIG", f, lhs, rhs, tolerance, order, [y], boundary_term=bnd, volume_term=vol)
 
 
 def check_ball_corollaries(
     f: ScalarField, ball: Ball, y, order: int = 64, which: str = "MAT", tolerance=None
 ) -> IdentityReport:
     """The ball specializations MAT, COM, CERC, REP2, REP3."""
-    if which not in ("MAT", "COM", "CERC", "REP2", "REP3"):
+    if which not in BALL_IDENTITIES:
         raise ParameterError(f"unknown ball identity {which!r}")
     a, R, n = ball.center, ball.radius, ball.dim
     omega = sphere_area(n)
@@ -201,36 +210,34 @@ def check_ball_corollaries(
     y = as_point(y, n)
     if which in ("MAT", "COM", "CERC") and ball.classify(y) != INTERIOR:
         raise PlacementError(f"{which} represents interior values of the ball")
-    tol = default_tolerance(f, which) if tolerance is None else tolerance
     lhs = f.evaluate(y)
     vol = gradient_volume_integral(f, ball, y, order)
 
     if which in ("REP2", "CERC"):
-        brule = ball.boundary_rule(order)
-        fvals = f.evaluate(brule.nodes)
-        surface_mean = brule.integrate(fvals) / ball.surface_measure
+        surface_mean = _surface_integral(f, ball, order) / ball.surface_measure
     if which in ("REP3", "CERC"):
-        vrule = volume_rule(ball, order)
-        volume_mean = vrule.integrate(f.evaluate(vrule.nodes)) / ball.volume_measure
-        grule = _singular_rule(f, ball, order)
-        smooth = grule.integrate(row_dots(f.gradient(grule.nodes), grule.nodes - a)) / (omega * R**n)
+        volume_mean = _volume_integral(f, ball, order) / ball.volume_measure
+        smooth = _gradient_pairing(f, ball, a, order) / (omega * R**n)
 
     if which == "REP2":
-        return _report("REP2", lhs, surface_mean - vol, tol, order, [a], surface_mean=surface_mean, volume=vol)
+        return _report(
+            "REP2", f, lhs, surface_mean - vol, tolerance, order, [a], surface_mean=surface_mean, volume=vol
+        )
     if which == "REP3":
         return _report(
-            "REP3", lhs, volume_mean - vol + smooth, tol, order, [a],
+            "REP3", f, lhs, volume_mean - vol + smooth, tolerance, order, [a],
             volume_mean=volume_mean, singular_part=vol, smooth_part=smooth,
         )
 
     if which in ("MAT", "CERC"):
         dl = double_layer(f, ball, y, order).value
     if which == "MAT":
-        return _report("MAT", lhs, dl - vol, tol, order, [y], double_layer=dl, volume=vol)
+        return _report("MAT", f, lhs, dl - vol, tolerance, order, [y], double_layer=dl, volume=vol)
     if which == "CERC":
         rhs = volume_mean - surface_mean + dl - vol + smooth
         return _report(
-            "CERC", lhs, rhs, tol, order, [y], volume_mean=volume_mean, surface_mean=surface_mean, double_layer=dl
+            "CERC", f, lhs, rhs, tolerance, order, [y],
+            volume_mean=volume_mean, surface_mean=surface_mean, double_layer=dl,
         )
 
     # COM: route the boundary contribution through the harmonic extension.
@@ -241,7 +248,7 @@ def check_ball_corollaries(
     chi = dirichlet_chi(ball, f, order).evaluate(y)
     correction = float(_peaked_integrals(f, ball, y, order, kernel)[0][0])
     rhs = chi + correction - vol
-    return _report("COM", lhs, rhs, tol, order, [y], chi=chi, correction=correction, volume=vol)
+    return _report("COM", f, lhs, rhs, tolerance, order, [y], chi=chi, correction=correction, volume=vol)
 
 
 def check_rp(
@@ -256,30 +263,22 @@ def check_rp(
     z = y if which == "RP1" or z is None else as_point(z, domain.dim)
     n = domain.dim
     meas = domain.volume_measure
-    vrule = volume_rule(domain, order)
-    mean = vrule.integrate(f.evaluate(vrule.nodes)) / meas
+    mean = _volume_integral(f, domain, order) / meas
     dl = double_layer(f, domain, y, order).value
     vol = gradient_volume_integral(f, domain, y, order)
     bnd_z, vol_z = _fig_terms(f, domain, z, order)
     rhs = mean + (dl - bnd_z / (n * meas)) - (vol - vol_z / (n * meas))
-    tol = default_tolerance(f, which) if tolerance is None else tolerance
-    return _report(which, f.evaluate(y), rhs, tol, order, [y, z], mean=mean, double_layer=dl)
+    return _report(which, f, f.evaluate(y), rhs, tolerance, order, [y, z], mean=mean, double_layer=dl)
 
 
-def check_c2_exterior(
-    f: ScalarField, domain: Domain, y, p=np.inf, order: int = 64, tolerance=None
-) -> IdentityReport:
-    """Exterior double layer equals the gradient volume integral (any p >= 1)."""
+def check_c2_exterior(f: ScalarField, domain: Domain, y, order: int = 64, tolerance=None) -> IdentityReport:
+    """Exterior double layer equals the gradient volume integral."""
     y = as_point(y, domain.dim)
     if domain.classify(y) != EXTERIOR:
         raise PlacementError("this identity holds strictly outside the closure")
-    pval = float(p)
-    if not pval >= 1.0:
-        raise ExponentError(f"the exterior identity needs p in [1, inf], got {p}")
     dl = double_layer(f, domain, y, order)
     vol = gradient_volume_integral(f, domain, y, order)
-    tol = default_tolerance(f, "C2_EXTERIOR") if tolerance is None else tolerance
-    return _report("C2_EXTERIOR", dl.value, vol, tol, order, [y], p=pval)
+    return _report("C2_EXTERIOR", f, dl.value, vol, tolerance, order, [y])
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +297,20 @@ def check_f2_f3(
     domain: Domain,
     order_outer: int = 32,
     order_inner: int = 64,
-    z=None,
-    tolerance=None,
+    tolerances=None,
 ) -> tuple[IdentityReport, IdentityReport]:
     """The two integrated identities.
 
     F2 integrates the double layer over the volume and compares with the
-    divergence pairing at a pivot z plus the integrated gradient volume
-    integral; F3 integrates the double layer over the boundary against half
-    the trace plus the boundary limit of the volume integral, which is
-    extrapolated from interior values so F3 exercises the jump machinery.
+    divergence pairing at the domain centre plus the integrated gradient
+    volume integral; F3 integrates the double layer over the boundary
+    against half the trace plus the boundary limit of the volume integral,
+    which is extrapolated from interior values so F3 exercises the jump
+    machinery.  ``tolerances`` maps "F2" and "F3" to the tolerance of
+    their row; an identity it omits takes its default.
     """
-    z = domain.center if z is None else as_point(z, domain.dim)
+    tolerances = tolerances or {}
+    z = domain.center
     budget = max_nodes_budget()
     estimated = _estimate_f2_nodes(domain, order_outer, order_inner)
     if estimated > budget:
@@ -317,7 +318,6 @@ def check_f2_f3(
             f"F2 would touch ~{estimated:.2e} node pairs, over the budget {budget:.2e}; "
             "lower order_outer/order_inner or raise LAYERPOT_MAX_NODES"
         )
-    tol = DOUBLE_INTEGRAL_TOL if tolerance is None else tolerance
 
     outer = volume_rule(domain, order_outer)
     ubar = double_layer_batch(f, domain, outer.nodes, order_inner)
@@ -332,7 +332,8 @@ def check_f2_f3(
         inner_total = outer.integrate(inner_vals)
     rhs_f2 = (bnd_z - vol_z) / domain.dim + inner_total
     rep_f2 = _report(
-        "F2", lhs_f2, rhs_f2, tol, order_outer, [z], order_inner=order_inner, inner_total=inner_total
+        "F2", f, lhs_f2, rhs_f2, tolerances.get("F2"), order_outer, [z],
+        order_inner=order_inner, inner_total=inner_total,
     )
 
     brule = domain.boundary_rule(order_outer)
@@ -341,7 +342,7 @@ def check_f2_f3(
     trace = brule.integrate(f.evaluate(brule.nodes))
     zetas = np.array([boundary_limit_zeta(f, domain, zk, order_inner) for zk in brule.nodes])
     rhs_f3 = 0.5 * trace + brule.integrate(zetas)
-    rep_f3 = _report("F3", lhs_f3, rhs_f3, tol, order_outer, [], order_inner=order_inner)
+    rep_f3 = _report("F3", f, lhs_f3, rhs_f3, tolerances.get("F3"), order_outer, [], order_inner=order_inner)
     return rep_f2, rep_f3
 
 
@@ -356,9 +357,8 @@ def check_grr(f: ScalarField, domain: Domain, y, order: int = 64, tolerance=None
     lhs = gradient_volume_integral(f, domain, y, order)
     parts = newtonian_integrals(f, domain, y, order)
     rhs = parts.boundary_term - parts.volume_term
-    tol = default_tolerance(f, "GRR") if tolerance is None else tolerance
     return _report(
-        "GRR", lhs, rhs, tol, order, [y], boundary_term=parts.boundary_term, volume_term=parts.volume_term
+        "GRR", f, lhs, rhs, tolerance, order, [y], boundary_term=parts.boundary_term, volume_term=parts.volume_term
     )
 
 
@@ -373,17 +373,15 @@ def check_green_riemann(
     """
     y = as_point(y, domain.dim)
     cls = domain.classify(y)
+    dl = double_layer(f, domain, y, order).value
     if cls == BOUNDARY:
-        tol = default_tolerance(f, "GREEN_RIEMANN_BOUNDARY") if tolerance is None else tolerance
-        dl = double_layer(f, domain, y, order).value
         zeta = boundary_limit_zeta(f, domain, y, order)
         return _report(
-            "GREEN_RIEMANN_BOUNDARY", f.evaluate(y), 2.0 * dl - 2.0 * zeta, tol, order, [y], double_layer=dl
+            "GREEN_RIEMANN_BOUNDARY", f, f.evaluate(y), 2.0 * dl - 2.0 * zeta, tolerance, order, [y],
+            double_layer=dl,
         )
-    tol = default_tolerance(f, "GRR") if tolerance is None else tolerance
-    dl = double_layer(f, domain, y, order).value
     parts = newtonian_integrals(f, domain, y, order)
     rhs = dl - parts.boundary_term + parts.volume_term
     if cls == INTERIOR:
-        return _report("GREEN_RIEMANN_INTERIOR", f.evaluate(y), rhs, tol, order, [y])
-    return _report("GREEN_RIEMANN_EXTERIOR", 0.0, rhs, tol, order, [y])
+        return _report("GREEN_RIEMANN_INTERIOR", f, f.evaluate(y), rhs, tolerance, order, [y])
+    return _report("GREEN_RIEMANN_EXTERIOR", f, 0.0, rhs, tolerance, order, [y])

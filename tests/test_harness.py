@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 import layerpot as lp
-from layerpot.errors import ConfigError
+from layerpot.errors import CapabilityError, ConfigError
 from layerpot.harness import parse_config
 from layerpot.harness.cli import main
 from layerpot.harness.config import KNOWN_KEYS, build_config
 from layerpot.harness.report import write_report
-from layerpot.harness.runner import run_bound, run_converge, run_table, run_verify
+from layerpot.harness.runner import _verify_tasks, run_bound, run_converge, run_table, run_verify
 from layerpot.kernel import row_norms
+from layerpot.representations import IDENTITIES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -224,9 +225,9 @@ bound.exponents = inf, 3
 
 
 def test_bound_rejects_small_exponent():
-    cfg = build_config("fields = coordinate:1\nbound.exponents = 2\n")
-    with pytest.raises(ConfigError):
-        run_bound(cfg)
+    with pytest.raises(ConfigError) as err:
+        build_config("fields = coordinate:1\nbound.exponents = 2\n")
+    assert err.value.line == 2
 
 
 def test_bound_at_infinite_exponent_needs_a_bounded_gradient():
@@ -241,8 +242,8 @@ def test_bound_at_infinite_exponent_needs_a_bounded_gradient():
 
 def test_laplacian_requirement_checked():
     cfg = build_config("fields = distance:0,0\nidentities = GRR\n")
-    with pytest.raises(ConfigError):
-        # distance has a Laplacian; strip it to trigger the guard
+    with pytest.raises(CapabilityError):
+        # every catalog field has a Laplacian; strip it to reach the library's guard
         cfg.fields = (cfg.fields[0].__class__(
             name="bare",
             evaluate_fn=cfg.fields[0].evaluate_fn,
@@ -314,6 +315,8 @@ def test_cli_unparsable_value_exit_2_with_line(command, line, tmp_path, capsys):
         ("verify", "fields = coordinate:3"),
         ("table", "table.dims = 2, 2"),
         ("verify", "tolerances.F1 = -1"),
+        ("bound", "bound.exponents = 2"),
+        ("bound", "bound.exponents = inf, 1.5"),
     ],
 )
 def test_cli_inadmissible_value_exit_2_with_line(command, line, tmp_path, capsys):
@@ -324,6 +327,46 @@ def test_cli_inadmissible_value_exit_2_with_line(command, line, tmp_path, capsys
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert f"line 2: {line.split()[0]} must" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("domain.shape = star\nidentities = F1, MAT\n", "line 2: identities must"),
+        # without an identities key the default list holds MAT, REP2 and REP3
+        ("domain.shape = star\nfields = coordinate:1\n", "line 1: domain.shape must"),
+    ],
+    ids=["identities", "default-identities"],
+)
+def test_ball_only_identities_on_a_star_exit_2_with_line(text, line, tmp_path, capsys):
+    cfg = tmp_path / "star.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert line in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_f2_and_f3_rows_take_their_own_tolerance(tmp_path, capsys):
+    # F2 and F3 come from one evaluation; each row is held to its own key
+    cfg = tmp_path / "f2f3.cfg"
+    cfg.write_text(
+        "fields = quadratic_radial:0.1,0.2\nidentities = F2, F3\n"
+        "double.order_outer = 8\ndouble.order_inner = 16\n"
+        "tolerances.F2 = 0.5\ntolerances.F3 = 1e-30\n"
+    )
+    out = tmp_path / "r.csv"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+    rows = {row.split(",")[1]: row.split(",") for row in out.read_text().splitlines()[1:]}
+    assert rows["F2"][-2:] == ["0.5", "true"]
+    assert rows["F3"][-2:] == ["1e-30", "false"]
+
+
+def test_verify_runs_every_identity():
+    # config admits every name in IDENTITIES, so verify must have a check for each
+    for name in IDENTITIES:
+        cfg = build_config(f"identities = {name}\n")
+        assert list(_verify_tasks(cfg)), name
 
 
 SHIPPED_CONFIGS = sorted(
@@ -426,6 +469,18 @@ def test_readme_config_block_lists_the_known_keys():
     assert len(keys - documented) == 1 and (keys - documented) <= KNOWN_KEYS
 
 
+def _run_with_bench(code):
+    """Run ``code`` in a fresh interpreter that imports ``bench/`` modules;
+    the tracer rebinds module names, so it must not run in this process."""
+    env = dict(os.environ)
+    paths = [str(ROOT / "src"), str(ROOT / "bench"), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_bench_tracer_installs_and_runner_takes_max_workers():
     # the benchmark wraps layerpot functions by name and narrows the runner's
     # pool with ``max_workers=``; a deleted or renamed name fails here
@@ -435,10 +490,23 @@ def test_bench_tracer_installs_and_runner_takes_max_workers():
         "spans.install(spans.Tracer())\n"
         "assert runner._run_tasks([lambda: []], max_workers=1) == []\n"
     )
-    env = dict(os.environ)
-    paths = [str(ROOT / "src"), str(ROOT / "bench"), env.get("PYTHONPATH", "")]
-    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
+    _run_with_bench(code)
+
+
+def test_bench_tracer_sees_every_check_of_a_verify_run():
+    # the tracer rebinds module names, so the runner must look each check up
+    # at call time; a check bound at import would record no calls
+    code = """
+import spans
+from layerpot.harness import config, runner
+from layerpot.representations import IDENTITIES
+
+tracer = spans.Tracer()
+spans.install(tracer)
+lines = ["fields = coordinate:1", "identities = " + ", ".join(IDENTITIES), "orders = 16",
+         "double.order_outer = 4", "double.order_inner = 16", "probes.count = 1", "probes.exterior_count = 1"]
+runner.run_verify(config.build_config("\\n".join(lines)))
+silent = [fn for fn in spans.CHECKS if not tracer.stats[f"representations.{fn}"]["calls"]]
+assert not silent, silent
+"""
+    _run_with_bench(code)

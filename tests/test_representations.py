@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import layerpot as lp
-from layerpot.errors import BudgetError, ExponentError, PlacementError
+from layerpot.errors import BudgetError, PlacementError
 from layerpot.geometry import escalated_order
 from layerpot.kernel import row_norms, sphere_area
 from layerpot.poisson import poisson_kernel
@@ -74,8 +74,6 @@ def test_f1_convergence_under_order_doubling():
 def test_f1_rejects_non_interior_targets():
     with pytest.raises(PlacementError):
         lp.check_f1(lp.catalog("constant", 1.0), DISK, [1.0, 0.0], 32)
-    with pytest.raises(ExponentError):
-        lp.check_f1(lp.catalog("coordinate", 1), DISK, [0.3, 0.0], 32, p=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +240,17 @@ def test_rp0_pivot_invariance():
 
 
 def test_c2_exterior_examples():
-    rep = lp.check_c2_exterior(lp.catalog("constant", 5.0), DISK, [3.0, 0.0], math.inf, 64)
+    rep = lp.check_c2_exterior(lp.catalog("constant", 5.0), DISK, [3.0, 0.0], 64)
     assert abs(rep.lhs) < 1e-10 and abs(rep.rhs) < 1e-10
-    rep = lp.check_c2_exterior(lp.catalog("coordinate", 1), DISK, [2.0, 0.0], math.inf, 64)
+    rep = lp.check_c2_exterior(lp.catalog("coordinate", 1), DISK, [2.0, 0.0], 64)
     assert rep.residual < 1e-8
-    # the exterior identity tolerates any p >= 1, including p = 1
-    rep = lp.check_c2_exterior(lp.catalog("distance", [0.0, 0.0]), DISK, [0.0, 3.0], 1.0, 64)
+    rep = lp.check_c2_exterior(lp.catalog("distance", [0.0, 0.0]), DISK, [0.0, 3.0], 64)
     assert rep.residual < 1e-6
 
 
 def test_c2_exterior_rejects_interior_targets():
     with pytest.raises(PlacementError):
-        lp.check_c2_exterior(lp.catalog("constant", 1.0), DISK, [0.3, 0.0], math.inf, 32)
-    with pytest.raises(ExponentError):
-        lp.check_c2_exterior(lp.catalog("constant", 1.0), DISK, [3.0, 0.0], 0.5, 32)
+        lp.check_c2_exterior(lp.catalog("constant", 1.0), DISK, [0.3, 0.0], 32)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +353,7 @@ CONV_FIELD = lp.catalog("distance", [1.2, -0.4])  # smooth but non-polynomial on
         (lambda o: lp.check_fig(CONV_FIELD, DISK, [0.2, 0.5], o), (8, 16, 32)),
         # below order 32 the exterior double layer is pinned to the escalated
         # order, so the ladder starts where the requested order governs
-        (lambda o: lp.check_c2_exterior(CONV_FIELD, DISK, [0.0, 2.0], math.inf, o), (32, 64, 128)),
+        (lambda o: lp.check_c2_exterior(CONV_FIELD, DISK, [0.0, 2.0], o), (32, 64, 128)),
     ],
     ids=["F1", "MAT", "REP2", "RP1", "FIG", "C2_EXTERIOR"],
 )
