@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ExponentError, IntegrabilityError, ParameterError, RangeError
 from .fields import LebesgueExponent, ScalarField, grad_norm
-from .geometry import Ball, Domain, as_point, composite_volume_rule, gauss_legendre_01
+from .geometry import Ball, Domain, as_point, composite_volume_rule, gauss_legendre_01, weighted_sum
 from .kernel import row_norms, sphere_area
 from .potentials import double_layer
 from .representations import IdentityReport, _report, _surface_integral
@@ -186,7 +186,7 @@ def polynomial_1d(coeffs) -> Field1D:
 def _gauss_panel(fn, lo, hi, n):
     u, w = gauss_legendre_01(n)
     t = lo + (hi - lo) * u
-    return float((hi - lo) * (w @ np.asarray(fn(t), dtype=float)))
+    return (hi - lo) * weighted_sum(w, fn(t))
 
 
 def _derivative_breakpoints(f: Field1D, a: float, b: float) -> list[float]:

@@ -176,6 +176,20 @@ def angular_rule(dim: int, order: int, pole=None) -> tuple[np.ndarray, np.ndarra
 # ---------------------------------------------------------------------------
 
 
+def weighted_sum(weights: np.ndarray, values) -> float:
+    """sum_i weights[i] * values[i], added pairwise in one fixed order.
+
+    Every quadrature sum goes through here.  ``weights @ values`` would go
+    to BLAS, which splits long sums across its threads: the last bits would
+    then depend on the BLAS thread count, and idle BLAS threads spin after
+    each call.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape != weights.shape:
+        raise ValueError(f"{weights.shape[0]} weights cannot sum values of shape {values.shape}")
+    return float(np.add.reduce(weights * values))
+
+
 @dataclass(frozen=True)
 class BoundaryQuadrature:
     """Nodes, positive weights, and outward unit normals discretizing the
@@ -186,7 +200,7 @@ class BoundaryQuadrature:
     normals: np.ndarray
 
     def integrate(self, values) -> float:
-        return float(self.weights @ np.asarray(values, dtype=float))
+        return weighted_sum(self.weights, values)
 
 
 @dataclass(frozen=True)
@@ -197,7 +211,7 @@ class VolumeQuadrature:
     weights: np.ndarray
 
     def integrate(self, values) -> float:
-        return float(self.weights @ np.asarray(values, dtype=float))
+        return weighted_sum(self.weights, values)
 
 
 # ---------------------------------------------------------------------------

@@ -49,14 +49,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> SuiteConfig:
     if args.config is None:
         if args.command == "table":
-            return build_config("")
+            return build_config("", args.command)
         raise ConfigError(f"the {args.command} command requires --config PATH")
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
-    return build_config(text)
+    return build_config(text, args.command)
 
 
 def main(argv=None) -> int:

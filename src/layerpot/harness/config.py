@@ -6,7 +6,8 @@ are scalars, comma-separated lists, or ``|``-separated field specs of the
 form ``name:arg1,arg2``.  Unknown keys are rejected with their line number,
 never ignored, and so is every inadmissible value: each key is declared
 once, in ``_SUITE_KEYS`` or ``_domain``, with its parser and what its value
-must be.
+must be.  What one command needs from several keys together is checked by
+``check_command``, which ``build_config`` applies when given the command.
 """
 
 from __future__ import annotations
@@ -244,7 +245,9 @@ def _domain(raw):
     )
 
 
-def build_config(text: str) -> SuiteConfig:
+def build_config(text: str, command: str | None = None) -> SuiteConfig:
+    """The run configuration ``text`` describes; with ``command``, also
+    checked for what that command reads (``check_command``)."""
     raw = parse_config(text)
     cfg = SuiteConfig(domain=_domain(raw))
     for key, (attr, parse, what) in _SUITE_KEYS.items():
@@ -253,11 +256,34 @@ def build_config(text: str) -> SuiteConfig:
         key = f"tolerances.{name}"
         if key in raw:
             cfg.tolerances[name] = _read(raw, key, _value(float, lambda v: v >= 0.0), "a number >= 0", None)
-    ball_only = [name for name in cfg.identities if name in BALL_IDENTITIES]
-    if ball_only and not isinstance(cfg.domain, Ball):
-        if "identities" in raw:
-            what = f"free of the ball-only {', '.join(BALL_IDENTITIES)} on a star domain"
-            _reject("identities", what, *raw["identities"])
-        what = f"ball unless identities are set: the default {', '.join(ball_only)} hold on balls only"
-        _reject("domain.shape", what, *raw["domain.shape"])
+    if command is not None:
+        check_command(cfg, command, raw)
     return cfg
+
+
+def _listed(values) -> str:
+    return ", ".join(f"{v:g}" if isinstance(v, float) else str(v) for v in values)
+
+
+def check_command(cfg: SuiteConfig, command: str, raw=None) -> None:
+    """Reject what ``command`` cannot run, naming the line of ``raw`` (the
+    parsed config text) that set the offending key; a key the config text
+    does not set is named without a line."""
+    raw = raw or {}
+
+    def reject(key, what, value):
+        _reject(key, what, *raw.get(key, (value, None)))
+
+    ball_only = [name for name in cfg.identities if name in BALL_IDENTITIES]
+    if command in ("verify", "converge") and ball_only and not isinstance(cfg.domain, Ball):
+        if "domain.shape" in raw and "identities" not in raw:
+            what = f"ball unless identities are set: the default {', '.join(ball_only)} hold on balls only"
+            reject("domain.shape", what, "star")
+        what = f"free of the ball-only {', '.join(BALL_IDENTITIES)} on a star domain"
+        reject("identities", what, _listed(cfg.identities))
+    if command == "converge" and len(cfg.orders) < 3:
+        reject("orders", "at least 3 distinct integers >= 4 for a convergence study", _listed(cfg.orders))
+    unbounded = [f.name for f in cfg.fields if f.gradient_power < 0]
+    if command == "bound" and unbounded and math.inf in cfg.bound_exponents:
+        what = f"finite: {', '.join(unbounded)} has an unbounded gradient"
+        reject("bound.exponents", what, _listed(cfg.bound_exponents))

@@ -13,7 +13,7 @@ from layerpot.errors import (
     ParameterError,
     PlacementError,
 )
-from layerpot.geometry import _interval_table, angular_rule, escalated_order, gauss_jacobi_01
+from layerpot.geometry import _interval_table, angular_rule, escalated_order, gauss_jacobi_01, weighted_sum
 
 
 def unit_disk():
@@ -41,6 +41,18 @@ def test_point_validation():
         lp.as_point([1.0, 2.0], dim=3)
     with pytest.raises(ParameterError):
         lp.as_point([np.nan, 1.0])
+
+
+def test_weighted_sum_is_accurate_and_checks_shapes():
+    rng = np.random.default_rng(3)
+    w, v = rng.uniform(0.0, 1.0, 100_003), rng.normal(size=100_003)
+    # a pairwise sum errs by about log2(m) roundings of sum |w v| at most
+    exact = math.fsum(w * v)
+    assert abs(weighted_sum(w, v) - exact) <= 20 * np.finfo(float).eps * np.sum(np.abs(w * v))
+    with pytest.raises(ValueError):
+        weighted_sum(w, v[:-1])
+    with pytest.raises(ValueError):
+        weighted_sum(w, 1.0)
 
 
 def test_gauss_jacobi_weight_exactness():

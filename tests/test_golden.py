@@ -4,6 +4,9 @@ Regenerate a golden file only for a change meant to alter numbers, with
 ``layerpot COMMAND --config CONFIG --out tests/golden/NAME.csv``.
 """
 
+import os
+import subprocess
+import sys
 from itertools import zip_longest
 from pathlib import Path
 
@@ -31,6 +34,17 @@ def test_report_matches_golden(name, tmp_path, capsys):
     capsys.readouterr()
     got, golden = out.read_bytes(), (GOLDEN / f"{name}.csv").read_bytes()
     assert got == golden, first_difference(got, golden)
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS reads its thread count when it loads, so the single-thread
+    # comparison runs in a fresh interpreter
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", "test_report_matches_golden"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:]
 
 
 def first_difference(got: bytes, golden: bytes) -> str:

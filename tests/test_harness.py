@@ -347,6 +347,39 @@ def test_ball_only_identities_on_a_star_exit_2_with_line(text, line, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["bound", "table"])
+def test_commands_that_read_no_identities_run_on_a_star(command, tmp_path, capsys):
+    # the default identities hold ball-only ones, but bound and table read none
+    cfg = tmp_path / "star.cfg"
+    cfg.write_text("domain.shape = star\nfields = coordinate:1\nprobes.count = 1\norders = 16\n")
+    out = tmp_path / "report.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len(out.read_text().splitlines()) > 1
+
+
+def test_converge_with_two_orders_exit_2_with_line(tmp_path, capsys):
+    cfg = tmp_path / "conv.cfg"
+    cfg.write_text("fields = coordinate:1\nidentities = F1\norders = 16, 32\n")
+    out = tmp_path / "report.csv"
+    assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "line 3: orders must be at least 3" in capsys.readouterr().err
+    assert not out.exists()
+    # verify reads the same orders and runs them
+    cfg.write_text("fields = coordinate:1\nidentities = F1\norders = 16, 32\nprobes.count = 1\n")
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+def test_bound_at_infinite_exponent_with_unbounded_gradient_exit_2_with_line(tmp_path, capsys):
+    cfg = tmp_path / "bound.cfg"
+    cfg.write_text("probes.count = 1\nfields = power_distance:0,0,0.5\nbound.exponents = inf\n")
+    out = tmp_path / "report.csv"
+    assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3: bound.exponents must be finite" in err and "unbounded gradient" in err
+    assert not out.exists()
+
+
 def test_f2_and_f3_rows_take_their_own_tolerance(tmp_path, capsys):
     # F2 and F3 come from one evaluation; each row is held to its own key
     cfg = tmp_path / "f2f3.cfg"
