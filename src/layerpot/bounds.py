@@ -34,8 +34,6 @@ class BoundReport:
     deviation: float
     bound: float
     ratio: float
-    inputs: dict = dataclass_field(default_factory=dict)
-    metadata: dict = dataclass_field(default_factory=dict)
 
 
 def _safe_ratio(deviation: float, bound: float, scale: float = 1.0) -> float:
@@ -78,8 +76,7 @@ def moment_quadrature(domain: Domain, y, conjugate: float, order: int = 64) -> f
     if kappa <= -domain.dim:
         raise IntegrabilityError("kernel moment diverges for this conjugate exponent")
     rule = composite_volume_rule(domain, order, y, kernel_power=kappa)
-    r = row_norms(rule.nodes - y)
-    return rule.integrate(r**kappa)
+    return rule.integrate(lambda x: row_norms(x - y) ** kappa)
 
 
 def sharp_ball_constant(dim: int, radius: float, p) -> float:
@@ -110,13 +107,7 @@ def ostrowski_bound_general(
     norm = grad_norm(f, domain, p, order)
     bound = norm / sphere_area(domain.dim) * moment ** (1.0 / p.conjugate)
     ratio = _safe_ratio(deviation, bound, scale=abs(f.evaluate(y)) + abs(dl.value))
-    return BoundReport(
-        deviation=deviation,
-        bound=bound,
-        ratio=ratio,
-        inputs={"p": p.value, "conjugate": p.conjugate, "y": tuple(y.tolist()), "domain": repr(domain)},
-        metadata={"order": order, "grad_norm": norm, "moment": moment},
-    )
+    return BoundReport(deviation=deviation, bound=bound, ratio=ratio)
 
 
 def ostrowski_bound_ball(f: ScalarField, ball: Ball, p, order: int = 64) -> BoundReport:
@@ -130,13 +121,7 @@ def ostrowski_bound_ball(f: ScalarField, ball: Ball, p, order: int = 64) -> Boun
     norm = grad_norm(f, ball, p, order)
     bound = constant * norm
     ratio = _safe_ratio(deviation, bound, scale=abs(f.evaluate(ball.center)) + abs(surface_mean))
-    return BoundReport(
-        deviation=deviation,
-        bound=bound,
-        ratio=ratio,
-        inputs={"p": p.value, "conjugate": p.conjugate, "R": ball.radius, "N": ball.dim},
-        metadata={"order": order, "constant": constant, "grad_norm": norm, "surface_mean": surface_mean},
-    )
+    return BoundReport(deviation=deviation, bound=bound, ratio=ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +252,4 @@ def ostrowski_bounds_1d(f: Field1D, a: float, b: float, x: float, norm: str = "i
     else:
         raise ParameterError(f"unknown norm branch {norm!r}")
     ratio = _safe_ratio(deviation, bound, scale=abs(mean))
-    return BoundReport(
-        deviation=deviation,
-        bound=bound,
-        ratio=ratio,
-        inputs={"interval": (a, b), "x": x, "branch": norm, "q": q},
-        metadata={"mean": mean},
-    )
+    return BoundReport(deviation=deviation, bound=bound, ratio=ratio)

@@ -17,6 +17,14 @@ Jacobian rho^(N-1) and a kernel power rho^kappa at the center, so
 integrands singular there stay in the rule's accuracy class.  The composite
 builder additionally punches disjoint ball-shaped holes around secondary
 singular points and covers each hole with its own polar block.
+
+The builder writes every block into one read-only, coordinate-major node
+array and one weight array.  A volume rule integrates a callable, not a
+value array: ``rule.integrate(integrand)`` evaluates the integrand on node
+slices of at most ``VOLUME_BLOCK`` nodes, so a rule of a million nodes
+never needs a temporary as long as itself.  The slices are the runs
+numpy's pairwise sum would split the whole sum into, so the result has the
+bits of one ``weighted_sum`` over all nodes.
 """
 
 from __future__ import annotations
@@ -48,6 +56,10 @@ BOUNDARY_TOL = 1e-12
 
 #: Hard cap on the escalated resolution parameter of any single rule.
 ORDER_CAP = 4096
+
+#: Most nodes a volume-rule integrand is evaluated on at once.  It must stay
+#: at least 128, numpy's pairwise block, for block sums to keep numpy's bits.
+VOLUME_BLOCK = 1 << 15
 
 #: Default cap on the node count of a single constructed rule; the
 #: LAYERPOT_MAX_NODES environment variable overrides it.
@@ -85,7 +97,8 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
 
 
 def _frozen(*arrays):
-    """Mark cached arrays read-only: threads share them."""
+    """Mark arrays read-only: caches share them across threads, and volume
+    rules hand views of them to integrands."""
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -205,13 +218,37 @@ class BoundaryQuadrature:
 
 @dataclass(frozen=True)
 class VolumeQuadrature:
-    """Nodes and weights discretizing the volume measure of a domain."""
+    """Nodes and weights discretizing the volume measure of a domain.
+
+    Both arrays are read-only: integrands receive views into them.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
 
-    def integrate(self, values) -> float:
-        return weighted_sum(self.weights, values)
+    def integrate(self, integrand) -> float:
+        """sum_i weights[i] * integrand(nodes)[i], evaluated block by block.
+
+        ``integrand`` maps an (m, N) slice of the nodes to its m values; it
+        sees contiguous slices of at most ``VOLUME_BLOCK`` nodes, in order,
+        so no temporary grows with the rule.  The slices follow numpy's
+        pairwise split, so the total has the bits of
+        ``weighted_sum(weights, integrand(nodes))``.
+        """
+        return _block_sum(self.nodes, self.weights, integrand, 0, len(self.weights))
+
+
+def _block_sum(nodes, weights, integrand, lo: int, hi: int) -> float:
+    """The weighted sum over nodes [lo, hi), split where numpy's pairwise sum
+    splits a run longer than its 128-element block."""
+    n = hi - lo
+    if n <= VOLUME_BLOCK:
+        return weighted_sum(weights[lo:hi], integrand(nodes[lo:hi]))
+    half = n // 2
+    half -= half % 8
+    return _block_sum(nodes, weights, integrand, lo, lo + half) + _block_sum(
+        nodes, weights, integrand, lo + half, hi
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -674,26 +711,28 @@ def _interval_table(center, dirs, t, extras, holes):
     return seg_ray[piece[0]], a[piece], b[piece]
 
 
-def _polar_block(center, dirs, w_ang, table, n_r, dim, kappa, log_kernel):
-    """Nodes and weights of a polar rule about ``center`` over the interval
-    ``table`` of its rays (see ``_interval_table``).
+def _polar_block(center, dirs, w_ang, table, n_r, kappa, log_kernel, nodes, weights):
+    """Write the nodes and weights of a polar rule about ``center`` over the
+    interval ``table`` of its rays (see ``_interval_table``) into ``nodes``,
+    a coordinate-major (N, count) slice, and ``weights``.
 
     The interval starting at the rule center gets the singularity-adapted
     radial block, every other interval a Gauss panel with the volume
     Jacobian folded in.
     """
     ray, a, b = table
+    dim = len(nodes)
     rho, wr = _radial_block(b, n_r, dim, kappa, log_kernel)
     # pieces off the center: panels replace their radial rows
     panel = np.flatnonzero(a)
     rho[panel], wr[panel] = _panel_block(a[panel], b[panel], n_r, dim)
-    # coordinate-major: each coordinate is one contiguous run over the nodes
-    nodes = np.empty((dim, len(ray), n_r))
+    # splitting each contiguous coordinate run into (rays, n_r) is a view,
+    # so the writes land in ``nodes``
+    grid = nodes.reshape(dim, len(ray), n_r)
     for k in range(dim):
-        np.multiply(rho, dirs[ray, k, None], out=nodes[k])
-        nodes[k] += center[k]
-    wr *= w_ang[ray][:, None]
-    return nodes.reshape(dim, -1).T, wr.reshape(-1)
+        np.multiply(rho, dirs[ray, k, None], out=grid[k])
+        grid[k] += center[k]
+    np.multiply(wr, w_ang[ray][:, None], out=weights.reshape(len(ray), n_r))
 
 
 def composite_volume_rule(
@@ -731,19 +770,19 @@ def composite_volume_rule(
         plans.append((hc, hdirs, hw_ang, table, hp, False))
     # every interval gets ``order`` radial nodes: check the budget before
     # any node is allocated
-    count = order * sum(len(plan[3][0]) for plan in plans)
+    ends = order * np.cumsum([len(plan[3][0]) for plan in plans])
+    count = int(ends[-1])
     if count > max_nodes_budget():
         raise BudgetError(
             f"volume rule would use {count} nodes, over the budget "
             f"{max_nodes_budget()}; lower the order or raise LAYERPOT_MAX_NODES"
         )
-    blocks = [_polar_block(c, d, w, table, order, domain.dim, k, lg) for c, d, w, table, k, lg in plans]
-    if len(blocks) == 1:
-        nodes, weights = blocks[0]
-    else:
-        nodes = np.concatenate([block[0] for block in blocks])
-        weights = np.concatenate([block[1] for block in blocks])
-    return VolumeQuadrature(nodes=nodes, weights=weights)
+    # coordinate-major: each coordinate is one contiguous run over the nodes
+    nodes, weights = np.empty((domain.dim, count)), np.empty(count)
+    for (c, d, w, table, k, lg), lo, hi in zip(plans, chain([0], ends), ends):
+        _polar_block(c, d, w, table, order, k, lg, nodes[:, lo:hi], weights[lo:hi])
+    _frozen(nodes, weights)
+    return VolumeQuadrature(nodes=nodes.T, weights=weights)
 
 
 def volume_rule(domain: Domain, order: int) -> VolumeQuadrature:

@@ -277,8 +277,7 @@ def _gradient_volume_integral(f: ScalarField, domain: Domain, y: tuple, order: i
         rule = _singular_rule(f, domain, order, y, kernel_power=float(1 - domain.dim))
     else:
         rule = _singular_rule(f, domain, order, domain.center)
-    vals = row_dots(fundamental_gradient(rule.nodes - y), f.gradient(rule.nodes))
-    return rule.integrate(vals)
+    return rule.integrate(lambda x: row_dots(fundamental_gradient(x - y), f.gradient(x)))
 
 
 def boundary_limit_zeta(f: ScalarField, domain: Domain, z, order: int = 64) -> float:
@@ -333,5 +332,5 @@ def newtonian_integrals(f: ScalarField, domain: Domain, y, order: int = 64) -> N
         vrule = composite_volume_rule(domain, order, y, log_kernel=True)
     else:
         vrule = volume_rule(domain, order)
-    volume_term = vrule.integrate(f.laplacian(vrule.nodes) * fundamental_solution(vrule.nodes - y))
+    volume_term = vrule.integrate(lambda x: f.laplacian(x) * fundamental_solution(x - y))
     return NewtonianIntegrals(boundary_term=boundary_term, volume_term=volume_term)

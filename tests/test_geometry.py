@@ -13,7 +13,17 @@ from layerpot.errors import (
     ParameterError,
     PlacementError,
 )
-from layerpot.geometry import _interval_table, angular_rule, escalated_order, gauss_jacobi_01, weighted_sum
+from layerpot.fields import _singular_rule
+from layerpot.geometry import (
+    VOLUME_BLOCK,
+    VolumeQuadrature,
+    _interval_table,
+    angular_rule,
+    escalated_order,
+    gauss_jacobi_01,
+    weighted_sum,
+)
+from layerpot.kernel import row_dots
 
 
 def unit_disk():
@@ -53,6 +63,91 @@ def test_weighted_sum_is_accurate_and_checks_shapes():
         weighted_sum(w, v[:-1])
     with pytest.raises(ValueError):
         weighted_sum(w, 1.0)
+
+
+def cauchy_ratio(x):
+    """x1 / x2: heavy-tailed on normal nodes, so any change of summation
+    order shows in the last bits."""
+    return x[:, 0] / x[:, 1]
+
+
+def random_rule(count):
+    rng = np.random.default_rng(count)
+    return VolumeQuadrature(nodes=rng.normal(size=(count, 3)), weights=rng.uniform(0.0, 1.0, count))
+
+
+@pytest.mark.parametrize(
+    "count", [VOLUME_BLOCK - 1, VOLUME_BLOCK, VOLUME_BLOCK + 1, 3 * VOLUME_BLOCK + 5]
+)
+def test_block_sum_has_the_bits_of_one_weighted_sum(count):
+    # guards the mirrored pairwise split against a numpy that splits otherwise
+    rule = random_rule(count)
+    assert rule.integrate(cauchy_ratio) == weighted_sum(rule.weights, cauchy_ratio(rule.nodes))
+
+
+def test_block_sum_on_a_3d_rule_with_a_hole():
+    rule = lp.composite_volume_rule(unit_ball3(), 64, [0.0, 0.0, 0.0], holes=[([0.4, 0.1, 0.0], 0.2, 0.0)])
+    assert len(rule.weights) > 30 * VOLUME_BLOCK
+
+    def heavy(x):
+        # Cauchy-like: tan of a phase spread over many periods
+        return np.tan(1e3 * x[:, 0] + x[:, 1])
+
+    whole = weighted_sum(rule.weights, heavy(rule.nodes))
+    assert rule.integrate(heavy) == whole
+    # the test can see an order change: summing the blocks one after another
+    # gives other bits
+    blocks = range(0, len(rule.weights), VOLUME_BLOCK)
+    serial = sum(
+        weighted_sum(rule.weights[i : i + VOLUME_BLOCK], heavy(rule.nodes[i : i + VOLUME_BLOCK])) for i in blocks
+    )
+    assert serial != whole
+
+
+def test_integrand_sees_every_node_once_in_bounded_blocks():
+    rule = random_rule(3 * VOLUME_BLOCK + 5)
+    seen = []
+
+    def spy(x):
+        seen.append(x.copy())
+        return x[:, 0]
+
+    rule.integrate(spy)
+    assert max(len(block) for block in seen) <= VOLUME_BLOCK
+    np.testing.assert_array_equal(np.concatenate(seen), rule.nodes)
+
+
+def test_volume_rule_arrays_are_read_only():
+    # integrands get views into the rule: one that writes into its block
+    # must fail without touching the rule
+    rule = lp.composite_volume_rule(unit_disk(), 16, [0.1, 0.0], holes=[([-0.4, 0.0], 0.2, 0.0)])
+    nodes, weights = rule.nodes.copy(), rule.weights.copy()
+
+    def vandal(x):
+        x[:, 0] = 0.0
+        return x[:, 1]
+
+    with pytest.raises(ValueError):
+        rule.integrate(vandal)
+    with pytest.raises(ValueError):
+        rule.weights[0] = 0.0
+    np.testing.assert_array_equal(rule.nodes, nodes)
+    np.testing.assert_array_equal(rule.weights, weights)
+
+
+def test_volume_integrand_memory_does_not_grow_with_the_rule():
+    # distance(0)'s rule about an off-center target: a million nodes with a hole
+    f = lp.catalog("distance", [0.0, 0.0, 0.0])
+    y = np.array([0.5, 0.0, 0.0])
+    rule = _singular_rule(f, unit_ball3(), 64, y, kernel_power=-2.0)
+    assert len(rule.weights) > 10**6
+    tracemalloc.start()
+    try:
+        rule.integrate(lambda x: row_dots(f.gradient(x), x - y))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (rule.nodes.nbytes + rule.weights.nbytes) / 8
 
 
 def test_gauss_jacobi_weight_exactness():
@@ -98,12 +193,10 @@ def test_volume_rule_measures():
 def test_polar_centered_integrates_kernel_power():
     disk = unit_disk()
     rule = lp.composite_volume_rule(disk, 64, [0.0, 0.0], kernel_power=-1.0)
-    r = np.linalg.norm(rule.nodes, axis=1)
-    assert rule.integrate(1.0 / r) == pytest.approx(2 * math.pi, abs=1e-8)
+    assert rule.integrate(lambda x: 1.0 / np.linalg.norm(x, axis=1)) == pytest.approx(2 * math.pi, abs=1e-8)
     ball = unit_ball3()
     rule = lp.composite_volume_rule(ball, 24, [0.0, 0.0, 0.0], kernel_power=-2.0)
-    r = np.linalg.norm(rule.nodes, axis=1)
-    assert rule.integrate(1.0 / r**2) == pytest.approx(4 * math.pi, abs=1e-8)
+    assert rule.integrate(lambda x: 1.0 / np.linalg.norm(x, axis=1) ** 2) == pytest.approx(4 * math.pi, abs=1e-8)
 
 
 def test_polar_centered_never_places_node_at_target():

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from layerpot import geometry, potentials
 from layerpot.harness.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +35,18 @@ def test_report_matches_golden(name, tmp_path, capsys):
     capsys.readouterr()
     got, golden = out.read_bytes(), (GOLDEN / f"{name}.csv").read_bytes()
     assert got == golden, first_difference(got, golden)
+
+
+@pytest.mark.parametrize("name", ["verify-unit-disk", "verify-all-identities"])
+def test_reports_do_not_depend_on_the_volume_block_size(name, tmp_path, capsys, monkeypatch):
+    # 1024-node blocks split every volume rule into many leaves; the memo
+    # is emptied so that every volume integral is summed again
+    monkeypatch.setattr(geometry, "VOLUME_BLOCK", 1024)
+    potentials._gradient_volume_integral.cache_clear()
+    try:
+        test_report_matches_golden(name, tmp_path, capsys)
+    finally:
+        potentials._gradient_volume_integral.cache_clear()
 
 
 def test_reports_do_not_depend_on_the_blas_thread_count():

@@ -92,7 +92,7 @@ def _means(u, ball, order):
     vrule = lp.volume_rule(ball, order)
     return (
         brule.integrate(u.evaluate(brule.nodes)) / ball.surface_measure,
-        vrule.integrate(u.evaluate(vrule.nodes)) / ball.volume_measure,
+        vrule.integrate(u.evaluate) / ball.volume_measure,
         u.evaluate(ball.center),
     )
 
