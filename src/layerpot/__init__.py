@@ -5,15 +5,10 @@ deviation bounds on balls and smooth planar domains, with a verification CLI.
 from . import errors
 from .bounds import (
     BoundReport,
-    Field1D,
-    Montgomery1D,
     moment_integral,
     moment_integral_closed_form,
-    montgomery_identity_1d,
     ostrowski_bound_ball,
     ostrowski_bound_general,
-    ostrowski_bounds_1d,
-    polynomial_1d,
     sharp_ball_constant,
 )
 from .fields import LebesgueExponent, ScalarField, catalog, extremal_field, grad_norm
@@ -62,11 +57,9 @@ __all__ = [
     "BoundaryQuadrature",
     "DirichletSolution",
     "Domain",
-    "Field1D",
     "IdentityReport",
     "LayerEvaluation",
     "LebesgueExponent",
-    "Montgomery1D",
     "ScalarField",
     "StarShaped2D",
     "VolumeQuadrature",
@@ -94,13 +87,10 @@ __all__ = [
     "jump_relation_check",
     "moment_integral",
     "moment_integral_closed_form",
-    "montgomery_identity_1d",
     "newtonian_integrals",
     "ostrowski_bound_ball",
     "ostrowski_bound_general",
-    "ostrowski_bounds_1d",
     "poisson_evaluate",
-    "polynomial_1d",
     "sharp_ball_constant",
     "sphere_area",
     "volume_rule",

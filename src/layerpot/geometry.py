@@ -476,8 +476,32 @@ class StarShaped2D(Domain):
         return rho - float(self._r(theta))
 
     def boundary_distance(self, y) -> float:
+        """The nearest of the 4096 cached boundary points, refined by Newton
+        steps on d/dtheta |p(theta) - y|^2 = 0 within one grid step of it.
+
+        Every candidate lies on the curve, so the result is never below the
+        true distance, and the refinement is kept only where it is nearer.
+        """
         y = as_point(y, 2)
-        return float(np.min(row_norms(self._bnd_cache - y)))
+        dist = row_norms(self._bnd_cache - y)
+        k = int(np.argmin(dist))
+        step = 2.0 * math.pi / len(dist)
+        theta = k * step
+        for _ in range(4):
+            r, rp, rpp = (float(g(theta)) for g in (self._r, self._rp, self._rpp))
+            radial = np.array([math.cos(theta), math.sin(theta)])
+            tangential = np.array([-radial[1], radial[0]])
+            e = self.center + r * radial - y
+            dp = rp * radial + r * tangential
+            ddp = (rpp - r) * radial + 2.0 * rp * tangential
+            # Newton on g = e . p', half the derivative of |p - y|^2
+            dg = dp @ dp + e @ ddp
+            if not dg > 0.0:
+                break
+            theta = min(max(theta - (e @ dp) / dg, (k - 1) * step), (k + 1) * step)
+        radial = np.array([math.cos(theta), math.sin(theta)])
+        refined = float(np.linalg.norm(self.center + float(self._r(theta)) * radial - y))
+        return min(float(dist[k]), refined)
 
     @property
     def surface_measure(self) -> float:

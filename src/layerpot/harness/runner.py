@@ -9,6 +9,7 @@ yield byte-identical reports.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from itertools import groupby
 
@@ -149,9 +150,26 @@ def _verify_tasks(cfg: SuiteConfig):
                     yield task(check, field, y, order, tol)
 
 
-def _run_tasks(tasks, max_workers: int = 8):
+#: Most threads the runner's pool uses, however many cores are free.
+MAX_WORKERS = 8
+
+
+def _pool_width() -> int:
+    """min(MAX_WORKERS, usable cores).
+
+    A check is numpy calls with interpreter work between them, so threads
+    beyond the cores add no throughput, only GIL hand-offs, and each running
+    check keeps its volume rule alive.  Usable cores follow ``taskset`` and
+    cpusets where the platform reports them.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return min(MAX_WORKERS, cores)
+
+
+def _run_tasks(tasks, max_workers: int | None = None):
     rows = []
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with ThreadPoolExecutor(max_workers=_pool_width() if max_workers is None else max_workers) as pool:
         for result in pool.map(lambda t: t(), tasks):
             rows.extend(result)
     return sorted(rows, key=Row.sort_key)

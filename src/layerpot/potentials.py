@@ -20,6 +20,7 @@ share the same (field, target, order) terms.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -245,6 +246,10 @@ def _volume_order_for_target(domain: Domain, order: int, y) -> int:
 #: plus references to a field and a domain the caller already holds.
 _VOLUME_INTEGRAL_CACHE_SIZE = 4096
 
+#: Memo keys being computed, each with a lock its computing thread holds.
+_IN_FLIGHT: dict[tuple, threading.Lock] = {}
+_IN_FLIGHT_LOCK = threading.Lock()
+
 
 def gradient_volume_integral(f: ScalarField, domain: Domain, y, order: int = 64) -> float:
     """int_Omega <grad E(x - y), grad f(x)> dx for y off the boundary.
@@ -258,9 +263,26 @@ def gradient_volume_integral(f: ScalarField, domain: Domain, y, order: int = 64)
     Values are memoized by (field, domain, target, order, node budget); the
     budget is read on every call because it decides whether the rule may be
     built.  Errors are not memoized: they are raised again on every call.
+    One thread at a time computes a key: the others wait for it and then
+    read the memo, or compute the key in turn if it raised.
     """
     y = as_point(y, domain.dim)
-    return _gradient_volume_integral(f, domain, tuple(y.tolist()), order, max_nodes_budget())
+    key = (f, domain, tuple(y.tolist()), order, max_nodes_budget())
+    while True:
+        with _IN_FLIGHT_LOCK:
+            running = _IN_FLIGHT.get(key)
+            if running is None:
+                running = _IN_FLIGHT[key] = threading.Lock()
+                running.acquire()
+                break
+        with running:  # returns once the computing thread is done
+            pass
+    try:
+        return _gradient_volume_integral(*key)
+    finally:
+        with _IN_FLIGHT_LOCK:
+            del _IN_FLIGHT[key]
+        running.release()
 
 
 @lru_cache(maxsize=_VOLUME_INTEGRAL_CACHE_SIZE, typed=True)

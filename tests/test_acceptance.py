@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import layerpot as lp
+from oracle_1d import montgomery_identity_1d, ostrowski_bounds_1d, polynomial_1d
 
 DISK = lp.Ball([0.0, 0.0], 1.0)
 BALL3 = lp.Ball([0.0, 0.0, 0.0], 1.0)
@@ -241,14 +242,14 @@ def test_criterion_10_reproducing_kernel():
 
 def test_criterion_11_one_dimensional_oracle():
     polys = [
-        lp.polynomial_1d([0.0, 1.0]),
-        lp.polynomial_1d([0.0, 0.0, 1.0]),
-        lp.polynomial_1d([1.0, -2.0, 0.5, 2.0]),
+        polynomial_1d([0.0, 1.0]),
+        polynomial_1d([0.0, 0.0, 1.0]),
+        polynomial_1d([1.0, -2.0, 0.5, 2.0]),
     ]
     worst = max(
-        lp.montgomery_identity_1d(f, 0.0, 1.0, x).residual for f in polys for x in (0.0, 0.3, 0.5, 1.0)
+        montgomery_identity_1d(f, 0.0, 1.0, x).residual for f in polys for x in (0.0, 0.3, 0.5, 1.0)
     )
-    rep = lp.ostrowski_bounds_1d(lp.polynomial_1d([0.0, 1.0]), 0.0, 1.0, 0.0, "inf")
+    rep = ostrowski_bounds_1d(polynomial_1d([0.0, 1.0]), 0.0, 1.0, 0.0, "inf")
     attained = abs(rep.ratio - 1.0) < 1e-14
     ok = worst < 1e-12 and attained
     report(

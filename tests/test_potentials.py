@@ -2,6 +2,8 @@
 
 import math
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -184,6 +186,65 @@ def test_memoized_gradient_volume_integral_matches_uncached_under_threads(monkey
                 assert future.result(timeout=60) == expected[y]
     finally:
         sys.setswitchinterval(interval)
+
+
+def _slow_volume_rules(monkeypatch, seconds=0.05):
+    """Hold every volume-rule build for ``seconds`` with the GIL released,
+    so that threads released together all miss while the first computes."""
+    build = layerpot.fields.composite_volume_rule
+
+    def slow(*args, **kwargs):
+        time.sleep(seconds)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(layerpot.fields, "composite_volume_rule", slow)
+
+
+def _released_together(call, threads=8):
+    """Run ``call`` on ``threads`` threads released at once by a barrier,
+    with a short switch interval so that they interleave; return the
+    results, or the exceptions raised, in thread order."""
+    barrier = threading.Barrier(threads)
+
+    def run():
+        barrier.wait(timeout=60)
+        try:
+            return call()
+        except Exception as exc:  # noqa: BLE001 - returned for the caller to check
+            return exc
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(run) for _ in range(threads)]
+            return [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_concurrent_misses_of_one_key_build_one_rule(monkeypatch):
+    # threads that miss on a key another thread is computing wait for it
+    # instead of building the same rule again
+    built = _count_volume_rules(monkeypatch)
+    _slow_volume_rules(monkeypatch)
+    f = lp.catalog("harmonic_poly", 5)  # a new field, so the key is fresh
+    values = _released_together(lambda: lp.gradient_volume_integral(f, DISK, [0.2, -0.1], 32))
+    assert len(built) == 1
+    assert len({v.hex() for v in values}) == 1
+
+
+def test_concurrent_misses_of_a_failing_key_all_raise(monkeypatch):
+    # errors are not memoized: a thread that waited on a call that raised
+    # computes the key itself and raises the same error
+    built = _count_volume_rules(monkeypatch)
+    f = lp.catalog("harmonic_poly", 5)
+    lp.gradient_volume_integral(f, DISK, [0.1, 0.3], 32)
+    monkeypatch.setenv("LAYERPOT_MAX_NODES", str(built[0] - 1))
+    _slow_volume_rules(monkeypatch)
+    outcomes = _released_together(lambda: lp.gradient_volume_integral(f, DISK, [0.1, 0.3], 32))
+    assert all(isinstance(o, BudgetError) for o in outcomes)
+    assert len(built) == 1
 
 
 def test_memoized_gradient_volume_integral_respects_node_budget(monkeypatch):
