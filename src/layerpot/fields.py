@@ -419,27 +419,36 @@ def grad_norm(field: ScalarField, domain: Domain, p, order: int = 64) -> float:
             return float(field.sup_gradient)
         rule = volume_rule(domain, order)
         return float(np.max(row_norms(field.gradient(rule.nodes))))
-    rule = _singular_rule(field, domain, order, power_scale=p.value)
+    rule = _singular_rule(field, domain, order, power=field.gradient_power * p.value)
     total = rule.integrate(lambda x: row_norms(field.gradient(x)) ** p.value)
     if not np.isfinite(total) or total < 0:
         raise IntegrabilityError(f"gradient L^{p.value} norm of {field.name} did not converge")
     return total ** (1.0 / p.value)
 
 
-def _singular_rule(f: ScalarField, domain: Domain, order: int, center=None, kernel_power=0.0, power_scale=1.0):
-    """Polar rule about ``center`` for integrands behaving like
-    rho^kernel_power there, times |grad f|^power_scale.
+def _singular_rule(
+    f: ScalarField, domain: Domain, order: int, center=None, kernel_power=0.0, power=None, log_kernel=False
+):
+    """The polar rule for every volume integral whose integrand carries f.
+
+    The integrand behaves like rho^kernel_power (or log rho when
+    ``log_kernel``) about ``center``, times |x - a|^power about each singular
+    point a of f.  ``power`` is the integrand's exponent there: the default
+    f.gradient_power suits grad f, f itself takes gradient_power + 1, Lap f
+    gradient_power - 1 and |grad f|^p gradient_power * p.
 
     Only singular points of f inside the domain shape the rule; ``center``
     defaults to the first of them, or to the domain center when there is
-    none.  Singular points within 1e-12 diameters of the center fold the
-    gradient's growth into the radial power; the others are cut out as
-    holes, each re-covered by a polar block matched to that growth.
+    none.  Singular points within 1e-12 diameters of the center fold
+    ``power`` into the radial power; the others are cut out as holes, each
+    re-covered by a polar block matched to that power.  A field with no
+    singular point inside gets the plain rule about ``center``.
     """
     singulars = [a for a in f.singular_arrays() if domain.classify(a) == INTERIOR]
     if center is None:
         center = singulars[0] if singulars else domain.center
-    power = f.gradient_power * power_scale
+    if power is None:
+        power = f.gradient_power
     rest = []
     for a in singulars:
         if np.linalg.norm(a - center) <= 1e-12 * domain.diameter:
@@ -447,7 +456,9 @@ def _singular_rule(f: ScalarField, domain: Domain, order: int, center=None, kern
         else:
             rest.append(a)
     holes = [(a, _hole_radius(a, [center] + [b for b in rest if b is not a], domain), power) for a in rest]
-    return composite_volume_rule(domain, order, center, kernel_power=kernel_power, holes=holes)
+    return composite_volume_rule(
+        domain, order, center, kernel_power=kernel_power, log_kernel=log_kernel, holes=holes
+    )
 
 
 def _hole_radius(a, others, domain: Domain) -> float:

@@ -416,15 +416,12 @@ class StarShaped2D(Domain):
     """Planar domain bounded by x = center + r(theta) (cos theta, sin theta).
 
     ``radius_fn`` must be smooth, positive, and 2 pi periodic with two
-    continuous derivatives.  Derivative callables are optional; missing ones
-    are filled in by fourth-order central differences, accurate to ~1e-12
-    for smooth profiles.
+    continuous derivatives, given as ``radius_d1`` and ``radius_d2``.
     """
 
-    _FD_STEP = 1e-3
     angular_oversampling = 2
 
-    def __init__(self, radius_fn, center=(0.0, 0.0), radius_d1=None, radius_d2=None):
+    def __init__(self, radius_fn, center=(0.0, 0.0), *, radius_d1, radius_d2):
         self.center = as_point(center, 2)
         self.dim = 2
         self.radius_fn = radius_fn
@@ -451,20 +448,10 @@ class StarShaped2D(Domain):
         return np.asarray(self.radius_fn(np.asarray(theta, dtype=float)), dtype=float)
 
     def _rp(self, theta):
-        if self._d1 is not None:
-            return np.asarray(self._d1(np.asarray(theta, dtype=float)), dtype=float)
-        h = self._FD_STEP
-        t = np.asarray(theta, dtype=float)
-        return (-self._r(t + 2 * h) + 8 * self._r(t + h) - 8 * self._r(t - h) + self._r(t - 2 * h)) / (12 * h)
+        return np.asarray(self._d1(np.asarray(theta, dtype=float)), dtype=float)
 
     def _rpp(self, theta):
-        if self._d2 is not None:
-            return np.asarray(self._d2(np.asarray(theta, dtype=float)), dtype=float)
-        h = self._FD_STEP
-        t = np.asarray(theta, dtype=float)
-        return (
-            -self._r(t + 2 * h) + 16 * self._r(t + h) - 30 * self._r(t) + 16 * self._r(t - h) - self._r(t - 2 * h)
-        ) / (12 * h**2)
+        return np.asarray(self._d2(np.asarray(theta, dtype=float)), dtype=float)
 
     def signed_boundary_distance(self, y) -> float:
         y = as_point(y, 2)
@@ -634,6 +621,8 @@ def escalated_order(domain: Domain, order: int, y) -> tuple[int, str | None]:
     The caller decides what to do with the warning; accuracy loss is
     reported, never silent.
     """
+    if order < 4:
+        raise ParameterError(f"boundary rules need order >= 4, got {order}")
     d = domain.boundary_distance(y)
     needed = domain.min_resolving_order(d)
     if needed <= order:

@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from ..errors import BudgetError, ConfigError, LayerpotError
-from .config import SuiteConfig, build_config
+from .config import _ORDER, SuiteConfig, build_config
 from .report import write_report
 from .runner import run_bound, run_converge, run_table, run_verify
 
@@ -23,6 +23,15 @@ _RUNNERS = {
     "table": run_table,
     "bound": run_bound,
 }
+
+
+def _order(text: str) -> int:
+    """One order, admitted by the rule of the ``orders`` key."""
+    parse, what = _ORDER
+    try:
+        return parse(text, None)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=doc)
         cmd.add_argument("--config", metavar="PATH", help="suite configuration file")
-        cmd.add_argument("--order", type=int, metavar="N", help="override the order list with a single order")
+        cmd.add_argument("--order", type=_order, metavar="N", help="override the order list with a single order")
         cmd.add_argument("--seed", type=int, metavar="N", help="override the probe seed")
         cmd.add_argument("--format", choices=("csv", "jsonl"), help="report format override")
         cmd.add_argument("--out", metavar="PATH", help="report destination ('-' for stdout)")

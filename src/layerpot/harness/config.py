@@ -133,8 +133,12 @@ def _fields(text, dim):
     return fields
 
 
+def _is_order(n: int) -> bool:
+    return n >= 4
+
+
 _COUNT = (_value(int, lambda n: n >= 1), "an integer >= 1")
-_ORDER = (_value(int, lambda n: n >= 4), "an integer >= 4")
+_ORDER = (_value(int, _is_order), "an integer >= 4")
 
 #: key -> (SuiteConfig attribute, parser(text, dim), what the value must be)
 _SUITE_KEYS = {
@@ -145,7 +149,7 @@ _SUITE_KEYS = {
         _values(str.upper, lambda v: v in IDENTITIES, distinct=True),
         f"a comma list of distinct identities from {', '.join(IDENTITIES)}",
     ),
-    "orders": ("orders", _values(int, lambda n: n >= 4, distinct=True), "a comma list of distinct integers >= 4"),
+    "orders": ("orders", _values(int, _is_order, distinct=True), "a comma list of distinct integers >= 4"),
     "probes.count": ("probe_count", *_COUNT),
     "probes.exterior_count": ("exterior_count", *_COUNT),
     "probes.seed": ("seed", _value(int), "an integer"),

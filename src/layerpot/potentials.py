@@ -34,10 +34,8 @@ from .geometry import (
     Ball,
     Domain,
     as_point,
-    composite_volume_rule,
     escalated_order,
     max_nodes_budget,
-    volume_rule,
 )
 from .kernel import fundamental_gradient, fundamental_solution, row_dots, row_norms, sphere_area
 
@@ -232,6 +230,8 @@ def _volume_order_for_target(domain: Domain, order: int, y) -> int:
     layer (and, on concave shapes, tangency kinks), so the angular count
     grows like 1/sqrt(distance), capped at 512.
     """
+    if order < 4:
+        raise ParameterError(f"volume rules need order >= 4, got {order}")
     d = domain.boundary_distance(y)
     if d <= 0:
         return order
@@ -333,9 +333,12 @@ def newtonian_integrals(f: ScalarField, domain: Domain, y, order: int = 64) -> N
     """The two Green-identity companions of the gradient volume integral:
     int_boundary (df/dnu) E(x - y) dsigma and int_Omega (Lap f) E(x - y) dx.
 
-    Requires a field with a Laplacian and y off the boundary.  For interior
-    y the volume rule's radial substitution keeps the logarithmic (2-D) or
-    power (N >= 3) singularity of the kernel in the rule's accuracy class.
+    Requires a field with a Laplacian and y off the boundary.  The volume
+    term is summed on ``_singular_rule`` with the Laplacian's exponent
+    gradient_power - 1 at f's singular points.  For interior y the rule is
+    centred at y, where its radial substitution keeps the logarithmic (2-D)
+    or power (N >= 3) singularity of the kernel in the rule's accuracy
+    class; for exterior y it is the builder's default rule.
     """
     if not f.has_laplacian:
         raise CapabilityError(f"field {f.name} carries no Laplacian")
@@ -350,9 +353,10 @@ def newtonian_integrals(f: ScalarField, domain: Domain, y, order: int = 64) -> N
         return row_dots(f.gradient(nodes), normals) * kernel
 
     boundary_term = float(_peaked_integrals(1.0, domain, y, order, flux)[0][0])
+    power = f.gradient_power - 1.0
     if cls == INTERIOR:
-        vrule = composite_volume_rule(domain, order, y, log_kernel=True)
+        vrule = _singular_rule(f, domain, order, y, power=power, log_kernel=True)
     else:
-        vrule = volume_rule(domain, order)
+        vrule = _singular_rule(f, domain, order, power=power)
     volume_term = vrule.integrate(lambda x: f.laplacian(x) * fundamental_solution(x - y))
     return NewtonianIntegrals(boundary_term=boundary_term, volume_term=volume_term)

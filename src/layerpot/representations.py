@@ -132,8 +132,8 @@ def _report(identity, f, lhs, rhs, tolerance, order, points, **metadata) -> Iden
 
 
 def _volume_integral(f: ScalarField, domain: Domain, order: int) -> float:
-    """int_Omega f on the plain volume rule."""
-    return volume_rule(domain, order).integrate(f.evaluate)
+    """int_Omega f on the rule adapted to f's singular points."""
+    return _singular_rule(f, domain, order, power=f.gradient_power + 1.0).integrate(f.evaluate)
 
 
 def _surface_integral(f: ScalarField, domain: Domain, order: int) -> float:
@@ -335,7 +335,7 @@ def check_f2_f3(
     brule = domain.boundary_rule(order_outer)
     ubar_b = np.array([double_layer(f, domain, zk, order_inner).value for zk in brule.nodes])
     lhs_f3 = brule.integrate(ubar_b)
-    trace = brule.integrate(f.evaluate(brule.nodes))
+    trace = _surface_integral(f, domain, order_outer)
     zetas = np.array([boundary_limit_zeta(f, domain, zk, order_inner) for zk in brule.nodes])
     rhs_f3 = 0.5 * trace + brule.integrate(zetas)
     rep_f3 = _report("F3", f, lhs_f3, rhs_f3, tolerances.get("F3"), order_outer, [], order_inner=order_inner)

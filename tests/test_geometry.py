@@ -226,7 +226,12 @@ def test_divergence_identity(domain):
 
 
 def test_refinement_reduces_measure_error():
-    star = lp.StarShaped2D(lambda th: 1.0 / (1.0 + 0.3 * np.cos(th)))
+    star = lp.StarShaped2D(
+        lambda th: 1.0 / (1.0 + 0.3 * np.cos(th)),
+        radius_d1=lambda th: 0.3 * np.sin(th) / (1.0 + 0.3 * np.cos(th)) ** 2,
+        radius_d2=lambda th: 0.3 * np.cos(th) / (1.0 + 0.3 * np.cos(th)) ** 2
+        + 0.18 * np.sin(th) ** 2 / (1.0 + 0.3 * np.cos(th)) ** 3,
+    )
     exact = math.pi / (1 - 0.09) ** 1.5
     errs = [abs(lp.volume_rule(star, n).weights.sum() - exact) for n in (4, 8)]
     assert errs[1] <= errs[0] / 4.0
@@ -334,7 +339,7 @@ def test_invalid_budget(monkeypatch):
 
 def test_star_requires_positive_radius():
     with pytest.raises(ParameterError):
-        lp.StarShaped2D(lambda th: np.cos(th))
+        lp.StarShaped2D(lambda th: np.cos(th), radius_d1=lambda th: -np.sin(th), radius_d2=lambda th: -np.cos(th))
 
 
 def test_ball_requires_positive_radius():
@@ -528,18 +533,6 @@ def test_volume_rule_nodes_are_coordinate_major(domain, holes):
     rule = lp.composite_volume_rule(domain, 8, domain.center + 0.05, holes=holes)
     assert rule.nodes.shape == (len(rule.weights), domain.dim)
     assert rule.nodes.flags.f_contiguous
-
-
-def test_star_finite_difference_derivative_fallback():
-    # derivatives omitted: fourth-order differences must reproduce the
-    # analytic normals and curvature closely
-    analytic = star_domain()
-    fd = lp.StarShaped2D(lambda th: 1.0 + 0.25 * np.cos(3 * th))
-    a = analytic.boundary_rule(32)
-    b = fd.boundary_rule(32)
-    np.testing.assert_allclose(b.normals, a.normals, atol=1e-9)
-    np.testing.assert_allclose(b.weights, a.weights, atol=1e-9)
-    assert fd.curvature(0.7) == pytest.approx(analytic.curvature(0.7), abs=1e-6)
 
 
 @pytest.mark.parametrize("beta", [0.0, -0.5])

@@ -480,6 +480,19 @@ def test_cli_order_and_seed_overrides(tmp_path):
     assert ",32," in out.read_text()
 
 
+@pytest.mark.parametrize("command, order", [("verify", "0"), ("bound", "-8"), ("verify", "3")])
+def test_cli_order_below_four_is_a_usage_error(command, order):
+    # in a subprocess with a timeout, so that an order escalated forever
+    # fails this test instead of stalling the suite
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "layerpot.harness.cli", command, "--config", "configs/unit-disk.cfg", "--order", order],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert f"--order: must be an integer >= 4, got '{order}'" in proc.stderr
+
+
 def test_zeta_mode_is_an_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "suite.cfg"
     cfg.write_text("fields = coordinate:1\nzeta.mode = limit\n")

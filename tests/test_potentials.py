@@ -13,8 +13,9 @@ import layerpot as lp
 import layerpot.fields
 import layerpot.potentials
 from diagnostics import fd_laplacian, loglog_slope, sphere_ratio
-from layerpot.errors import BudgetError, CapabilityError, PlacementError
-from layerpot.geometry import escalated_order
+from layerpot.errors import BudgetError, CapabilityError, ParameterError, PlacementError
+from layerpot.fields import _singular_rule
+from layerpot.geometry import INTERIOR, escalated_order
 from layerpot.kernel import fundamental_solution, row_dots
 
 DISK = lp.Ball([0.0, 0.0], 1.0)
@@ -304,6 +305,19 @@ def test_newtonian_boundary_term_sums_on_the_pole_aligned_escalated_rule():
     assert lp.newtonian_integrals(f, BALL3, y, 16).boundary_term == expected
 
 
+@pytest.mark.parametrize("y", [[0.3, -0.4], [2.0, 0.7]], ids=["interior", "exterior"])
+def test_newtonian_volume_term_sums_on_the_field_adapted_rule(y):
+    # Lap f = 1/|x - a| of a distance field: the rule carries its exponent at a
+    f = lp.catalog("distance", [0.2, 0.1])
+    power = f.gradient_power - 1.0
+    if DISK.classify(y) == INTERIOR:
+        rule = _singular_rule(f, DISK, 32, y, power=power, log_kernel=True)
+    else:
+        rule = _singular_rule(f, DISK, 32, power=power)
+    expected = rule.integrate(lambda x: f.laplacian(x) * fundamental_solution(x - np.asarray(y)))
+    assert lp.newtonian_integrals(f, DISK, y, 32).volume_term == expected
+
+
 def test_newtonian_requires_laplacian():
     bare = lp.ScalarField(
         name="bare",
@@ -312,6 +326,15 @@ def test_newtonian_requires_laplacian():
     )
     with pytest.raises(CapabilityError):
         lp.newtonian_integrals(bare, DISK, [0.0, 0.0], 32)
+
+
+@pytest.mark.parametrize("order", [0, -8, 3])
+def test_orders_below_four_raise_instead_of_escalating(order):
+    # a near-boundary target asks both escalation policies to raise the order
+    with pytest.raises(ParameterError, match="order >= 4"):
+        lp.double_layer(1.0, DISK, [0.999, 0.0], order)
+    with pytest.raises(ParameterError, match="order >= 4"):
+        lp.gradient_volume_integral(lp.catalog("coordinate", 1), DISK, [0.999, 0.0], order)
 
 
 def test_double_layer_batch_matches_scalar():

@@ -134,6 +134,14 @@ def test_rep2_distance_exact_cancellation():
     assert rep.residual < 1e-10
 
 
+def test_fig_and_rep3_integrate_a_distance_field_on_the_rule_centred_at_its_kink():
+    # int f of |x - a| sums on the rule adapted to a, as the pairing does
+    f = lp.catalog("distance", [0.2, 0.1])
+    for y in ([0.3, -0.1], [-0.7, 1.8]):
+        assert lp.check_fig(f, DISK, y, 32).residual < 1e-9
+    assert lp.check_ball_corollaries(f, DISK, None, 32, "REP3").residual < 1e-9
+
+
 @pytest.mark.parametrize("ball,expected", [(DISK, 0.5), (BALL3, 0.6)], ids=["N2", "N3"])
 def test_rep3_quadratic_radial(ball, expected):
     f = lp.catalog("quadratic_radial", ball.center)
@@ -328,12 +336,20 @@ def test_grr_and_green_riemann_pair():
     reports = [lp.check_grr(f, DISK, [0.4, 0.0], 64), lp.check_green_riemann(f, DISK, [0.4, 0.0], 64)]
     assert [r.identity for r in reports] == ["GRR", "GREEN_RIEMANN_INTERIOR"]
     assert all(r.passed for r in reports)
+    # outside, Lap f = 1/|x - a| of a distance field is summed on the rule centred at a
+    f, y = lp.catalog("distance", [0.2, 0.1]), [-0.694895435192, 1.79507337026]
+    reports = [lp.check_grr(f, DISK, y, 32), lp.check_green_riemann(f, DISK, y, 32)]
+    assert [r.identity for r in reports] == ["GRR", "GREEN_RIEMANN_EXTERIOR"]
+    assert all(r.passed for r in reports)
 
 
 def test_grr_3d():
     f = lp.catalog("quadratic_radial", [0.0, 0.0, 0.0])
     assert lp.check_grr(f, BALL3, [0.2, 0.0, 0.1], 32).residual < 1e-6
     assert lp.check_green_riemann(f, BALL3, [0.0, 0.0, 2.0], 32).residual < 1e-6
+    f = lp.catalog("distance", [0.2, 0.1, 0.0])
+    for y in ([0.2, 0.0, 0.1], [0.0, 0.0, 2.0]):
+        assert lp.check_grr(f, BALL3, y, 24).passed
 
 
 # ---------------------------------------------------------------------------
