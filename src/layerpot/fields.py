@@ -162,8 +162,6 @@ def linear(offset: float, slope) -> ScalarField:
     mag = float(np.linalg.norm(slope))
 
     def closed(domain: Domain, p: LebesgueExponent):
-        if p.is_infinite:
-            return mag
         return mag * domain.volume_measure ** (1.0 / p.value)
 
     return ScalarField(
@@ -184,8 +182,6 @@ def coordinate(index: int) -> ScalarField:
     i = int(index) - 1
 
     def closed(domain: Domain, p: LebesgueExponent):
-        if p.is_infinite:
-            return 1.0
         return domain.volume_measure ** (1.0 / p.value)
 
     return ScalarField(
@@ -290,7 +286,7 @@ def _power_distance_norm(a, beta):
                 raise IntegrabilityError(
                     f"|grad| of |x-a|^{beta} is unbounded; the sup norm does not exist"
                 )
-            return beta * R ** (beta - 1.0) if beta > 1.0 else 1.0
+            return beta * R ** (beta - 1.0)
         q = p.value
         expo = (beta - 1.0) * q + n
         if expo <= 0.0:
@@ -402,21 +398,22 @@ def extremal_field(p, y) -> ScalarField:
 def grad_norm(field: ScalarField, domain: Domain, p, order: int = 64) -> float:
     """L^p norm of the gradient over the domain.
 
-    Uses the field's closed form when available (closed forms win over
-    quadrature); otherwise integrates |grad f|^p with polar rules matched to
-    the gradient's power-law growth at each singular point.  For p = inf
-    without a closed form, the sup is estimated as a node maximum, which
+    At p = inf the field's ``sup_gradient`` comes first.  Otherwise uses the
+    field's closed form when available (closed forms win over quadrature);
+    otherwise integrates |grad f|^p with polar rules matched to the
+    gradient's power-law growth at each singular point.  For p = inf
+    without either, the sup is estimated as a node maximum, which
     underestimates true suprema of unbounded gradients; fields with
     unbounded gradients must carry p < inf.
     """
     p = LebesgueExponent.of(p)
+    if p.is_infinite and field.sup_gradient is not None:
+        return float(field.sup_gradient)
     if field.grad_norm_closed is not None:
         closed = field.grad_norm_closed(domain, p)
         if closed is not None:
             return float(closed)
     if p.is_infinite:
-        if field.sup_gradient is not None:
-            return float(field.sup_gradient)
         rule = volume_rule(domain, order)
         return float(np.max(row_norms(field.gradient(rule.nodes))))
     rule = _singular_rule(field, domain, order, power=field.gradient_power * p.value)

@@ -104,30 +104,24 @@ def _frozen(*arrays):
     return arrays
 
 
-@lru_cache(maxsize=512)
-def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return _frozen((x + 1.0) / 2.0, w / 2.0)
-
-
 @lru_cache(maxsize=1024)
-def _gauss_jacobi_cached(n: int, beta_key: float) -> tuple[np.ndarray, np.ndarray]:
-    x, w = roots_jacobi(n, 0.0, beta_key)
-    return _frozen((x + 1.0) / 2.0, w / 2.0 ** (beta_key + 1.0))
+def _gauss_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    # roots_jacobi(n, 0, 0) differs from leggauss in the last bits, so the
+    # plain weight keeps leggauss
+    x, w = np.polynomial.legendre.leggauss(n) if beta == 0.0 else roots_jacobi(n, 0.0, beta)
+    return _frozen((x + 1.0) / 2.0, w / 2.0 ** (beta + 1.0))
 
 
-def gauss_jacobi_01(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+def gauss_jacobi_01(n: int, beta: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights integrating f against the weight rho^beta on [0, 1].
 
-    beta may be any real > -1; beta = 0 reduces to Gauss-Legendre.  The rule
-    is exact for f polynomial of degree <= 2n - 1.
+    beta may be any real > -1; beta = 0 is Gauss-Legendre.  The rule is
+    exact for f polynomial of degree <= 2n - 1.  Rules are cached by n and
+    beta rounded to 12 digits.
     """
     if beta <= -1.0:
         raise ParameterError(f"Jacobi weight exponent must exceed -1, got {beta}")
-    if beta == 0.0:
-        return gauss_legendre_01(n)
-    return _gauss_jacobi_cached(n, round(float(beta), 12))
+    return _gauss_rule(n, round(float(beta), 12))
 
 
 def _rotation_to(pole: np.ndarray) -> np.ndarray:
@@ -144,9 +138,9 @@ def _rotation_to(pole: np.ndarray) -> np.ndarray:
     return np.eye(3) + vx + vx @ vx / (1.0 + c)
 
 
-def circle_directions(n: int, phase: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def circle_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n equispaced unit vectors on the circle and their angular weights 2 pi / n."""
-    theta = phase + 2.0 * math.pi * np.arange(n) / n
+    theta = 2.0 * math.pi * np.arange(n) / n
     dirs = np.column_stack([np.cos(theta), np.sin(theta)])
     return dirs, np.full(n, 2.0 * math.pi / n)
 
@@ -158,7 +152,7 @@ def sphere_directions(order: int, pole=None) -> tuple[np.ndarray, np.ndarray]:
     points along the given vector, which keeps integrands with a peak or
     weak singularity along that axis zonal.
     """
-    t, wt = gauss_legendre_01(order)
+    t, wt = gauss_jacobi_01(order)
     theta = math.pi * t
     w_theta = math.pi * wt * np.sin(theta)
     n_az = 2 * order
@@ -176,11 +170,11 @@ def sphere_directions(order: int, pole=None) -> tuple[np.ndarray, np.ndarray]:
     return dirs, weights
 
 
-def angular_rule(dim: int, order: int, pole=None) -> tuple[np.ndarray, np.ndarray]:
+def angular_rule(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     if dim == 2:
         return circle_directions(2 * order)
     if dim == 3:
-        return sphere_directions(order, pole=pole)
+        return sphere_directions(order)
     raise DimensionError(f"quadrature is implemented for N in {{2, 3}}, got N={dim}")
 
 
@@ -305,6 +299,10 @@ class Domain:
     def outward_normal(self, x) -> np.ndarray:
         raise NotImplementedError
 
+    def radius_along(self, direction) -> float:
+        """Distance from the center to the boundary along unit ``direction``."""
+        raise NotImplementedError
+
     def ray_segments(self, origin: np.ndarray, dirs: np.ndarray):
         """Full interior coverage of each ray from an interior origin along
         unit dirs: first-exit lengths plus, for non-convex shapes, the
@@ -371,6 +369,9 @@ class Ball(Domain):
         if r < 1e-15:
             raise PlacementError("normal requested at the ball center")
         return v / r
+
+    def radius_along(self, direction) -> float:
+        return self.radius
 
     def ray_segments(self, origin, dirs):
         origin = as_point(origin, self.dim)
@@ -505,6 +506,9 @@ class StarShaped2D(Domain):
     @property
     def inradius(self) -> float:
         return self._r_min
+
+    def radius_along(self, direction) -> float:
+        return float(self._r(math.atan2(direction[1], direction[0])))
 
     def boundary_point(self, theta: float) -> np.ndarray:
         r = float(self._r(theta))
@@ -656,7 +660,7 @@ def _radial_block(t: np.ndarray, n_r: int, dim: int, kappa: float, log_kernel: b
     times a smooth factor near 0.
     """
     if log_kernel:
-        u, w = gauss_legendre_01(n_r)
+        u, w = gauss_jacobi_01(n_r)
         rho = t[:, None] * u[None, :] ** 2
         weights = 2.0 * t[:, None] ** dim * u[None, :] ** (2 * dim - 1) * w[None, :]
         return rho, weights
@@ -673,7 +677,7 @@ def _radial_block(t: np.ndarray, n_r: int, dim: int, kappa: float, log_kernel: b
 
 def _panel_block(a: np.ndarray, b: np.ndarray, n_r: int, dim: int):
     """Radial Gauss-Legendre panels on [a, b] with the rho^(N-1) Jacobian folded in."""
-    u, w = gauss_legendre_01(n_r)
+    u, w = gauss_jacobi_01(n_r)
     h = (b - a)[:, None]
     rho = a[:, None] + h * u
     weights = h * w * rho ** (dim - 1)
@@ -752,7 +756,7 @@ def composite_volume_rule(
     domain: Domain,
     order: int,
     center,
-    kernel_power: float | None = None,
+    kernel_power: float = 0.0,
     log_kernel: bool = False,
     holes=(),
 ) -> VolumeQuadrature:
@@ -769,7 +773,7 @@ def composite_volume_rule(
     if order < 4:
         raise ParameterError(f"volume rules need order >= 4, got {order}")
     center = as_point(center, domain.dim)
-    kappa = 0.0 if kernel_power is None else float(kernel_power)
+    kappa = float(kernel_power)
     dirs, w_ang = angular_rule(domain.dim, order * domain.angular_oversampling)
     t, extras = domain.ray_segments(center, dirs)
     holes = [(as_point(hc, domain.dim), float(hr), float(hp)) for hc, hr, hp in holes]

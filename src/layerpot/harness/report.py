@@ -34,7 +34,11 @@ class Row:
     rhs: float
     residual: float
     tolerance: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """residual <= tolerance; a NaN residual fails."""
+        return self.residual <= self.tolerance
 
     def sort_key(self):
         return (self.identity, self.field, self.point, self.order)

@@ -55,11 +55,7 @@ def generate_probes(cfg: SuiteConfig):
         d = rng.normal(size=n)
         d /= np.linalg.norm(d)
         u = rng.uniform() ** (1.0 / n)
-        if isinstance(domain, Ball):
-            interior.append(domain.center + (1.0 - cfg.margin) * domain.radius * u * d)
-        else:
-            theta = math.atan2(d[1], d[0])
-            interior.append(domain.center + (1.0 - cfg.margin) * float(domain._r(theta)) * u * d)
+        interior.append(domain.center + (1.0 - cfg.margin) * domain.radius_along(d) * u * d)
     for _ in range(cfg.probe_count):
         if isinstance(domain, Ball):
             d = rng.normal(size=n)
@@ -71,11 +67,7 @@ def generate_probes(cfg: SuiteConfig):
         d = rng.normal(size=n)
         d /= np.linalg.norm(d)
         scale = rng.uniform(1.0 + cfg.margin, 2.0 + cfg.margin)
-        if isinstance(domain, Ball):
-            exterior.append(domain.center + scale * domain.radius * d)
-        else:
-            theta = math.atan2(d[1], d[0])
-            exterior.append(domain.center + scale * float(domain._r(theta)) * d)
+        exterior.append(domain.center + scale * domain.radius_along(d) * d)
     return interior, boundary, exterior
 
 
@@ -91,7 +83,6 @@ def _row(cfg, report, field_name) -> Row:
         rhs=report.rhs,
         residual=report.residual,
         tolerance=report.tolerance,
-        passed=report.passed,
     )
 
 
@@ -172,22 +163,26 @@ def _run_tasks(tasks, max_workers: int | None = None):
     with ThreadPoolExecutor(max_workers=_pool_width() if max_workers is None else max_workers) as pool:
         for result in pool.map(lambda t: t(), tasks):
             rows.extend(result)
-    return sorted(rows, key=Row.sort_key)
+    return rows
+
+
+def _finish(rows):
+    """The rows in report order, and exit code 0 iff every row passes."""
+    return sorted(rows, key=Row.sort_key), 0 if all(r.passed for r in rows) else 1
 
 
 def run_verify(cfg: SuiteConfig):
     """Run the selected identity checks; exit code 0 iff every row passes."""
     check_command(cfg, "verify")
-    rows = _run_tasks(list(_verify_tasks(cfg)))
-    exit_code = 0 if all(r.passed for r in rows) else 1
-    return rows, exit_code
+    return _finish(_run_tasks(list(_verify_tasks(cfg))))
 
 
 def run_converge(cfg: SuiteConfig):
     """Residual-versus-order table plus a fitted log-log rate per identity;
-    exit code 0 iff every checked row passes."""
+    exit code 0 iff every row passes.  A rate row asserts no bound: its
+    tolerance is inf, so only a NaN fit fails."""
     check_command(cfg, "converge")
-    rows, exit_code = run_verify(cfg)
+    rows, _ = run_verify(cfg)
     out = list(rows)
     names = {field.name for field in cfg.fields}
     # rows arrive sorted by (identity, field, point, order): one group per series
@@ -198,10 +193,8 @@ def run_converge(cfg: SuiteConfig):
         orders = np.array([r.order for r in series], dtype=float)
         resid = np.maximum(np.array([r.residual for r in series]), 1e-16)
         slope = float(np.polyfit(np.log(orders), np.log(resid), 1)[0])
-        out.append(
-            Row(cfg.suite, identity, field, cfg.domain.dim, f"rate[{pt}]", 0, slope, 0.0, abs(slope), 0.0, True)
-        )
-    return sorted(out, key=Row.sort_key), exit_code
+        out.append(Row(cfg.suite, identity, field, cfg.domain.dim, f"rate[{pt}]", 0, slope, 0.0, abs(slope), math.inf))
+    return _finish(out)
 
 
 def run_table(cfg: SuiteConfig):
@@ -214,9 +207,7 @@ def run_table(cfg: SuiteConfig):
     for n in cfg.table_dims:
         lhs = sphere_area(n)
         rhs = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-        rows.append(
-            Row(cfg.suite, "OMEGA_N", "-", n, "-", 0, lhs, rhs, abs(lhs - rhs), 1e-13 * lhs, abs(lhs - rhs) <= 1e-13 * lhs)
-        )
+        rows.append(Row(cfg.suite, "OMEGA_N", "-", n, "-", 0, lhs, rhs, abs(lhs - rhs), 1e-13 * lhs))
         for p in cfg.table_exponents:
             exponent = LebesgueExponent.of(p)
             if not exponent.value > n:
@@ -228,18 +219,15 @@ def run_table(cfg: SuiteConfig):
                     quad = moment_quadrature(Ball([0.0] * n, radius), [0.0] * n, q, order=64)
                     tol = 1e-8 * max(1.0, closed)
                     rows.append(
-                        Row(cfg.suite, "MOMENT", f"p={p:g}", n, f"R={radius:g}", 64,
-                            closed, quad, abs(closed - quad), tol, abs(closed - quad) <= tol)
+                        Row(cfg.suite, "MOMENT", f"p={p:g}", n, f"R={radius:g}", 64, closed, quad, abs(closed - quad), tol)
                     )
                 const = sharp_ball_constant(n, radius, p)
                 alt = closed ** (1.0 / q) / sphere_area(n)
                 tol = 1e-12 * max(1.0, const)
                 rows.append(
-                    Row(cfg.suite, "SHARP_CONSTANT", f"p={p:g}", n, f"R={radius:g}", 0,
-                        const, alt, abs(const - alt), tol, abs(const - alt) <= tol)
+                    Row(cfg.suite, "SHARP_CONSTANT", f"p={p:g}", n, f"R={radius:g}", 0, const, alt, abs(const - alt), tol)
                 )
-    exit_code = 0 if all(r.passed for r in rows) else 1
-    return sorted(rows, key=Row.sort_key), exit_code
+    return _finish(rows)
 
 
 def run_bound(cfg: SuiteConfig):
@@ -253,11 +241,11 @@ def run_bound(cfg: SuiteConfig):
 
     def row(kind, label, point, rep, residual=None, tolerance=None):
         # bound rows pass when the deviation stays under the bound up to a
-        # relative slack; sharpness rows bring their own residual/tolerance
+        # relative slack; sharpness rows bring their own residual/tolerance.
+        # max keeps its first argument against NaN, so a NaN side fails
         if residual is None:
-            residual, tolerance = max(0.0, rep.deviation - rep.bound), 1e-6 * max(1.0, rep.bound)
-        return Row(cfg.suite, kind, label, domain.dim, format_point(point), order,
-                   rep.deviation, rep.bound, residual, tolerance, residual <= tolerance)
+            residual, tolerance = max(rep.deviation - rep.bound, 0.0), 1e-6 * max(1.0, rep.bound)
+        return Row(cfg.suite, kind, label, domain.dim, format_point(point), order, rep.deviation, rep.bound, residual, tolerance)
 
     for p in cfg.bound_exponents:
         for field in cfg.fields:
@@ -274,5 +262,4 @@ def run_bound(cfg: SuiteConfig):
                 ("SHARPNESS_BALL", ostrowski_bound_ball(witness, domain, p, order)),
             ):
                 rows.append(row(kind, label, domain.center, rep, abs(rep.ratio - 1.0), 1e-3))
-    exit_code = 0 if all(r.passed for r in rows) else 1
-    return sorted(rows, key=Row.sort_key), exit_code
+    return _finish(rows)

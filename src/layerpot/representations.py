@@ -93,8 +93,12 @@ class IdentityReport:
     tolerance: float
     order: int
     points: tuple
-    passed: bool
     metadata: dict = dataclass_field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        """residual <= tolerance; a NaN residual fails."""
+        return self.residual <= self.tolerance
 
     def __bool__(self):
         return self.passed
@@ -121,7 +125,6 @@ def _report(identity, f, lhs, rhs, tolerance, order, points, **metadata) -> Iden
         tolerance=float(tolerance),
         order=int(order),
         points=tuple(tuple(np.atleast_1d(p).tolist()) for p in points),
-        passed=residual <= tolerance,
         metadata=metadata,
     )
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from layerpot.bounds import BoundReport, _safe_ratio
 from layerpot.errors import ExponentError, ParameterError, RangeError
-from layerpot.geometry import gauss_legendre_01, weighted_sum
+from layerpot.geometry import gauss_jacobi_01, weighted_sum
 from layerpot.representations import IdentityReport, _report
 
 
@@ -58,7 +58,7 @@ def polynomial_1d(coeffs) -> Field1D:
 
 
 def _gauss_panel(fn, lo, hi, n):
-    u, w = gauss_legendre_01(n)
+    u, w = gauss_jacobi_01(n)
     t = lo + (hi - lo) * u
     return (hi - lo) * weighted_sum(w, fn(t))
 

@@ -15,7 +15,8 @@ import pytest
 
 from layerpot import geometry, potentials
 from layerpot.harness import runner
-from layerpot.harness.cli import main
+from layerpot.harness.cli import _RUNNERS, main
+from layerpot.harness.config import build_config
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -37,6 +38,17 @@ def test_report_matches_golden(name, tmp_path, capsys):
     capsys.readouterr()
     got, golden = out.read_bytes(), (GOLDEN / f"{name}.csv").read_bytes()
     assert got == golden, first_difference(got, golden)
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + ["table-unit-disk"])
+def test_every_verdict_is_residual_within_tolerance(name):
+    # the report's pass column is derived from the Row, so check the Rows
+    command, config = CASES.get(name, ("table", ROOT / "configs" / "unit-disk.cfg"))
+    rows, code = _RUNNERS[command](build_config(config.read_text(), command))
+    assert rows
+    for row in rows:
+        assert row.passed == (row.residual <= row.tolerance), row
+    assert code == (0 if all(row.passed for row in rows) else 1)
 
 
 @pytest.mark.parametrize("name", ["verify-unit-disk", "verify-all-identities"])

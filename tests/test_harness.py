@@ -226,6 +226,16 @@ bound.exponents = inf, 3
     assert {"BOUND_GENERAL", "BOUND_BALL", "SHARPNESS_GENERAL", "SHARPNESS_BALL"} <= kinds
 
 
+def test_bound_row_with_a_nan_side_fails(monkeypatch):
+    cfg = build_config("domain.shape = ball\ndomain.dim = 2\nfields = coordinate:1\nbound.exponents = 3\nprobes.count = 1\n")
+    nan = lp.BoundReport(deviation=float("nan"), bound=1.0, ratio=float("nan"))
+    monkeypatch.setattr(runner, "ostrowski_bound_general", lambda *args: nan)
+    rows, code = run_bound(cfg)
+    general = [r for r in rows if r.identity == "BOUND_GENERAL"]
+    assert general and not any(r.passed for r in general)
+    assert code == 1
+
+
 def test_bound_rejects_small_exponent():
     with pytest.raises(ConfigError) as err:
         build_config("fields = coordinate:1\nbound.exponents = 2\n")
