@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..fields import catalog
-from ..geometry import Ball, StarShaped2D
+from ..geometry import EXTERIOR, Ball, StarShaped2D
 from ..representations import BALL_IDENTITIES, IDENTITIES
 
 #: Default verify selection: fast identities with analytic ground truth.
@@ -229,8 +229,9 @@ def _domain(raw):
     """The ball (default: the unit disk) or star domain the ``domain.*`` keys describe."""
     shape = _read(raw, "domain.shape", _choice("ball", "star"), "ball or star", "ball")
     star = shape == "star"
-    what = "2 for a star domain" if star else "an integer >= 2"
-    dim = _read(raw, "domain.dim", _value(int, lambda n: n == 2 if star else n >= 2), what, 2)
+    # quadrature rules exist in 2-D and 3-D; a star is planar
+    what = "2 for a star domain" if star else "2 or 3"
+    dim = _read(raw, "domain.dim", _value(int, lambda n: n == 2 if star else n in (2, 3)), what, 2)
     coords = _value(lambda s: tuple(float(v) for v in s.split(",")), lambda c: len(c) == dim)
     center = _read(raw, "domain.center", coords, f"{dim} comma-separated numbers", (0.0,) * dim)
     if not star:
@@ -287,7 +288,21 @@ def check_command(cfg: SuiteConfig, command: str, raw=None) -> None:
         reject("identities", what, _listed(cfg.identities))
     if command == "converge" and len(cfg.orders) < 3:
         reject("orders", "at least 3 distinct integers >= 4 for a convergence study", _listed(cfg.orders))
+    if command != "bound":
+        return
+    n, exponents = cfg.domain.dim, cfg.bound_exponents
+    # the parser checks a value the config sets; the default may not fit
+    if not all(p > n for p in exponents):
+        reject("bound.exponents", _SUITE_KEYS["bound.exponents"][2], _listed(exponents))
     unbounded = [f.name for f in cfg.fields if f.gradient_power < 0]
-    if command == "bound" and unbounded and math.inf in cfg.bound_exponents:
+    if unbounded and math.inf in exponents:
         what = f"finite: {', '.join(unbounded)} has an unbounded gradient"
-        reject("bound.exponents", what, _listed(cfg.bound_exponents))
+        reject("bound.exponents", what, _listed(exponents))
+    # |grad f|^p ~ |x - a|^(gradient_power p) is integrable at a singular
+    # point a in the closure iff gradient_power p > -N
+    for f in cfg.fields:
+        if f.gradient_power < 0 and any(cfg.domain.classify(a) != EXTERIOR for a in f.singular_arrays()):
+            limit = n / -f.gradient_power
+            if any(p >= limit for p in exponents):
+                what = f"below {limit:g}: |grad {f.name}|^p is not integrable at its singular point"
+                reject("bound.exponents", what, _listed(exponents))

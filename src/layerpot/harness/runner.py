@@ -72,6 +72,8 @@ def generate_probes(cfg: SuiteConfig):
 
 
 def _row(cfg, report, field_name) -> Row:
+    """The report row of ``report``, held to the config's tolerance for its
+    identity where the config sets one."""
     return Row(
         suite=cfg.suite,
         identity=report.identity,
@@ -82,7 +84,7 @@ def _row(cfg, report, field_name) -> Row:
         lhs=report.lhs,
         rhs=report.rhs,
         residual=report.residual,
-        tolerance=report.tolerance,
+        tolerance=cfg.tolerances.get(report.identity, report.tolerance),
     )
 
 
@@ -92,37 +94,36 @@ def _verify_tasks(cfg: SuiteConfig):
     interior, boundary, exterior = generate_probes(cfg)
     pair = tuple(i for i in ("F2", "F3") if i in cfg.identities)
 
-    def f2_f3(f, y, order, tol):
-        # one evaluation yields both integrated identities, each held to its
-        # own tolerance; keep the rows asked for
-        reps = check_f2_f3(f, domain, cfg.order_outer, cfg.order_inner, cfg.tolerances)
-        return [r for r in reps if r.identity in pair]
+    def f2_f3(f, y, order):
+        # one evaluation yields both integrated identities; keep the rows
+        # asked for
+        return [r for r in check_f2_f3(f, domain, cfg.order_outer, cfg.order_inner) if r.identity in pair]
 
-    # identity -> (probe points, check(field, point, order, tolerance)) for
-    # every name in IDENTITIES; the lambdas look each check up at call time,
-    # so a rebound module name is seen
+    # identity -> (probe points, check(field, point, order)) for every name
+    # in IDENTITIES; the lambdas look each check up at call time, so a
+    # rebound module name is seen
     table = {
-        "GAUSS": (interior[:1] + boundary[:1] + exterior[:1], lambda f, y, o, t: check_gauss(domain, y, o, t)),
-        "JUMP": (boundary, lambda f, y, o, t: check_jump(f, domain, y, cfg.jump_distances, o, t)),
-        "F1": (interior, lambda f, y, o, t: check_f1(f, domain, y, o, t)),
-        "FIG": (interior + exterior, lambda f, y, o, t: check_fig(f, domain, y, o, t)),
-        "RP0": (interior, lambda f, y, o, t: check_rp(f, domain, y, exterior[0], o, "RP0", t)),
-        "RP1": (interior, lambda f, y, o, t: check_rp(f, domain, y, None, o, "RP1", t)),
-        "C2_EXTERIOR": (exterior, lambda f, y, o, t: check_c2_exterior(f, domain, y, o, t)),
+        "GAUSS": (interior[:1] + boundary[:1] + exterior[:1], lambda f, y, o: check_gauss(domain, y, o)),
+        "JUMP": (boundary, lambda f, y, o: check_jump(f, domain, y, cfg.jump_distances, o)),
+        "F1": (interior, lambda f, y, o: check_f1(f, domain, y, o)),
+        "FIG": (interior + exterior, lambda f, y, o: check_fig(f, domain, y, o)),
+        "RP0": (interior, lambda f, y, o: check_rp(f, domain, y, exterior[0], o, "RP0")),
+        "RP1": (interior, lambda f, y, o: check_rp(f, domain, y, None, o, "RP1")),
+        "C2_EXTERIOR": (exterior, lambda f, y, o: check_c2_exterior(f, domain, y, o)),
         "F2": ([None], f2_f3),
         "F3": ([None], f2_f3),
-        "GRR": (interior + exterior, lambda f, y, o, t: check_grr(f, domain, y, o, t)),
-        "GREEN_RIEMANN_INTERIOR": (interior, lambda f, y, o, t: check_green_riemann(f, domain, y, o, t)),
-        "GREEN_RIEMANN_EXTERIOR": (exterior, lambda f, y, o, t: check_green_riemann(f, domain, y, o, t)),
-        "GREEN_RIEMANN_BOUNDARY": (boundary, lambda f, y, o, t: check_green_riemann(f, domain, y, o, t)),
+        "GRR": (interior + exterior, lambda f, y, o: check_grr(f, domain, y, o)),
+        "GREEN_RIEMANN_INTERIOR": (interior, lambda f, y, o: check_green_riemann(f, domain, y, o)),
+        "GREEN_RIEMANN_EXTERIOR": (exterior, lambda f, y, o: check_green_riemann(f, domain, y, o)),
+        "GREEN_RIEMANN_BOUNDARY": (boundary, lambda f, y, o: check_green_riemann(f, domain, y, o)),
     }
     for which in BALL_IDENTITIES:
         points = [None] if which in ("REP2", "REP3") else interior
-        table[which] = (points, lambda f, y, o, t, w=which: check_ball_corollaries(f, domain, y, o, w, t))
+        table[which] = (points, lambda f, y, o, w=which: check_ball_corollaries(f, domain, y, o, w))
 
-    def task(check, field, y, order, tol):
+    def task(check, field, y, order):
         def run():
-            reps = check(field, y, order, tol)
+            reps = check(field, y, order)
             reps = reps if isinstance(reps, list) else [reps]
             return [_row(cfg, r, field.name) for r in reps]
 
@@ -135,10 +136,9 @@ def _verify_tasks(cfg: SuiteConfig):
             if identity in pair and (identity != pair[0] or order != cfg.orders[0]):
                 continue
             points, check = table[identity]
-            tol = cfg.tolerances.get(identity)
             for field in (UNIT_MOMENT,) if identity == "GAUSS" else cfg.fields:
                 for y in points:
-                    yield task(check, field, y, order, tol)
+                    yield task(check, field, y, order)
 
 
 #: Most threads the runner's pool uses, however many cores are free.

@@ -1,10 +1,10 @@
 """Evaluates both sides of every representation identity and reports residuals.
 
 Each check returns an IdentityReport carrying the two sides, their absolute
-difference, the tolerance the check was held to, and the quadrature
-metadata.  A check given no tolerance takes the identity's entry in
-``IDENTITIES``: a fixed value, or the field class's (1e-6 for smooth
-fields, 1e-4 for fields with singular points).
+difference, the tolerance the row is held to, and the quadrature metadata.
+The tolerance is the identity's entry in ``IDENTITIES``: a fixed value, or
+the field class's (1e-6 for smooth fields, 1e-4 for fields with singular
+points).  The harness applies a config's overrides to the rows.
 
 Identity identifiers
 --------------------
@@ -89,11 +89,14 @@ class IdentityReport:
     identity: str
     lhs: float
     rhs: float
-    residual: float
     tolerance: float
     order: int
     points: tuple
     metadata: dict = dataclass_field(default_factory=dict)
+
+    @property
+    def residual(self) -> float:
+        return abs(self.lhs - self.rhs)
 
     @property
     def passed(self) -> bool:
@@ -104,25 +107,16 @@ class IdentityReport:
         return self.passed
 
 
-def default_tolerance(f: ScalarField, identity: str) -> float:
+def _report(identity, f, lhs, rhs, order, points, **metadata) -> IdentityReport:
+    """The report of ``identity`` for field ``f``, held to its ``IDENTITIES`` tolerance."""
     tolerance = IDENTITIES[identity]
-    if tolerance is not None:
-        return tolerance
-    return SMOOTH_TOL if f.is_smooth else SINGULAR_TOL
-
-
-def _report(identity, f, lhs, rhs, tolerance, order, points, **metadata) -> IdentityReport:
-    """The report of ``identity`` for field ``f``; a None tolerance takes the default."""
     if tolerance is None:
-        tolerance = default_tolerance(f, identity)
-    lhs, rhs = float(lhs), float(rhs)
-    residual = abs(lhs - rhs)
+        tolerance = SMOOTH_TOL if f.is_smooth else SINGULAR_TOL
     return IdentityReport(
         identity=identity,
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
-        tolerance=float(tolerance),
+        lhs=float(lhs),
+        rhs=float(rhs),
+        tolerance=tolerance,
         order=int(order),
         points=tuple(tuple(np.atleast_1d(p).tolist()) for p in points),
         metadata=metadata,
@@ -155,22 +149,22 @@ def _gradient_pairing(f: ScalarField, domain: Domain, z, order: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def check_gauss(domain: Domain, y, order: int = 64, tolerance=None) -> IdentityReport:
+def check_gauss(domain: Domain, y, order: int = 64) -> IdentityReport:
     """Unit-moment double layer against its value 1, 1/2 or 0 at y."""
     dl = double_layer(1.0, domain, y, order)
     expect = {INTERIOR: 1.0, BOUNDARY: 0.5, EXTERIOR: 0.0}[dl.location_class]
-    return _report("GAUSS", None, dl.value, expect, tolerance, order, [y])
+    return _report("GAUSS", None, dl.value, expect, order, [y])
 
 
-def check_jump(f: ScalarField, domain: Domain, y0, distances, order: int = 64, tolerance=None) -> IdentityReport:
+def check_jump(f: ScalarField, domain: Domain, y0, distances, order: int = 64) -> IdentityReport:
     """Difference of the one-sided limits of the double layer at boundary y0
     against the moment value there."""
     res = jump_relation_check(f, domain, y0, distances, order)
     lhs = res.interior_limit_estimate - res.exterior_limit_estimate
-    return _report("JUMP", f, lhs, f.evaluate(y0), tolerance, order, [y0])
+    return _report("JUMP", f, lhs, f.evaluate(y0), order, [y0])
 
 
-def check_f1(f: ScalarField, domain: Domain, y, order: int = 128, tolerance=None) -> IdentityReport:
+def check_f1(f: ScalarField, domain: Domain, y, order: int = 128) -> IdentityReport:
     """Point value versus double layer minus gradient volume integral."""
     y = as_point(y, domain.dim)
     if domain.classify(y) != INTERIOR:
@@ -178,7 +172,7 @@ def check_f1(f: ScalarField, domain: Domain, y, order: int = 128, tolerance=None
     lhs = f.evaluate(y)
     dl = double_layer(f, domain, y, order)
     vol = gradient_volume_integral(f, domain, y, order)
-    return _report("F1", f, lhs, dl.value - vol, tolerance, order, [y], double_layer=dl.value, volume=vol)
+    return _report("F1", f, lhs, dl.value - vol, order, [y], double_layer=dl.value, volume=vol)
 
 
 def _fig_terms(f: ScalarField, domain: Domain, z, order: int) -> tuple[float, float]:
@@ -189,18 +183,16 @@ def _fig_terms(f: ScalarField, domain: Domain, z, order: int) -> tuple[float, fl
     return brule.integrate(moments), _gradient_pairing(f, domain, z, order)
 
 
-def check_fig(f: ScalarField, domain: Domain, y, order: int = 64, tolerance=None) -> IdentityReport:
+def check_fig(f: ScalarField, domain: Domain, y, order: int = 64) -> IdentityReport:
     """Volume integral of f via the divergence pairing with x - y (any y)."""
     y = as_point(y, domain.dim)
     lhs = _volume_integral(f, domain, order)
     bnd, vol = _fig_terms(f, domain, y, order)
     rhs = (bnd - vol) / domain.dim
-    return _report("FIG", f, lhs, rhs, tolerance, order, [y], boundary_term=bnd, volume_term=vol)
+    return _report("FIG", f, lhs, rhs, order, [y], boundary_term=bnd, volume_term=vol)
 
 
-def check_ball_corollaries(
-    f: ScalarField, ball: Ball, y, order: int = 64, which: str = "MAT", tolerance=None
-) -> IdentityReport:
+def check_ball_corollaries(f: ScalarField, ball: Ball, y, order: int = 64, which: str = "MAT") -> IdentityReport:
     """The ball specializations MAT, COM, CERC, REP2, REP3."""
     if which not in BALL_IDENTITIES:
         raise ParameterError(f"unknown ball identity {which!r}")
@@ -221,23 +213,21 @@ def check_ball_corollaries(
         smooth = _gradient_pairing(f, ball, a, order) / (omega * R**n)
 
     if which == "REP2":
-        return _report(
-            "REP2", f, lhs, surface_mean - vol, tolerance, order, [a], surface_mean=surface_mean, volume=vol
-        )
+        return _report("REP2", f, lhs, surface_mean - vol, order, [a], surface_mean=surface_mean, volume=vol)
     if which == "REP3":
         return _report(
-            "REP3", f, lhs, volume_mean - vol + smooth, tolerance, order, [a],
+            "REP3", f, lhs, volume_mean - vol + smooth, order, [a],
             volume_mean=volume_mean, singular_part=vol, smooth_part=smooth,
         )
 
     if which in ("MAT", "CERC"):
         dl = double_layer(f, ball, y, order).value
     if which == "MAT":
-        return _report("MAT", f, lhs, dl - vol, tolerance, order, [y], double_layer=dl, volume=vol)
+        return _report("MAT", f, lhs, dl - vol, order, [y], double_layer=dl, volume=vol)
     if which == "CERC":
         rhs = volume_mean - surface_mean + dl - vol + smooth
         return _report(
-            "CERC", f, lhs, rhs, tolerance, order, [y],
+            "CERC", f, lhs, rhs, order, [y],
             volume_mean=volume_mean, surface_mean=surface_mean, double_layer=dl,
         )
 
@@ -249,12 +239,10 @@ def check_ball_corollaries(
     chi = dirichlet_chi(ball, f, order).evaluate(y)
     correction = float(_peaked_integrals(f, ball, y, order, kernel)[0][0])
     rhs = chi + correction - vol
-    return _report("COM", f, lhs, rhs, tolerance, order, [y], chi=chi, correction=correction, volume=vol)
+    return _report("COM", f, lhs, rhs, order, [y], chi=chi, correction=correction, volume=vol)
 
 
-def check_rp(
-    f: ScalarField, domain: Domain, y, z=None, order: int = 64, which: str = "RP1", tolerance=None
-) -> IdentityReport:
+def check_rp(f: ScalarField, domain: Domain, y, z=None, order: int = 64, which: str = "RP1") -> IdentityReport:
     """Mean-plus-corrections representation; RP0 takes a free pivot z."""
     if which not in ("RP0", "RP1"):
         raise ParameterError(f"unknown identity {which!r}")
@@ -269,17 +257,17 @@ def check_rp(
     vol = gradient_volume_integral(f, domain, y, order)
     bnd_z, vol_z = _fig_terms(f, domain, z, order)
     rhs = mean + (dl - bnd_z / (n * meas)) - (vol - vol_z / (n * meas))
-    return _report(which, f, f.evaluate(y), rhs, tolerance, order, [y, z], mean=mean, double_layer=dl)
+    return _report(which, f, f.evaluate(y), rhs, order, [y, z], mean=mean, double_layer=dl)
 
 
-def check_c2_exterior(f: ScalarField, domain: Domain, y, order: int = 64, tolerance=None) -> IdentityReport:
+def check_c2_exterior(f: ScalarField, domain: Domain, y, order: int = 64) -> IdentityReport:
     """Exterior double layer equals the gradient volume integral."""
     y = as_point(y, domain.dim)
     if domain.classify(y) != EXTERIOR:
         raise PlacementError("this identity holds strictly outside the closure")
     dl = double_layer(f, domain, y, order)
     vol = gradient_volume_integral(f, domain, y, order)
-    return _report("C2_EXTERIOR", f, dl.value, vol, tolerance, order, [y])
+    return _report("C2_EXTERIOR", f, dl.value, vol, order, [y])
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +276,14 @@ def check_c2_exterior(f: ScalarField, domain: Domain, y, order: int = 64, tolera
 
 
 def _estimate_f2_nodes(domain: Domain, order_outer: int, order_inner: int) -> int:
-    outer = 2 * order_outer**2 if domain.dim == 2 else 2 * order_outer**3
-    inner = 2 * order_inner**2 if domain.dim == 2 else 2 * order_inner**3
+    """Outer nodes times inner nodes: a polar rule of order o has 2 o^N
+    nodes, times the domain's angular oversampling."""
+    outer, inner = (2 * o**domain.dim * domain.angular_oversampling for o in (order_outer, order_inner))
     return outer * inner
 
 
 def check_f2_f3(
-    f: ScalarField,
-    domain: Domain,
-    order_outer: int = 32,
-    order_inner: int = 64,
-    tolerances=None,
+    f: ScalarField, domain: Domain, order_outer: int = 32, order_inner: int = 64
 ) -> tuple[IdentityReport, IdentityReport]:
     """The two integrated identities.
 
@@ -307,10 +292,8 @@ def check_f2_f3(
     volume integral; F3 integrates the double layer over the boundary
     against half the trace plus the boundary limit of the volume integral,
     which is extrapolated from interior values so F3 exercises the jump
-    machinery.  ``tolerances`` maps "F2" and "F3" to the tolerance of
-    their row; an identity it omits takes its default.
+    machinery.
     """
-    tolerances = tolerances or {}
     z = domain.center
     budget = max_nodes_budget()
     estimated = _estimate_f2_nodes(domain, order_outer, order_inner)
@@ -330,10 +313,7 @@ def check_f2_f3(
             lambda x: [gradient_volume_integral(f, domain, yk, order_inner) for yk in x]
         )
     rhs_f2 = (bnd_z - vol_z) / domain.dim + inner_total
-    rep_f2 = _report(
-        "F2", f, lhs_f2, rhs_f2, tolerances.get("F2"), order_outer, [z],
-        order_inner=order_inner, inner_total=inner_total,
-    )
+    rep_f2 = _report("F2", f, lhs_f2, rhs_f2, order_outer, [z], order_inner=order_inner, inner_total=inner_total)
 
     brule = domain.boundary_rule(order_outer)
     ubar_b = np.array([double_layer(f, domain, zk, order_inner).value for zk in brule.nodes])
@@ -341,7 +321,7 @@ def check_f2_f3(
     trace = _surface_integral(f, domain, order_outer)
     zetas = np.array([boundary_limit_zeta(f, domain, zk, order_inner) for zk in brule.nodes])
     rhs_f3 = 0.5 * trace + brule.integrate(zetas)
-    rep_f3 = _report("F3", f, lhs_f3, rhs_f3, tolerances.get("F3"), order_outer, [], order_inner=order_inner)
+    rep_f3 = _report("F3", f, lhs_f3, rhs_f3, order_outer, [], order_inner=order_inner)
     return rep_f2, rep_f3
 
 
@@ -350,20 +330,16 @@ def check_f2_f3(
 # ---------------------------------------------------------------------------
 
 
-def check_grr(f: ScalarField, domain: Domain, y, order: int = 64, tolerance=None) -> IdentityReport:
+def check_grr(f: ScalarField, domain: Domain, y, order: int = 64) -> IdentityReport:
     """Gradient volume integral via boundary flux and kernel-weighted Laplacian."""
     y = as_point(y, domain.dim)
     lhs = gradient_volume_integral(f, domain, y, order)
     parts = newtonian_integrals(f, domain, y, order)
     rhs = parts.boundary_term - parts.volume_term
-    return _report(
-        "GRR", f, lhs, rhs, tolerance, order, [y], boundary_term=parts.boundary_term, volume_term=parts.volume_term
-    )
+    return _report("GRR", f, lhs, rhs, order, [y], boundary_term=parts.boundary_term, volume_term=parts.volume_term)
 
 
-def check_green_riemann(
-    f: ScalarField, domain: Domain, y, order: int = 64, tolerance=None
-) -> IdentityReport:
+def check_green_riemann(f: ScalarField, domain: Domain, y, order: int = 64) -> IdentityReport:
     """The classical representation through boundary flux and volume source.
 
     Interior y reproduces f(y); exterior y yields zero; boundary y uses the
@@ -376,11 +352,10 @@ def check_green_riemann(
     if cls == BOUNDARY:
         zeta = boundary_limit_zeta(f, domain, y, order)
         return _report(
-            "GREEN_RIEMANN_BOUNDARY", f, f.evaluate(y), 2.0 * dl - 2.0 * zeta, tolerance, order, [y],
-            double_layer=dl,
+            "GREEN_RIEMANN_BOUNDARY", f, f.evaluate(y), 2.0 * dl - 2.0 * zeta, order, [y], double_layer=dl
         )
     parts = newtonian_integrals(f, domain, y, order)
     rhs = dl - parts.boundary_term + parts.volume_term
     if cls == INTERIOR:
-        return _report("GREEN_RIEMANN_INTERIOR", f, f.evaluate(y), rhs, tolerance, order, [y])
-    return _report("GREEN_RIEMANN_EXTERIOR", f, 0.0, rhs, tolerance, order, [y])
+        return _report("GREEN_RIEMANN_INTERIOR", f, f.evaluate(y), rhs, order, [y])
+    return _report("GREEN_RIEMANN_EXTERIOR", f, 0.0, rhs, order, [y])

@@ -15,7 +15,7 @@ import numpy as np
 from layerpot.bounds import BoundReport, _safe_ratio
 from layerpot.errors import ExponentError, ParameterError, RangeError
 from layerpot.geometry import gauss_jacobi_01, weighted_sum
-from layerpot.representations import IdentityReport, _report
+from layerpot.representations import IdentityReport
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,9 @@ def montgomery_identity_1d(f: Field1D, a: float, b: float, x: float, n: int = 64
     left = _gauss_panel(lambda t: (t - a) * np.asarray(f.derivative(t), float), a, x, n) if x > a else 0.0
     right = _gauss_panel(lambda t: (t - b) * np.asarray(f.derivative(t), float), x, b, n) if x < b else 0.0
     rhs = mean + (left + right) / (b - a)
-    return _report(
-        "MONTGOMERY_1D", None, float(f.value(np.asarray(x))), rhs, tolerance, n, [np.array([x, 0.0])],
-        kernel=repr(kern),
+    return IdentityReport(
+        "MONTGOMERY_1D", float(f.value(np.asarray(x))), float(rhs), tolerance, n, ((float(x), 0.0),),
+        metadata={"kernel": repr(kern)},
     )
 
 

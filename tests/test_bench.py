@@ -1,9 +1,15 @@
-"""The benchmark under ``bench/`` wraps layerpot functions by name; a
-change that deletes or renames one must fail here, not in the benchmark."""
+"""The benchmark under ``bench/`` wraps layerpot functions by name and
+expects each workload's report rows by key; a change that deletes or
+renames a wrapped function, or adds, drops or renames rows, must fail here,
+not in the benchmark."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+from layerpot.harness import cli
+from layerpot.harness.config import build_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -17,3 +23,26 @@ def test_benchmark_tracer_installs():
     )
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-3000:]
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_workloads_report_their_expected_rows():
+    # the benchmark counts a lost, unexpected or inconsistent row as a failed
+    # operation; a change that adds, drops or renames rows must fail here
+    worker, expected = _bench_module("worker"), _bench_module("expected")
+    seed = 577090037
+    for workload, commands in worker.WORKLOADS.items():
+        for command, name in commands:
+            path = ROOT / "bench" / "configs" / name
+            run = worker.run_command(cli, command, path, seed)
+            assert run["error"] is None and run["exit_code"] in (0, 1), (workload, command, run)
+            cfg = build_config(path.read_text(encoding="utf-8"))
+            cfg.seed = seed
+            rows = expected.check_report(run["report"], expected.expected_keys(command, cfg))
+            assert rows["lost"] == rows["unexpected"] == rows["inconsistent"] == 0, (workload, command, rows)

@@ -329,6 +329,7 @@ def test_cli_unparsable_value_exit_2_with_line(command, line, tmp_path, capsys):
         ("verify", "tolerances.F1 = -1"),
         ("bound", "bound.exponents = 2"),
         ("bound", "bound.exponents = inf, 1.5"),
+        ("verify", "domain.dim = 4"),
     ],
 )
 def test_cli_inadmissible_value_exit_2_with_line(command, line, tmp_path, capsys):
@@ -390,6 +391,55 @@ def test_bound_at_infinite_exponent_with_unbounded_gradient_exit_2_with_line(tmp
     err = capsys.readouterr().err
     assert "line 3: bound.exponents must be finite" in err and "unbounded gradient" in err
     assert not out.exists()
+
+
+def test_bound_default_exponents_in_3d_exit_2(tmp_path, capsys):
+    # the default exponents inf, 3 hold p > N only in 2-D
+    cfg = tmp_path / "ball3d.cfg"
+    cfg.write_text("domain.dim = 3\ndomain.center = 0,0,0\nfields = coordinate:1\nprobes.count = 1\n")
+    out = tmp_path / "report.csv"
+    assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "bound.exponents must be a comma list of exponents > domain.dim" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p", ["6", "4"])
+def test_bound_exponent_with_a_non_integrable_gradient_exit_2_with_line(p, tmp_path, capsys):
+    # |grad f|^p ~ |x - a|^(-p/2) is not integrable at a in 2-D for p >= 4
+    cfg = tmp_path / "bound.cfg"
+    cfg.write_text(f"probes.count = 1\nfields = power_distance:0.1,0.2,0.5\nbound.exponents = {p}\n")
+    out = tmp_path / "report.csv"
+    assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3: bound.exponents must be below 4" in err and "not integrable" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fields, p", [("power_distance:0.1,0.2,0.5", "3"), ("power_distance:1.5,0.2,0.5", "6")], ids=["p=3", "outside"]
+)
+def test_bound_exponent_with_an_integrable_gradient_runs(fields, p, tmp_path, capsys):
+    # p below the limit, or the singular point outside the disk
+    cfg = tmp_path / "bound.cfg"
+    cfg.write_text(f"probes.count = 1\nfields = {fields}\nbound.exponents = {p}\n")
+    out = tmp_path / "report.csv"
+    assert main(["bound", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    capsys.readouterr()
+    assert len(out.read_text().splitlines()) > 1
+
+
+def test_every_tolerance_override_reaches_its_own_rows():
+    tolerances = {name: (k + 1) * 1e-3 for k, name in enumerate(IDENTITIES)}
+    cfg = build_config(
+        f"identities = {', '.join(IDENTITIES)}\norders = 8\nprobes.count = 1\nprobes.exterior_count = 1\n"
+        "double.order_outer = 4\ndouble.order_inner = 8\n"
+        + "".join(f"tolerances.{name} = {tol!r}\n" for name, tol in tolerances.items())
+    )
+    rows, _ = run_verify(cfg)
+    assert {r.identity for r in rows} == set(IDENTITIES)
+    for row in rows:
+        assert row.tolerance == tolerances[row.identity], row
+    assert {r.tolerance for r in rows} == set(tolerances.values())
 
 
 def test_f2_and_f3_rows_take_their_own_tolerance(tmp_path, capsys):
