@@ -36,7 +36,6 @@ from functools import lru_cache
 from itertools import chain
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import (
     BudgetError,
@@ -104,24 +103,56 @@ def _frozen(*arrays):
     return arrays
 
 
+def _jacobi_value(n: int, beta: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and q = (1 - x^2) P_n'(x) for the Jacobi polynomial P_n^(0, beta), n >= 1."""
+    prev, p = np.ones_like(x), ((beta + 2.0) * x - beta) / 2.0
+    for m in range(2, n + 1):
+        s = 2.0 * m + beta
+        a = (s - 1.0) * (s * (s - 2.0) * x - beta * beta)
+        prev, p = p, (a * p - 2.0 * (m - 1) * (m - 1 + beta) * s * prev) / (2.0 * m * (m + beta) * (s - 2.0))
+    s = 2.0 * n + beta
+    return p, n * (2.0 * (n + beta) * prev - (s * x + beta) * p) / s
+
+
+def _gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule for the weight (1 + x)^beta, beta != 0, on [-1, 1] (Golub & Welsch, 1969).
+
+    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix
+    of P_n^(0, beta), refined by two Newton steps on the recurrence.  The
+    weights are 2^(beta+1) / ((1 - x^2) P_n'(x)^2): at alpha = 0 the Gamma
+    factors of the general formula cancel.
+    """
+    s = 2.0 * np.arange(n) + beta
+    t = s[1:]
+    off = np.diag((t * t - beta * beta) / (2.0 * t * np.sqrt(t * t - 1.0)), -1)
+    x = np.linalg.eigvalsh(np.diag(beta * beta / (s * (s + 2.0))) + off + off.T)
+    for _ in range(2):
+        p, q = _jacobi_value(n, beta, x)
+        x = x - p * (1.0 - x * x) / q
+    q = _jacobi_value(n, beta, x)[1]
+    return x, 2.0 ** (beta + 1.0) * (1.0 - x * x) / (q * q)
+
+
 @lru_cache(maxsize=1024)
 def _gauss_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    # roots_jacobi(n, 0, 0) differs from leggauss in the last bits, so the
-    # plain weight keeps leggauss
-    x, w = np.polynomial.legendre.leggauss(n) if beta == 0.0 else roots_jacobi(n, 0.0, beta)
+    # leggauss keeps the plain weight's rules, and every report's bits that
+    # rest on them; the Jacobi builder needs beta != 0
+    x, w = np.polynomial.legendre.leggauss(n) if beta == 0.0 else _gauss_jacobi(n, beta)
     return _frozen((x + 1.0) / 2.0, w / 2.0 ** (beta + 1.0))
 
 
 def gauss_jacobi_01(n: int, beta: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights integrating f against the weight rho^beta on [0, 1].
 
-    beta may be any real > -1; beta = 0 is Gauss-Legendre.  The rule is
-    exact for f polynomial of degree <= 2n - 1.  Rules are cached by n and
-    beta rounded to 12 digits.
+    n must be an integer >= 1; beta may be any real > -1, and beta = 0 is
+    Gauss-Legendre.  The rule is exact for f polynomial of degree <= 2n - 1.
+    Rules are cached by n and beta rounded to 12 digits.
     """
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ParameterError(f"a Gauss rule needs an integer number of nodes >= 1, got {n!r}")
     if beta <= -1.0:
         raise ParameterError(f"Jacobi weight exponent must exceed -1, got {beta}")
-    return _gauss_rule(n, round(float(beta), 12))
+    return _gauss_rule(int(n), round(float(beta), 12))
 
 
 def _rotation_to(pole: np.ndarray) -> np.ndarray:

@@ -45,9 +45,9 @@ def poisson_evaluate(ball: Ball, phi, y, order: int = 64) -> float:
 class DirichletSolution:
     """Harmonic extension of boundary data into a ball.
 
-    Boundary data is sampled at the quadrature resolution of each evaluate
-    call (the callable is retained, so finer orders resample it); no
-    interpolation scheme is committed to.
+    Boundary data, a ScalarField or a number, is sampled at the quadrature
+    resolution of each evaluate call (the field is retained, so finer orders
+    resample it); no interpolation scheme is committed to.
     """
 
     ball: Ball

@@ -43,8 +43,6 @@ from .kernel import fundamental_gradient, fundamental_solution, row_dots, row_no
 def _moment_callable(h):
     if isinstance(h, ScalarField):
         return h.evaluate
-    if callable(h):
-        return lambda x: np.asarray(h(x), dtype=float)
     value = float(h)
     return lambda x: np.full(len(x), value)
 
@@ -128,9 +126,9 @@ def _peaked_integrals(h, domain: Domain, targets, order: int, kernel=dl_kernel):
 def double_layer(h, domain: Domain, y, order: int = 64) -> LayerEvaluation:
     """Double-layer potential with moment h evaluated at y.
 
-    h may be a ScalarField, a vectorized callable on points, or a number
-    (constant moment).  Near-boundary targets escalate the rule order and
-    record a warning in the result's ``warning`` field rather than failing.
+    h may be a ScalarField or a number (constant moment).  Near-boundary
+    targets escalate the rule order and record a warning in the result's
+    ``warning`` field rather than failing.
     """
     y = as_point(y, domain.dim)
     cls = domain.classify(y)

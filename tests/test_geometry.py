@@ -152,10 +152,20 @@ def test_volume_integrand_memory_does_not_grow_with_the_rule():
 
 def test_gauss_jacobi_weight_exactness():
     # rule with weight rho^beta integrates monomials exactly
-    for beta in (0.0, 1.0, 1.5, -0.5):
-        x, w = gauss_jacobi_01(12, beta)
-        for k in range(6):
-            assert w @ x**k == pytest.approx(1.0 / (beta + k + 1), rel=1e-13)
+    for n, rel in ((1, 1e-13), (2, 1e-13), (12, 1e-13), (128, 1e-12), (512, 1e-11)):
+        for beta in (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0):
+            x, w = gauss_jacobi_01(n, beta)
+            assert np.all(np.diff(x) > 0) and x[0] > 0.0 and x[-1] < 1.0, (n, beta)
+            assert np.all(w > 0.0), (n, beta)
+            for k in range(min(2 * n, 60)):
+                assert w @ x**k == pytest.approx(1.0 / (beta + k + 1), rel=rel), (n, beta, k)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("n", [0, -3, 2.5, 3.0, "4", None])
+def test_gauss_jacobi_rejects_a_bad_node_count(n, beta):
+    with pytest.raises(ParameterError, match="integer number of nodes"):
+        gauss_jacobi_01(n, beta)
 
 
 def test_circle_rule_weight_sum():

@@ -553,6 +553,16 @@ def test_cli_order_below_four_is_a_usage_error(command, order):
     assert f"--order: must be an integer >= 4, got '{order}'" in proc.stderr
 
 
+def test_importing_the_package_and_cli_loads_no_scipy():
+    # numpy is the only runtime dependency; a fresh interpreter shows what
+    # the imports pull in, whatever this test process has loaded
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, layerpot, layerpot.harness.cli\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_zeta_mode_is_an_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "suite.cfg"
     cfg.write_text("fields = coordinate:1\nzeta.mode = limit\n")
