@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -90,6 +91,37 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return p
 
 
+#: Keys being computed through ``computed_once``, each with a lock its
+#: computing thread holds.
+_IN_FLIGHT: dict[tuple, threading.Lock] = {}
+_IN_FLIGHT_LOCK = threading.Lock()
+
+
+def computed_once(cached, *key):
+    """``cached(*key)``, with one thread at a time computing a given key.
+
+    ``cached`` is a memoized function; a thread that asks for a key another
+    thread is computing waits for it and then reads the memo, or computes
+    the key in turn if it raised.
+    """
+    key = (cached, *key)
+    while True:
+        with _IN_FLIGHT_LOCK:
+            running = _IN_FLIGHT.get(key)
+            if running is None:
+                running = _IN_FLIGHT[key] = threading.Lock()
+                running.acquire()
+                break
+        with running:  # returns once the computing thread is done
+            pass
+    try:
+        return cached(*key[1:])
+    finally:
+        with _IN_FLIGHT_LOCK:
+            del _IN_FLIGHT[key]
+        running.release()
+
+
 # ---------------------------------------------------------------------------
 # 1-D node helpers
 # ---------------------------------------------------------------------------
@@ -103,56 +135,94 @@ def _frozen(*arrays):
     return arrays
 
 
-def _jacobi_value(n: int, beta: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and q = (1 - x^2) P_n'(x) for the Jacobi polynomial P_n^(0, beta), n >= 1."""
-    prev, p = np.ones_like(x), ((beta + 2.0) * x - beta) / 2.0
+#: Newton stops once no node on [0, 1] moves by more than this.
+_NODE_TOL = 4.0 * np.finfo(float).eps
+
+#: Sweeps after which the node solver gives up.  Nodes isolated from the
+#: start take 4 to 7 for beta <= 8; only bisection needs more.
+_NODE_SWEEPS = 100
+
+
+def _jacobi_value(n: int, beta: float, u: np.ndarray):
+    """P_n(x), q = (1 - x^2) P_n'(x) and the number of roots of P_n above x,
+    for the Jacobi polynomial P_n^(0, beta) at x = 2u - 1, n >= 1.
+
+    The recurrence is written in v = 1 + x = 2u, so points near x = -1,
+    where the weight is singular for beta < 0, keep their relative
+    precision.  The roots above x are the sign changes of P_0(x), ...,
+    P_n(x), a Sturm sequence.
+    """
+    v = 2.0 * u
+    prev, p = np.ones_like(v), (beta + 2.0) * v / 2.0 - (beta + 1.0)
+    above = (p < 0.0).astype(np.int64)
     for m in range(2, n + 1):
         s = 2.0 * m + beta
-        a = (s - 1.0) * (s * (s - 2.0) * x - beta * beta)
+        a = (s - 1.0) * (s * (s - 2.0) * v - (s * (s - 2.0) + beta * beta))
         prev, p = p, (a * p - 2.0 * (m - 1) * (m - 1 + beta) * s * prev) / (2.0 * m * (m + beta) * (s - 2.0))
+        above += (p < 0.0) != (prev < 0.0)
     s = 2.0 * n + beta
-    return p, n * (2.0 * (n + beta) * prev - (s * x + beta) * p) / s
+    return p, n * (2.0 * (n + beta) * prev - (s * v - 2.0 * n) * p) / s, above
 
 
 def _gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule for the weight (1 + x)^beta, beta != 0, on [-1, 1] (Golub & Welsch, 1969).
+    """Gauss rule for the weight u^beta on [0, 1], beta > -1 (Hale & Townsend, 2013).
 
-    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix
-    of P_n^(0, beta), refined by two Newton steps on the recurrence.  The
-    weights are 2^(beta+1) / ((1 - x^2) P_n'(x)^2): at alpha = 0 the Gamma
-    factors of the general formula cancel.
+    Newton's method on the three-term recurrence, started from Gatteschi's
+    asymptotic nodes.  Each node keeps a bracket holding its root: Sturm
+    counts halfway between the guesses give the first ones, and every
+    sweep narrows them.  A node is bisected while its bracket holds other
+    roots too, or when its Newton step would leave the bracket, so a poor
+    guess (large beta) costs sweeps, never a wrong node.  The weights are
+    4u(1 - u) / q^2: at alpha = 0 the Gamma factors cancel.
     """
-    s = 2.0 * np.arange(n) + beta
-    t = s[1:]
-    off = np.diag((t * t - beta * beta) / (2.0 * t * np.sqrt(t * t - 1.0)), -1)
-    x = np.linalg.eigvalsh(np.diag(beta * beta / (s * (s + 2.0))) + off + off.T)
-    for _ in range(2):
-        p, q = _jacobi_value(n, beta, x)
-        x = x - p * (1.0 - x * x) / q
-    q = _jacobi_value(n, beta, x)[1]
-    return x, 2.0 ** (beta + 1.0) * (1.0 - x * x) / (q * q)
+    need = n - np.arange(n)  # roots of P_n at or above node k
+    r = n + (beta + 1.0) / 2.0
+    c = (2.0 * need - 0.5) * math.pi / (2.0 * r)
+    theta = c + (0.25 / np.tan(c / 2.0) - (0.25 - beta * beta) * np.tan(c / 2.0)) / (2.0 * r) ** 2
+    u = np.cos(theta / 2.0) ** 2
+    with np.errstate(all="ignore"):  # a sweep that overflows never converges
+        sep = np.concatenate(([0.0], (u[1:] + u[:-1]) / 2.0, [1.0]))
+        above = np.concatenate(([n], _jacobi_value(n, beta, sep[1:-1])[2], [0]))
+        i = np.searchsorted(-np.minimum.accumulate(above), -need, side="right") - 1
+        lo, hi, n_lo, n_hi = sep[i], sep[i + 1], above[i], above[i + 1]
+        u = np.where((u > lo) & (u < hi), u, (lo + hi) / 2.0)
+        for _ in range(_NODE_SWEEPS):
+            p, q, above = _jacobi_value(n, beta, u)
+            right = above >= need  # the node's root lies above u
+            lo, n_lo = np.where(right, u, lo), np.where(right, above, n_lo)
+            hi, n_hi = np.where(right, hi, u), np.where(right, n_hi, above)
+            alone = (n_lo == need) & (n_hi == need - 1)
+            du = 2.0 * p * u * (1.0 - u) / q
+            new = u - du
+            newton = alone & (((new > lo) & (new < hi)) | (np.abs(du) <= _NODE_TOL))
+            new = np.where(newton, new, (lo + hi) / 2.0)
+            moved, u = np.max(np.abs(new - u)), new
+            if moved <= _NODE_TOL and alone.all():
+                break
+        else:
+            raise ParameterError(f"no Gauss rule for n={n}, beta={beta}: nodes unresolved after {_NODE_SWEEPS} sweeps")
+        q = _jacobi_value(n, beta, u)[1]
+        return u, 4.0 * u * (1.0 - u) / q / q
 
 
 @lru_cache(maxsize=1024)
 def _gauss_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    # leggauss keeps the plain weight's rules, and every report's bits that
-    # rest on them; the Jacobi builder needs beta != 0
-    x, w = np.polynomial.legendre.leggauss(n) if beta == 0.0 else _gauss_jacobi(n, beta)
-    return _frozen((x + 1.0) / 2.0, w / 2.0 ** (beta + 1.0))
+    return _frozen(*_gauss_jacobi(n, beta))
 
 
 def gauss_jacobi_01(n: int, beta: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights integrating f against the weight rho^beta on [0, 1].
 
-    n must be an integer >= 1; beta may be any real > -1, and beta = 0 is
-    Gauss-Legendre.  The rule is exact for f polynomial of degree <= 2n - 1.
-    Rules are cached by n and beta rounded to 12 digits.
+    n must be an integer >= 1; beta may be any finite real > -1, and
+    beta = 0 is Gauss-Legendre.  The rule is exact for f polynomial of
+    degree <= 2n - 1.  Rules are cached by n and beta rounded to 12 digits,
+    and each is built once per process, however many threads ask for it.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterError(f"a Gauss rule needs an integer number of nodes >= 1, got {n!r}")
-    if beta <= -1.0:
-        raise ParameterError(f"Jacobi weight exponent must exceed -1, got {beta}")
-    return _gauss_rule(int(n), round(float(beta), 12))
+    if not -1.0 < beta < math.inf:
+        raise ParameterError(f"Jacobi weight exponent must be finite and exceed -1, got {beta}")
+    return computed_once(_gauss_rule, int(n), round(float(beta), 12))
 
 
 def _rotation_to(pole: np.ndarray) -> np.ndarray:

@@ -20,7 +20,6 @@ share the same (field, target, order) terms.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,6 +33,7 @@ from .geometry import (
     Ball,
     Domain,
     as_point,
+    computed_once,
     escalated_order,
     max_nodes_budget,
 )
@@ -244,10 +244,6 @@ def _volume_order_for_target(domain: Domain, order: int, y) -> int:
 #: plus references to a field and a domain the caller already holds.
 _VOLUME_INTEGRAL_CACHE_SIZE = 4096
 
-#: Memo keys being computed, each with a lock its computing thread holds.
-_IN_FLIGHT: dict[tuple, threading.Lock] = {}
-_IN_FLIGHT_LOCK = threading.Lock()
-
 
 def gradient_volume_integral(f: ScalarField, domain: Domain, y, order: int = 64) -> float:
     """int_Omega <grad E(x - y), grad f(x)> dx for y off the boundary.
@@ -265,22 +261,7 @@ def gradient_volume_integral(f: ScalarField, domain: Domain, y, order: int = 64)
     read the memo, or compute the key in turn if it raised.
     """
     y = as_point(y, domain.dim)
-    key = (f, domain, tuple(y.tolist()), order, max_nodes_budget())
-    while True:
-        with _IN_FLIGHT_LOCK:
-            running = _IN_FLIGHT.get(key)
-            if running is None:
-                running = _IN_FLIGHT[key] = threading.Lock()
-                running.acquire()
-                break
-        with running:  # returns once the computing thread is done
-            pass
-    try:
-        return _gradient_volume_integral(*key)
-    finally:
-        with _IN_FLIGHT_LOCK:
-            del _IN_FLIGHT[key]
-        running.release()
+    return computed_once(_gradient_volume_integral, f, domain, tuple(y.tolist()), order, max_nodes_budget())
 
 
 @lru_cache(maxsize=_VOLUME_INTEGRAL_CACHE_SIZE, typed=True)

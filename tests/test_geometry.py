@@ -1,12 +1,17 @@
 """Tests for domains, classification, and quadrature rules."""
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import layerpot as lp
+from layerpot import geometry
 from layerpot.errors import (
     BudgetError,
     DimensionError,
@@ -150,15 +155,98 @@ def test_volume_integrand_memory_does_not_grow_with_the_rule():
     assert peak < (rule.nodes.nbytes + rule.weights.nbytes) / 8
 
 
+def _monomial_errors(n, beta):
+    # relative error of each monomial moment the rule must integrate exactly
+    x, w = gauss_jacobi_01(n, beta)
+    assert np.all(np.diff(x) > 0) and x[0] > 0.0 and x[-1] < 1.0, (n, beta)
+    assert np.all(w > 0.0), (n, beta)
+    return [abs(w @ x**k * (beta + k + 1) - 1.0) for k in range(min(2 * n, 60))]
+
+
 def test_gauss_jacobi_weight_exactness():
-    # rule with weight rho^beta integrates monomials exactly
-    for n, rel in ((1, 1e-13), (2, 1e-13), (12, 1e-13), (128, 1e-12), (512, 1e-11)):
-        for beta in (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0):
-            x, w = gauss_jacobi_01(n, beta)
-            assert np.all(np.diff(x) > 0) and x[0] > 0.0 and x[-1] < 1.0, (n, beta)
-            assert np.all(w > 0.0), (n, beta)
-            for k in range(min(2 * n, 60)):
-                assert w @ x**k == pytest.approx(1.0 / (beta + k + 1), rel=rel), (n, beta, k)
+    # rule with weight rho^beta integrates monomials exactly; the second
+    # tolerance is beta = -0.9's: near rho = 0, where a weight with beta < 0
+    # is singular, the recurrence loses about n^(2|beta|) roundings
+    for n, rel, rel_singular in ((1, 1e-15, 1e-15), (2, 2e-15, 2e-15), (12, 1e-14, 5e-14), (128, 3e-14, 1e-12), (512, 5e-14, 3e-11)):
+        for beta in (-0.9, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0):
+            assert max(_monomial_errors(n, beta)) <= (rel_singular if beta < -0.5 else rel), (n, beta)
+
+
+def test_gauss_jacobi_rules_for_large_exponents():
+    # Gatteschi's guesses stray by more than a node spacing here, so
+    # nodes are bisected until each bracket holds one root
+    for beta in (12.0, 20.0, 50.0, 100.0):
+        for n in (3, 9, 17, 64):
+            assert max(_monomial_errors(n, beta)) <= 1e-13, (n, beta)
+
+
+def test_gauss_rules_need_no_dense_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigenvalue solver called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    geometry._gauss_rule.cache_clear()
+    try:
+        for n in (1, 2, 96, 128, 512):
+            for beta in (-0.9, -0.5, 0.0, 1.0, 2.0, 3.0, 5.0):
+                x, w = gauss_jacobi_01(n, beta)
+                assert len(x) == n and w.sum() == pytest.approx(1.0 / (beta + 1.0), rel=1e-10), (n, beta)
+    finally:
+        geometry._gauss_rule.cache_clear()
+
+
+def test_gauss_rule_memory_does_not_grow_like_a_dense_matrix():
+    # a dense 2048 x 2048 Jacobi matrix alone would take 33 MB
+    geometry._gauss_rule.cache_clear()
+    tracemalloc.start()
+    try:
+        gauss_jacobi_01(2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        geometry._gauss_rule.cache_clear()
+    assert peak < 1 << 20
+
+
+def test_gauss_rule_is_built_once_for_concurrent_requests(monkeypatch):
+    builds, start = [], threading.Barrier(8)
+    build = geometry._gauss_jacobi
+
+    def slow_build(n, beta):
+        builds.append((n, beta))
+        time.sleep(0.05)  # long enough for every thread to ask meanwhile
+        return build(n, beta)
+
+    def request(_):
+        start.wait(timeout=10)
+        return gauss_jacobi_01(37, 0.375)
+
+    monkeypatch.setattr(geometry, "_gauss_jacobi", slow_build)
+    geometry._gauss_rule.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            rules = list(pool.map(request, range(8), timeout=30))
+    finally:
+        sys.setswitchinterval(interval)
+        geometry._gauss_rule.cache_clear()
+    assert builds == [(37, 0.375)]
+    assert all(rule[0] is rules[0][0] for rule in rules)
+
+
+def test_gauss_solver_raises_instead_of_returning_unresolved_nodes(monkeypatch):
+    monkeypatch.setattr(geometry, "_NODE_SWEEPS", 1)
+    with pytest.raises(ParameterError, match="nodes unresolved after 1 sweeps"):
+        geometry._gauss_jacobi(64, 0.5)
+
+
+@pytest.mark.parametrize("beta", [-1.0, -2.0, math.nan, math.inf, -math.inf])
+def test_gauss_jacobi_rejects_a_bad_exponent(beta):
+    with pytest.raises(ParameterError, match="finite and exceed -1"):
+        gauss_jacobi_01(4, beta)
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
