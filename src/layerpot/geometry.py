@@ -35,6 +35,7 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 
@@ -143,9 +144,10 @@ _NODE_TOL = 4.0 * np.finfo(float).eps
 _NODE_SWEEPS = 100
 
 
-def _jacobi_value(n: int, beta: float, u: np.ndarray):
-    """P_n(x), q = (1 - x^2) P_n'(x) and the number of roots of P_n above x,
-    for the Jacobi polynomial P_n^(0, beta) at x = 2u - 1, n >= 1.
+def _jacobi_value(n: int, beta: float, u: np.ndarray, count: bool = True):
+    """P_n(x), q = (1 - x^2) P_n'(x) and, if ``count``, the number of roots
+    of P_n above x (else None), for the Jacobi polynomial P_n^(0, beta) at
+    x = 2u - 1, n >= 1.
 
     The recurrence is written in v = 1 + x = 2u, so points near x = -1,
     where the weight is singular for beta < 0, keep their relative
@@ -154,12 +156,13 @@ def _jacobi_value(n: int, beta: float, u: np.ndarray):
     """
     v = 2.0 * u
     prev, p = np.ones_like(v), (beta + 2.0) * v / 2.0 - (beta + 1.0)
-    above = (p < 0.0).astype(np.int64)
+    above = (p < 0.0).astype(np.int64) if count else None
     for m in range(2, n + 1):
         s = 2.0 * m + beta
         a = (s - 1.0) * (s * (s - 2.0) * v - (s * (s - 2.0) + beta * beta))
         prev, p = p, (a * p - 2.0 * (m - 1) * (m - 1 + beta) * s * prev) / (2.0 * m * (m + beta) * (s - 2.0))
-        above += (p < 0.0) != (prev < 0.0)
+        if count:
+            above += (p < 0.0) != (prev < 0.0)
     s = 2.0 * n + beta
     return p, n * (2.0 * (n + beta) * prev - (s * v - 2.0 * n) * p) / s, above
 
@@ -170,7 +173,8 @@ def _gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     Newton's method on the three-term recurrence, started from Gatteschi's
     asymptotic nodes.  Each node keeps a bracket holding its root: Sturm
     counts halfway between the guesses give the first ones, and every
-    sweep narrows them.  A node is bisected while its bracket holds other
+    sweep narrows them; once each bracket holds one root, the sign of P_n
+    stands in for the count.  A node is bisected while its bracket holds other
     roots too, or when its Newton step would leave the bracket, so a poor
     guess (large beta) costs sweeps, never a wrong node.  The weights are
     4u(1 - u) / q^2: at alpha = 0 the Gamma factors cancel.
@@ -186,12 +190,19 @@ def _gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
         i = np.searchsorted(-np.minimum.accumulate(above), -need, side="right") - 1
         lo, hi, n_lo, n_hi = sep[i], sep[i + 1], above[i], above[i + 1]
         u = np.where((u > lo) & (u < hi), u, (lo + hi) / 2.0)
+        odd, alone = need % 2 == 1, np.zeros(n, dtype=bool)
         for _ in range(_NODE_SWEEPS):
-            p, q, above = _jacobi_value(n, beta, u)
-            right = above >= need  # the node's root lies above u
-            lo, n_lo = np.where(right, u, lo), np.where(right, above, n_lo)
-            hi, n_hi = np.where(right, hi, u), np.where(right, n_hi, above)
-            alone = (n_lo == need) & (n_hi == need - 1)
+            if alone.all():
+                # every bracket holds one root: u lies below it iff P_n(u)
+                # has the sign (-1)^need, the Sturm count's parity
+                p, q, _ = _jacobi_value(n, beta, u, count=False)
+                right = (p < 0.0) == odd
+            else:
+                p, q, above = _jacobi_value(n, beta, u)
+                right = above >= need  # the node's root lies above u
+                n_lo, n_hi = np.where(right, above, n_lo), np.where(right, n_hi, above)
+                alone = (n_lo == need) & (n_hi == need - 1)
+            lo, hi = np.where(right, u, lo), np.where(right, hi, u)
             du = 2.0 * p * u * (1.0 - u) / q
             new = u - du
             newton = alone & (((new > lo) & (new < hi)) | (np.abs(du) <= _NODE_TOL))
@@ -201,7 +212,7 @@ def _gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
                 break
         else:
             raise ParameterError(f"no Gauss rule for n={n}, beta={beta}: nodes unresolved after {_NODE_SWEEPS} sweeps")
-        q = _jacobi_value(n, beta, u)[1]
+        q = _jacobi_value(n, beta, u, count=False)[1]
         return u, 4.0 * u * (1.0 - u) / q / q
 
 
@@ -412,8 +423,23 @@ class Domain:
         Returns ``(t_first, extras)`` where ``t_first[i]`` is the first exit
         along ``dirs[i]`` and ``extras`` maps ray indices to lists of
         (enter, exit) intervals beyond the first segment (empty for balls).
+        Polar rules read it through ``ray_table``, whose star-domain tables
+        are read-only and shared, with ``extras`` mapping to tuples.
         """
         raise NotImplementedError
+
+    def ray_table(self, center: np.ndarray, order: int):
+        """``(dirs, w_ang, t_first, extras)``: the directions and angular
+        weights of the main block of a polar rule of ``order`` about
+        ``center``, and their ``ray_segments``.
+
+        ``StarShaped2D`` keeps its tables in ``_ray_table``, one per
+        (domain, center, order): they are read-only and shared by all
+        rules and threads, and their ``extras`` is an immutable mapping
+        from ray index to a tuple of (enter, exit) tuples.
+        """
+        dirs, w_ang = angular_rule(self.dim, order * self.angular_oversampling)
+        return (dirs, w_ang, *self.ray_segments(center, dirs))
 
     def boundary_rule(self, order: int, pole=None) -> BoundaryQuadrature:
         raise NotImplementedError
@@ -535,6 +561,11 @@ class StarShaped2D(Domain):
             raise ParameterError("radial function must be positive")
         self._r_max = float(np.max(r))
         self._r_min = float(np.min(r))
+        # ray_segments evaluates the level function only between these
+        # squared radii; the true extremes of r lie within
+        # max |r''| (pi / 4096)^2 / 2 of the sampled ones
+        slack = float(np.max(np.abs(self._rpp(grid)))) * (math.pi / 4096) ** 2 / 2.0
+        self._annulus = (max(0.98 * self._r_min - slack, 0.0) ** 2, (1.02 * self._r_max + slack) ** 2)
         # Spectral reference values for the measures (trapezoid on a periodic
         # smooth integrand converges faster than any power of the grid size).
         rp = self._rp(grid)
@@ -657,6 +688,11 @@ class StarShaped2D(Domain):
             return ORDER_CAP
         return int(math.ceil(30.0 * self._r_max / distance))
 
+    def ray_table(self, center, order):
+        # the march is most of a star rule's cost, and many rules share a
+        # center and order
+        return computed_once(_ray_table, self, tuple(center.tolist()), order)
+
     def ray_segments(self, origin, dirs):
         """All interior intervals along each ray, found on a marching grid
         with vectorized bisection refinement.
@@ -664,18 +700,32 @@ class StarShaped2D(Domain):
         Handles concave boundary sections (rays that exit and re-enter).
         Re-entered slivers shorter than the marching step can be missed;
         the step is a small fraction of the inner radius.
+
+        The level function is evaluated only at grid points whose distance
+        rho from the domain center lies in the annulus [0.98 r_min - e,
+        1.02 r_max + e]; rho(t)^2 is a quadratic in t, and a point nearer
+        the center is inside, one further out outside.  r_min and r_max
+        are sampled on 4096 angles, so the true extremes lie within
+        e = max |r''| (pi / 4096)^2 / 2 of them, with |r''| taken on the
+        same samples; the 2 % margins keep rounding in rho away from the
+        boundary.  Every grid point then gets the side the full-grid march
+        gives it, and the results keep that march's bits.
         """
         origin = as_point(origin, 2)
         if self.classify(origin) != INTERIOR:
             raise PlacementError("ray origin must lie strictly inside the domain")
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         n_rays = len(dirs)
-        t_max = float(np.linalg.norm(origin - self.center)) + 2.05 * self._r_max
+        v = origin - self.center
+        t_max = float(np.linalg.norm(v)) + 2.05 * self._r_max
         m = 512
         grid = np.linspace(0.0, t_max, m)
-        # (rays, grid) planes, one per coordinate
-        g = self._level(grid, dirs[:, 0, None], dirs[:, 1, None], origin)
-        inside = g < 0.0
+        # (rays, grid): rho^2 = |v|^2 + 2 t (v . d) + t^2 along each ray
+        rho2 = grid * (2.0 * (dirs @ v)[:, None] + grid) + float(v @ v)
+        inside = rho2 < self._annulus[0]
+        ray_idx, grid_idx = np.nonzero(~inside & (rho2 <= self._annulus[1]))
+        inside[ray_idx, grid_idx] = self._level(grid[grid_idx], dirs[ray_idx, 0], dirs[ray_idx, 1], origin) < 0.0
+        # the origin is interior, where the level is negative as well
         inside[:, 0] = True
         flips = inside[:, :-1] != inside[:, 1:]
         # row-major order lists each ray's crossings by grid cell, and
@@ -684,7 +734,7 @@ class StarShaped2D(Domain):
         lo = grid[grid_idx]
         hi = grid[grid_idx + 1]
         dx, dy = dirs[ray_idx, 0], dirs[ray_idx, 1]
-        lo_inside = g[ray_idx, grid_idx] < 0.0
+        lo_inside = inside[ray_idx, grid_idx]
         for _ in range(48):
             mid = 0.5 * (lo + hi)
             same = (self._level(mid, dx, dy, origin) < 0.0) == lo_inside
@@ -853,6 +903,25 @@ def _polar_block(center, dirs, w_ang, table, n_r, kappa, log_kernel, nodes, weig
     np.multiply(wr, w_ang[ray][:, None], out=weights.reshape(len(ray), n_r))
 
 
+#: Star-domain ray tables kept by ``_ray_table``, a few kB each.
+_RAY_TABLE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_RAY_TABLE_CACHE_SIZE, typed=True)
+def _ray_table(domain: StarShaped2D, center: tuple, order: int):
+    """``Domain.ray_table`` about ``center``, a float tuple, with read-only
+    arrays and ``extras`` mapping each re-entered ray to a tuple of
+    (enter, exit) tuples.
+
+    Fill it through ``computed_once``, so each table is built once however
+    many threads ask.  ``typed`` keeps a float order, which fails to build
+    a rule, from hitting an int order's table.
+    """
+    dirs, w_ang, t, extras = Domain.ray_table(domain, np.array(center), order)
+    extras = MappingProxyType({i: tuple(segments) for i, segments in extras.items()})
+    return (*_frozen(dirs, w_ang, t), extras)
+
+
 def composite_volume_rule(
     domain: Domain,
     order: int,
@@ -875,8 +944,7 @@ def composite_volume_rule(
         raise ParameterError(f"volume rules need order >= 4, got {order}")
     center = as_point(center, domain.dim)
     kappa = float(kernel_power)
-    dirs, w_ang = angular_rule(domain.dim, order * domain.angular_oversampling)
-    t, extras = domain.ray_segments(center, dirs)
+    dirs, w_ang, t, extras = domain.ray_table(center, order)
     holes = [(as_point(hc, domain.dim), float(hr), float(hp)) for hc, hr, hp in holes]
     # (center, directions, angular weights, interval table, radial power,
     # log kernel) of the main block, then of each hole's block

@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from layerpot.geometry import (
     gauss_jacobi_01,
     weighted_sum,
 )
+from layerpot.harness import cli
 from layerpot.kernel import row_dots
 
 
@@ -597,21 +599,155 @@ def loop_ray_segments(star, origin, dirs):
     return t_first, extras
 
 
-@pytest.mark.parametrize("order", [16, 64])
+def five_lobe_star():
+    # r from 0.4 to 1.6 about a center off the origin: most rays from the
+    # annulus r_min < |o - c| < r_max exit and re-enter
+    return lp.StarShaped2D(
+        lambda th: 1.0 + 0.6 * np.cos(5 * th),
+        center=(0.7, -0.4),
+        radius_d1=lambda th: -3.0 * np.sin(5 * th),
+        radius_d2=lambda th: -15.0 * np.cos(5 * th),
+    )
+
+
+def annulus_origins(star, count, seed):
+    """Interior origins with r_min < |o - c| < r_max: rays from them meet
+    the annulus the march evaluates on both sides of the inner disk."""
+    rng = np.random.default_rng(seed)
+    origins = []
+    while len(origins) < count:
+        theta, rho = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(star._r_min, star._r_max)
+        origin = star.center + rho * np.array([math.cos(theta), math.sin(theta)])
+        if star.classify(origin) == lp.geometry.INTERIOR:
+            origins.append(origin)
+    return origins
+
+
+@pytest.mark.parametrize("order", [16, 64, 128])
 @pytest.mark.parametrize("reentrant", [True, False])
 def test_ray_segments_match_loop_reference(order, reentrant):
-    star = star_domain()
+    three, five = star_domain(), five_lobe_star()
     if reentrant:
-        z = star.boundary_point(0.9)
-        origin = z - 0.01 * star.outward_normal(z)
+        z = three.boundary_point(0.9)
+        cases = [(three, z - 0.01 * three.outward_normal(z)), (three, three.center + [1.1, 0.0])]
+        cases += [(star, origin) for star in (three, five) for origin in annulus_origins(star, 3, order)]
     else:
-        origin = star.center
-    dirs, _ = angular_rule(2, order * star.angular_oversampling)
-    t, extras = star.ray_segments(origin, dirs)
-    want_t, want_extras = loop_ray_segments(star, origin, dirs)
+        # each star's own center, and (0.9, 0) in the three-lobe star's
+        # annulus, see every ray leave once
+        cases = [(three, three.center), (five, five.center), (three, three.center + [0.9, 0.0])]
+    found = []
+    for star, origin in cases:
+        dirs, _ = angular_rule(2, order * star.angular_oversampling)
+        t, extras = star.ray_segments(origin, dirs)
+        want_t, want_extras = loop_ray_segments(star, origin, dirs)
+        np.testing.assert_array_equal(t, want_t)
+        assert extras == want_extras
+        found.append(bool(extras))
+    if reentrant:
+        assert found[0] and any(found[-3:])
+    else:
+        assert not any(found)
+
+
+def test_ray_segments_match_loop_reference_near_a_sharp_dip():
+    # a dip of depth 0.5 and width two sampling steps, its bottom between
+    # two of the 4096 samples: the sampled r_min is 3 % too large, beyond
+    # the 2 % margin, so the annulus must widen by the bound it takes
+    # from the sampled |r''|
+    h = 2.0 * math.pi / 4096
+    w, theta0 = 2.0 * h, 0.5 * h
+
+    def dip(th):
+        d = np.remainder(th - theta0 + math.pi, 2.0 * math.pi) - math.pi
+        return d, 0.5 * np.exp(-d * d / (2.0 * w * w))
+
+    star = lp.StarShaped2D(
+        lambda th: 1.0 - dip(th)[1],
+        radius_d1=lambda th: dip(th)[0] * dip(th)[1] / w**2,
+        radius_d2=lambda th: dip(th)[1] * (1.0 - dip(th)[0] ** 2 / w**2) / w**2,
+    )
+    assert star._r_min > 0.5 / 0.98
+    angles = theta0 + np.linspace(-3.0 * w, 3.0 * w, 41)
+    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    t, extras = star.ray_segments(star.center, dirs)
+    want_t, want_extras = loop_ray_segments(star, star.center, dirs)
     np.testing.assert_array_equal(t, want_t)
     assert extras == want_extras
-    assert bool(extras) == reentrant
+    assert np.min(t) < 0.501
+
+
+def counted_ray_segments(monkeypatch, delay=0.0):
+    """Patch StarShaped2D.ray_segments to record each call's origin."""
+    calls, march = [], lp.StarShaped2D.ray_segments
+
+    def counted(star, origin, dirs):
+        calls.append(tuple(origin))
+        time.sleep(delay)
+        return march(star, origin, dirs)
+
+    monkeypatch.setattr(lp.StarShaped2D, "ray_segments", counted)
+    return calls
+
+
+def test_rules_about_one_center_share_one_ray_table(monkeypatch):
+    calls = counted_ray_segments(monkeypatch)
+    star, center = star_domain(), np.array([0.1, 0.2])
+    lp.composite_volume_rule(star, 16, center)
+    lp.composite_volume_rule(star, 16, center, kernel_power=-1.0, holes=[([0.5, 0.1], 0.1, 0.0)])
+    assert calls == [(0.1, 0.2)]
+    lp.composite_volume_rule(star, 32, center)
+    lp.composite_volume_rule(star, 16, [0.1, 0.25])
+    assert len(calls) == 3
+    # ball rays come in closed form: ball rules keep no table
+    kept = geometry._ray_table.cache_info().currsize
+    lp.composite_volume_rule(lp.Ball([0.0, 0.0], 1.0), 16, center)
+    assert geometry._ray_table.cache_info().currsize == kept
+
+
+def test_cached_ray_tables_are_read_only():
+    star = star_domain()
+    z = star.boundary_point(0.9)
+    origin = z - 0.01 * star.outward_normal(z)
+    dirs, w_ang, t, extras = star.ray_table(origin, 16)
+    assert extras
+    for arr in (dirs, w_ang, t):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    ray, segments = next(iter(extras.items()))
+    assert isinstance(segments, tuple) and all(isinstance(seg, tuple) for seg in segments)
+    with pytest.raises(TypeError):
+        extras[ray] = ()
+    with pytest.raises(TypeError):
+        del extras[ray]
+
+
+def test_ray_table_is_built_once_for_concurrent_requests(monkeypatch):
+    calls = counted_ray_segments(monkeypatch, delay=0.05)  # every thread asks meanwhile
+    star, start = star_domain(), threading.Barrier(8)
+
+    def request(power):
+        start.wait(timeout=10)
+        return lp.composite_volume_rule(star, 16, [0.1, 0.2], kernel_power=power)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            rules = list(pool.map(request, [-0.5 * (k % 2) for k in range(8)], timeout=30))
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == [(0.1, 0.2)]
+    assert all(np.array_equal(rule.nodes, rules[k % 2].nodes) for k, rule in enumerate(rules))
+
+
+def test_star_convergence_study_marches_each_center_and_order_once(monkeypatch, tmp_path, capsys):
+    # 2 probes and the domain center at orders 16, 32 and 64; the domain
+    # center's rule alone is requested 16 times per order
+    calls = counted_ray_segments(monkeypatch)
+    config = Path(__file__).resolve().parent.parent / "configs" / "star-convergence.cfg"
+    cli.main(["converge", "--config", str(config), "--out", str(tmp_path / "report.csv")])
+    capsys.readouterr()
+    assert len(calls) == 9
 
 
 @pytest.mark.parametrize(
