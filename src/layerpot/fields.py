@@ -414,8 +414,8 @@ def grad_norm(field: ScalarField, domain: Domain, p, order: int = 64) -> float:
         if closed is not None:
             return float(closed)
     if p.is_infinite:
-        rule = volume_rule(domain, order)
-        return float(np.max(row_norms(field.gradient(rule.nodes))))
+        runs = volume_rule(domain, order).runs()
+        return float(np.max([np.max(row_norms(field.gradient(nodes))) for nodes, _ in runs]))
     rule = _singular_rule(field, domain, order, power=field.gradient_power * p.value)
     total = rule.integrate(lambda x: row_norms(field.gradient(x)) ** p.value)
     if not np.isfinite(total) or total < 0:

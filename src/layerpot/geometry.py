@@ -18,13 +18,17 @@ integrands singular there stay in the rule's accuracy class.  The composite
 builder additionally punches disjoint ball-shaped holes around secondary
 singular points and covers each hole with its own polar block.
 
-The builder writes every block into one read-only, coordinate-major node
-array and one weight array.  A volume rule integrates a callable, not a
-value array: ``rule.integrate(integrand)`` evaluates the integrand on node
-slices of at most ``VOLUME_BLOCK`` nodes, so a rule of a million nodes
-never needs a temporary as long as itself.  The slices are the runs
-numpy's pairwise sum would split the whole sum into, so the result has the
-bits of one ``weighted_sum`` over all nodes.
+A volume rule holds no nodes, only the plan of each block: its center,
+directions, angular weights, table of covered radial intervals and radial
+Gauss rules.  A volume rule integrates a callable, not a value array:
+``rule.integrate(integrand)`` generates the nodes and weights run by run,
+at most ``GENERATE_RUN`` nodes at a time, into read-only, coordinate-major
+arrays of that run, and evaluates the integrand on slices of at most
+``VOLUME_BLOCK`` nodes of them.  So a rule of a million nodes never needs
+an array as long as itself.  Runs and slices are the runs numpy's
+pairwise sum would split the whole sum into, and every node comes from the
+same elementwise operations whatever run it falls in, so the result has
+the bits of one ``weighted_sum`` over all nodes.
 """
 
 from __future__ import annotations
@@ -61,6 +65,11 @@ ORDER_CAP = 4096
 #: Most nodes a volume-rule integrand is evaluated on at once.  It must stay
 #: at least 128, numpy's pairwise block, for block sums to keep numpy's bits.
 VOLUME_BLOCK = 1 << 15
+
+#: Most nodes of a volume rule generated at once; at least VOLUME_BLOCK.
+#: Shorter runs churn pages, longer ones hold more memory per running
+#: integral.
+GENERATE_RUN = 1 << 17
 
 #: Default cap on the node count of a single constructed rule; the
 #: LAYERPOT_MAX_NODES environment variable overrides it.
@@ -282,11 +291,14 @@ def sphere_directions(order: int, pole=None) -> tuple[np.ndarray, np.ndarray]:
     return dirs, weights
 
 
+@lru_cache(maxsize=64)
 def angular_rule(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Directions and angular weights of a polar rule of ``order``, cached
+    and read-only: only a few (dim, order) pairs occur."""
     if dim == 2:
-        return circle_directions(2 * order)
+        return _frozen(*circle_directions(2 * order))
     if dim == 3:
-        return sphere_directions(order)
+        return _frozen(*sphere_directions(order))
     raise DimensionError(f"quadrature is implemented for N in {{2, 3}}, got N={dim}")
 
 
@@ -324,36 +336,96 @@ class BoundaryQuadrature:
 
 @dataclass(frozen=True)
 class VolumeQuadrature:
-    """Nodes and weights discretizing the volume measure of a domain.
+    """Nodes and weights discretizing the volume measure of a domain, held
+    as the ``PolarPlan`` of each block: the main block, then one per hole.
 
-    Both arrays are read-only: integrands receive views into them.
+    Nodes are laid out plan after plan, interval after interval, ``order``
+    radial nodes per interval.  Nothing as long as the rule is kept: the
+    nodes and weights are generated when they are read.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    plans: tuple[PolarPlan, ...]
+
+    @property
+    def order(self) -> int:
+        """Radial nodes per interval, the same in every plan."""
+        return len(self.plans[0].radial[0])
+
+    @property
+    def dim(self) -> int:
+        return self.plans[0].center.size
+
+    @property
+    def count(self) -> int:
+        return self.order * sum(len(plan.ray) for plan in self.plans)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """All nodes as a read-only (count, N) array, generated on each read."""
+        return self._generate(0, self.count)[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """All weights as a read-only array, generated on each read."""
+        return self._generate(0, self.count)[1]
+
+    def _generate(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes [lo, hi) as a read-only (m, N) view of a coordinate-major
+        array, and their weights: the plans write every interval that
+        overlaps the run, and the view drops the partial ones' extra nodes."""
+        n_r = self.order
+        first, last = lo // n_r, -(-hi // n_r)
+        nodes, weights = np.empty((self.dim, (last - first) * n_r)), np.empty((last - first) * n_r)
+        start = 0
+        for plan in self.plans:
+            end = start + len(plan.ray)
+            i, j = max(first, start), min(last, end)
+            if i < j:
+                out = slice((i - first) * n_r, (j - first) * n_r)
+                _polar_block(plan, i - start, j - start, nodes[:, out], weights[out])
+            start = end
+        _frozen(nodes, weights)
+        run = slice(lo - first * n_r, hi - first * n_r)
+        return nodes[:, run].T, weights[run]
+
+    def runs(self):
+        """The (nodes, weights) of consecutive runs of at most
+        ``GENERATE_RUN`` nodes, read-only, covering the rule in node order."""
+        for lo in range(0, self.count, GENERATE_RUN):
+            yield self._generate(lo, min(lo + GENERATE_RUN, self.count))
 
     def integrate(self, integrand) -> float:
         """sum_i weights[i] * integrand(nodes)[i], evaluated block by block.
 
         ``integrand`` maps an (m, N) slice of the nodes to its m values; it
-        sees contiguous slices of at most ``VOLUME_BLOCK`` nodes, in order,
+        sees read-only slices of at most ``VOLUME_BLOCK`` nodes, in order,
         so no temporary grows with the rule.  The slices follow numpy's
         pairwise split, so the total has the bits of
-        ``weighted_sum(weights, integrand(nodes))``.
+        ``weighted_sum(weights, integrand(nodes))``.  Each call generates
+        its own runs, so an integrand may integrate other rules.
         """
-        return _block_sum(self.nodes, self.weights, integrand, 0, len(self.weights))
+        return _block_sum(self._generate, integrand, 0, self.count)
 
 
-def _block_sum(nodes, weights, integrand, lo: int, hi: int) -> float:
+def _block_sum(generate, integrand, lo: int, hi: int, run=None) -> float:
     """The weighted sum over nodes [lo, hi), split where numpy's pairwise sum
-    splits a run longer than its 128-element block."""
+    splits a run longer than its 128-element block.
+
+    ``generate(lo, hi)`` returns the read-only nodes and weights of
+    [lo, hi).  It is called at the first split whose run fits in
+    ``GENERATE_RUN`` nodes; ``run`` passes its start and arrays down to
+    the leaves, which sum slices of them.
+    """
     n = hi - lo
+    if run is None and n <= GENERATE_RUN:
+        run = (lo, *generate(lo, hi))
     if n <= VOLUME_BLOCK:
-        return weighted_sum(weights[lo:hi], integrand(nodes[lo:hi]))
+        start, nodes, weights = run
+        return weighted_sum(weights[lo - start : hi - start], integrand(nodes[lo - start : hi - start]))
     half = n // 2
     half -= half % 8
-    return _block_sum(nodes, weights, integrand, lo, lo + half) + _block_sum(
-        nodes, weights, integrand, lo + half, hi
+    return _block_sum(generate, integrand, lo, lo + half, run) + _block_sum(
+        generate, integrand, lo + half, hi, run
     )
 
 
@@ -802,23 +874,20 @@ def escalated_order(domain: Domain, order: int, y) -> tuple[int, str | None]:
 # ---------------------------------------------------------------------------
 
 
-def _radial_block(t: np.ndarray, n_r: int, dim: int, kappa: float, log_kernel: bool):
+def _radial_block(t: np.ndarray, rule, dim: int, kappa: float, log_kernel: bool):
     """Per-ray radial nodes/weights on [0, t] against the measure rho^(N-1).
 
-    The returned weights absorb the volume Jacobian, so summing
-    ``w * F(rho)`` approximates the radial integral of F rho^(N-1) for
-    integrands F behaving like rho^kappa (or log rho when ``log_kernel``)
-    times a smooth factor near 0.
+    ``rule`` is the Gauss rule ``PolarPlan.radial``.  The returned weights
+    absorb the volume Jacobian, so summing ``w * F(rho)`` approximates the
+    radial integral of F rho^(N-1) for integrands F behaving like
+    rho^kappa (or log rho when ``log_kernel``) times a smooth factor near 0.
     """
+    u, w = rule
     if log_kernel:
-        u, w = gauss_jacobi_01(n_r)
         rho = t[:, None] * u[None, :] ** 2
         weights = 2.0 * t[:, None] ** dim * u[None, :] ** (2 * dim - 1) * w[None, :]
         return rho, weights
     beta = dim - 1 + kappa
-    if beta <= -1.0:
-        raise ParameterError(f"kernel power {kappa} is not integrable in dimension {dim}")
-    u, w = gauss_jacobi_01(n_r, beta)
     rho = t[:, None] * u[None, :]
     weights = t[:, None] ** (beta + 1.0) * w
     if kappa != 0.0:
@@ -826,9 +895,10 @@ def _radial_block(t: np.ndarray, n_r: int, dim: int, kappa: float, log_kernel: b
     return rho, weights
 
 
-def _panel_block(a: np.ndarray, b: np.ndarray, n_r: int, dim: int):
-    """Radial Gauss-Legendre panels on [a, b] with the rho^(N-1) Jacobian folded in."""
-    u, w = gauss_jacobi_01(n_r)
+def _panel_block(a: np.ndarray, b: np.ndarray, rule, dim: int):
+    """Radial Gauss-Legendre panels on [a, b] with the rho^(N-1) Jacobian
+    folded in; ``rule`` is ``PolarPlan.panel``."""
+    u, w = rule
     h = (b - a)[:, None]
     rho = a[:, None] + h * u
     weights = h * w * rho ** (dim - 1)
@@ -879,28 +949,63 @@ def _interval_table(center, dirs, t, extras, holes):
     return seg_ray[piece[0]], a[piece], b[piece]
 
 
-def _polar_block(center, dirs, w_ang, table, n_r, kappa, log_kernel, nodes, weights):
-    """Write the nodes and weights of a polar rule about ``center`` over the
-    interval ``table`` of its rays (see ``_interval_table``) into ``nodes``,
-    a coordinate-major (N, count) slice, and ``weights``.
+@dataclass(frozen=True)
+class PolarPlan:
+    """Everything of one polar block of a volume rule but its nodes.
 
-    The interval starting at the rule center gets the singularity-adapted
-    radial block, every other interval a Gauss panel with the volume
-    Jacobian folded in.
+    The block's rays run from ``center`` along ``dirs``, with angular
+    weights ``w_ang``; ``ray``, ``a`` and ``b`` are its interval table (see
+    ``_interval_table``).  The interval starting at the center gets the
+    Gauss rule ``radial``, matched to integrands behaving like rho^power
+    (or log rho when ``log_kernel``), every other interval the
+    Gauss-Legendre rule ``panel``.  All arrays are read-only.
     """
-    ray, a, b = table
-    dim = len(nodes)
-    rho, wr = _radial_block(b, n_r, dim, kappa, log_kernel)
+
+    center: np.ndarray
+    dirs: np.ndarray
+    w_ang: np.ndarray
+    ray: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    power: float
+    log_kernel: bool
+    radial: tuple[np.ndarray, np.ndarray]
+    panel: tuple[np.ndarray, np.ndarray]
+
+
+def _polar_plan(center, dirs, w_ang, table, n_r: int, power: float, log_kernel: bool) -> PolarPlan:
+    dim = len(center)
+    if log_kernel:
+        radial = gauss_jacobi_01(n_r)
+    else:
+        beta = dim - 1 + power
+        if beta <= -1.0:
+            raise ParameterError(f"kernel power {power} is not integrable in dimension {dim}")
+        radial = gauss_jacobi_01(n_r, beta)
+    _frozen(center, *table)
+    return PolarPlan(center, dirs, w_ang, *table, power, log_kernel, radial, gauss_jacobi_01(n_r))
+
+
+def _polar_block(plan: PolarPlan, lo: int, hi: int, nodes, weights):
+    """Write the nodes and weights of intervals [lo, hi) of ``plan`` into
+    ``nodes``, a coordinate-major (N, count) slice, and ``weights``.
+
+    Every node and weight is an elementwise function of its interval, so a
+    node has the same bits whatever run it is written in.
+    """
+    ray, a, b = plan.ray[lo:hi], plan.a[lo:hi], plan.b[lo:hi]
+    dim, n_r = len(nodes), len(plan.radial[0])
+    rho, wr = _radial_block(b, plan.radial, dim, plan.power, plan.log_kernel)
     # pieces off the center: panels replace their radial rows
     panel = np.flatnonzero(a)
-    rho[panel], wr[panel] = _panel_block(a[panel], b[panel], n_r, dim)
+    rho[panel], wr[panel] = _panel_block(a[panel], b[panel], plan.panel, dim)
     # splitting each contiguous coordinate run into (rays, n_r) is a view,
     # so the writes land in ``nodes``
     grid = nodes.reshape(dim, len(ray), n_r)
     for k in range(dim):
-        np.multiply(rho, dirs[ray, k, None], out=grid[k])
-        grid[k] += center[k]
-    np.multiply(wr, w_ang[ray][:, None], out=weights.reshape(len(ray), n_r))
+        np.multiply(rho, plan.dirs[ray, k, None], out=grid[k])
+        grid[k] += plan.center[k]
+    np.multiply(wr, plan.w_ang[ray][:, None], out=weights.reshape(len(ray), n_r))
 
 
 #: Star-domain ray tables kept by ``_ray_table``, a few kB each.
@@ -937,38 +1042,37 @@ def composite_volume_rule(
     removed from the main rule's rays and re-integrated by a polar block of
     its own, whose radial rule is matched to integrands behaving like
     rho^power about the hole center.
+
+    The rule keeps only the ``PolarPlan`` of each block; its nodes are
+    generated when it integrates.  The node budget is checked here all the
+    same: it bounds the work of every integral on the rule.
     """
     if domain.dim not in (2, 3):
         raise DimensionError(f"quadrature rules exist for N in {{2, 3}}, got N={domain.dim}")
     if order < 4:
         raise ParameterError(f"volume rules need order >= 4, got {order}")
-    center = as_point(center, domain.dim)
-    kappa = float(kernel_power)
+    # copies: the plans keep the centers, and nodes are generated later
+    center = as_point(center, domain.dim).copy()
     dirs, w_ang, t, extras = domain.ray_table(center, order)
-    holes = [(as_point(hc, domain.dim), float(hr), float(hp)) for hc, hr, hp in holes]
+    holes = [(as_point(hc, domain.dim).copy(), float(hr), float(hp)) for hc, hr, hp in holes]
     # (center, directions, angular weights, interval table, radial power,
     # log kernel) of the main block, then of each hole's block
-    plans = [(center, dirs, w_ang, _interval_table(center, dirs, t, extras, holes), kappa, log_kernel)]
+    blocks = [(center, dirs, w_ang, _interval_table(center, dirs, t, extras, holes), float(kernel_power), log_kernel)]
     if holes:
         hdirs, hw_ang = angular_rule(domain.dim, order)
     for hc, hr, hp in holes:
         table = _interval_table(hc, hdirs, np.full(len(hdirs), hr), {}, ())
-        plans.append((hc, hdirs, hw_ang, table, hp, False))
-    # every interval gets ``order`` radial nodes: check the budget before
-    # any node is allocated
-    ends = order * np.cumsum([len(plan[3][0]) for plan in plans])
-    count = int(ends[-1])
+        blocks.append((hc, hdirs, hw_ang, table, hp, False))
+    # every interval gets ``order`` radial nodes
+    count = order * sum(len(block[3][0]) for block in blocks)
     if count > max_nodes_budget():
         raise BudgetError(
             f"volume rule would use {count} nodes, over the budget "
             f"{max_nodes_budget()}; lower the order or raise LAYERPOT_MAX_NODES"
         )
-    # coordinate-major: each coordinate is one contiguous run over the nodes
-    nodes, weights = np.empty((domain.dim, count)), np.empty(count)
-    for (c, d, w, table, k, lg), lo, hi in zip(plans, chain([0], ends), ends):
-        _polar_block(c, d, w, table, order, k, lg, nodes[:, lo:hi], weights[lo:hi])
-    _frozen(nodes, weights)
-    return VolumeQuadrature(nodes=nodes.T, weights=weights)
+    return VolumeQuadrature(
+        tuple(_polar_plan(c, d, w, table, order, k, lg) for c, d, w, table, k, lg in blocks)
+    )
 
 
 def volume_rule(domain: Domain, order: int) -> VolumeQuadrature:

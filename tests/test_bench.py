@@ -4,6 +4,7 @@ renames a wrapped function, or adds, drops or renames rows, must fail here,
 not in the benchmark."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -46,3 +47,42 @@ def test_benchmark_workloads_report_their_expected_rows():
             cfg.seed = seed
             rows = expected.check_report(run["report"], expected.expected_keys(command, cfg))
             assert rows["lost"] == rows["unexpected"] == rows["inconsistent"] == 0, (workload, command, rows)
+
+
+def test_tracer_counts_the_nodes_of_plan_held_rules():
+    # the tracer reads a volume rule's node count and bytes through
+    # ``weights`` and ``nodes``, which generate the rule; they must equal
+    # the counts the rules were planned with
+    code = (
+        "import json, os, sys\n"
+        f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(ROOT / 'bench')!r}]\n"
+        "import spans\n"
+        "from layerpot import geometry\n"
+        "from layerpot.harness import cli\n"
+        "tracer = spans.Tracer()\n"
+        "spans.install(tracer)\n"
+        "traced, built = geometry.composite_volume_rule, []\n"
+        "def recording(*args, **kwargs):\n"
+        "    parent = tracer.parent()\n"
+        "    rule = traced(*args, **kwargs)\n"
+        "    built.append((parent, rule.count, rule.count * (rule.dim + 1) * 8))\n"
+        "    return rule\n"
+        "for name, mod in list(sys.modules.items()):\n"
+        "    if name.startswith('layerpot'):\n"
+        "        for key, value in list(vars(mod).items()):\n"
+        "            if value is traced:\n"
+        "                setattr(mod, key, recording)\n"
+        f"config = {str(ROOT / 'tests' / 'golden' / 'ball3d-identities.cfg')!r}\n"
+        "cli.main(['verify', '--config', config, '--order', '8', '--out', os.devnull])\n"
+        "print(json.dumps({'layers': spans.layer_metrics(tracer), 'built': built}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    layers, built = out["layers"], out["built"]
+    consumed = [(count, size) for parent, count, size in built if parent == "potentials.gradient_volume_integral"]
+    assert consumed
+    assert layers["geometry.composite_volume_rule.calls"] == len(built)
+    assert layers["geometry.composite_volume_rule.nodes"] == sum(count for _, count, _ in built)
+    assert layers["potentials.gradient_volume_integral.kernel_evals"] == sum(count for count, _ in consumed)
+    assert layers["potentials.gradient_volume_integral.bytes_computed"] == sum(size for _, size in consumed)

@@ -22,7 +22,6 @@ from layerpot.errors import (
 from layerpot.fields import _singular_rule
 from layerpot.geometry import (
     VOLUME_BLOCK,
-    VolumeQuadrature,
     _interval_table,
     angular_rule,
     escalated_order,
@@ -78,9 +77,12 @@ def cauchy_ratio(x):
     return x[:, 0] / x[:, 1]
 
 
-def random_rule(count):
+def random_source(count):
+    """Read-only random nodes and weights, and a block source over them as
+    ``_block_sum`` reads a rule."""
     rng = np.random.default_rng(count)
-    return VolumeQuadrature(nodes=rng.normal(size=(count, 3)), weights=rng.uniform(0.0, 1.0, count))
+    nodes, weights = geometry._frozen(rng.normal(size=(count, 3)), rng.uniform(0.0, 1.0, count))
+    return nodes, weights, lambda lo, hi: (nodes[lo:hi], weights[lo:hi])
 
 
 @pytest.mark.parametrize(
@@ -88,40 +90,106 @@ def random_rule(count):
 )
 def test_block_sum_has_the_bits_of_one_weighted_sum(count):
     # guards the mirrored pairwise split against a numpy that splits otherwise
-    rule = random_rule(count)
-    assert rule.integrate(cauchy_ratio) == weighted_sum(rule.weights, cauchy_ratio(rule.nodes))
+    nodes, weights, source = random_source(count)
+    assert geometry._block_sum(source, cauchy_ratio, 0, count) == weighted_sum(weights, cauchy_ratio(nodes))
 
 
 def test_block_sum_on_a_3d_rule_with_a_hole():
     rule = lp.composite_volume_rule(unit_ball3(), 64, [0.0, 0.0, 0.0], holes=[([0.4, 0.1, 0.0], 0.2, 0.0)])
-    assert len(rule.weights) > 30 * VOLUME_BLOCK
+    nodes, weights = rule.nodes, rule.weights
+    assert len(weights) == rule.count > 30 * VOLUME_BLOCK
 
     def heavy(x):
         # Cauchy-like: tan of a phase spread over many periods
         return np.tan(1e3 * x[:, 0] + x[:, 1])
 
-    whole = weighted_sum(rule.weights, heavy(rule.nodes))
+    whole = weighted_sum(weights, heavy(nodes))
     assert rule.integrate(heavy) == whole
     # the test can see an order change: summing the blocks one after another
     # gives other bits
-    blocks = range(0, len(rule.weights), VOLUME_BLOCK)
-    serial = sum(
-        weighted_sum(rule.weights[i : i + VOLUME_BLOCK], heavy(rule.nodes[i : i + VOLUME_BLOCK])) for i in blocks
-    )
+    blocks = range(0, len(weights), VOLUME_BLOCK)
+    serial = sum(weighted_sum(weights[i : i + VOLUME_BLOCK], heavy(nodes[i : i + VOLUME_BLOCK])) for i in blocks)
     assert serial != whole
 
 
 def test_integrand_sees_every_node_once_in_bounded_blocks():
-    rule = random_rule(3 * VOLUME_BLOCK + 5)
+    count = 3 * VOLUME_BLOCK + 5
+    nodes, _, source = random_source(count)
     seen = []
 
     def spy(x):
         seen.append(x.copy())
         return x[:, 0]
 
-    rule.integrate(spy)
+    geometry._block_sum(source, spy, 0, count)
     assert max(len(block) for block in seen) <= VOLUME_BLOCK
-    np.testing.assert_array_equal(np.concatenate(seen), rule.nodes)
+    np.testing.assert_array_equal(np.concatenate(seen), nodes)
+
+
+def streamed_rule(name):
+    if name == "disk-two-holes":
+        holes = [([-0.4, 0.0], 0.2, 0.0), ([0.5, 0.3], 0.1, -1.0)]
+        return lp.composite_volume_rule(unit_disk(), 36, [0.1, 0.0], holes=holes)
+    if name == "ball3-hole":
+        holes = [([0.4, 0.1, 0.0], 0.2, 0.0)]
+        return lp.composite_volume_rule(unit_ball3(), 14, [0.0, 0.1, 0.0], kernel_power=-2.0, holes=holes)
+    star = star_domain()
+    z = star.boundary_point(0.9)
+    origin = z - 0.01 * star.outward_normal(z)  # rays from here re-enter
+    assert star.ray_table(origin, 44)[3]
+    return lp.composite_volume_rule(star, 44, origin, kernel_power=-1.0)
+
+
+@pytest.mark.parametrize("name", ["disk-two-holes", "ball3-hole", "star-reentrant"])
+def test_streamed_blocks_have_the_bits_of_the_whole_rule(name, monkeypatch):
+    # runs of 3000 nodes split the rules' intervals, and 1000-node blocks
+    # split the runs: every block is read-only and has the bits of the rule
+    # generated whole
+    monkeypatch.setattr(geometry, "VOLUME_BLOCK", 1000)
+    monkeypatch.setattr(geometry, "GENERATE_RUN", 3000)
+    rule = streamed_rule(name)
+    assert rule.count > 2 * 3000 and 3000 % rule.order  # runs end inside intervals
+    node_blocks, weight_blocks = [], []
+    summed = geometry.weighted_sum
+
+    def recording_sum(weights, values):
+        weight_blocks.append(weights)
+        return summed(weights, values)
+
+    def spy(x):
+        node_blocks.append(x)
+        return x[:, 0]
+
+    monkeypatch.setattr(geometry, "weighted_sum", recording_sum)
+    rule.integrate(spy)
+    assert max(map(len, node_blocks)) <= 1000
+    for block in node_blocks + weight_blocks:
+        assert not block.flags.writeable
+    whole = rule.nodes, rule.weights
+    for streamed, full in zip((node_blocks, weight_blocks), whole):
+        assert np.concatenate(streamed).tobytes() == full.tobytes()
+    runs = list(rule.runs())
+    assert max(len(w) for _, w in runs) <= 3000
+    for k, full in enumerate(whole):
+        assert np.concatenate([run[k] for run in runs]).tobytes() == full.tobytes()
+
+
+def test_nested_integrals_match_one_weighted_sum_each(monkeypatch):
+    # the F2 pattern: the outer integrand integrates an inner rule at each
+    # of its nodes, so runs of the two rules are alive at the same time
+    monkeypatch.setattr(geometry, "VOLUME_BLOCK", 128)
+    monkeypatch.setattr(geometry, "GENERATE_RUN", 512)
+    outer = lp.volume_rule(unit_disk(), 12)
+    inner = lp.composite_volume_rule(unit_disk(), 16, [0.2, 0.1], kernel_power=-1.0, holes=[([-0.4, 0.0], 0.3, 0.0)])
+    assert outer.count > 128 and inner.count > 2 * 512
+
+    def kernel(x, y):
+        return np.cos(3.0 * x[:, 0] - y[0]) * np.exp(x[:, 1] * y[1])
+
+    nested = outer.integrate(lambda ys: [inner.integrate(lambda x: kernel(x, y)) for y in ys])
+    inner_nodes, inner_weights = inner.nodes, inner.weights
+    reference = weighted_sum(outer.weights, [weighted_sum(inner_weights, kernel(inner_nodes, y)) for y in outer.nodes])
+    assert nested == reference
 
 
 def test_volume_rule_arrays_are_read_only():
@@ -155,6 +223,23 @@ def test_volume_integrand_memory_does_not_grow_with_the_rule():
     finally:
         tracemalloc.stop()
     assert peak < (rule.nodes.nbytes + rule.weights.nbytes) / 8
+
+
+def test_building_and_integrating_a_rule_holds_a_fraction_of_its_nodes():
+    # the rule keeps only its plans, and integrate generates its nodes run
+    # by run: neither step holds an array as long as the rule
+    f = lp.catalog("distance", [0.0, 0.0, 0.0])
+    y = np.array([0.5, 0.0, 0.0])
+    tracemalloc.start()
+    try:
+        rule = _singular_rule(f, unit_ball3(), 64, y, kernel_power=-2.0)
+        rule.integrate(lambda x: row_dots(f.gradient(x), x - y))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    materialised = rule.count * (rule.dim + 1) * np.dtype(float).itemsize
+    assert rule.count > 10**6
+    assert peak < materialised / 4
 
 
 def _monomial_errors(n, beta):
