@@ -65,6 +65,23 @@ class LebesgueExponent:
             raise ExponentError(f"this context needs p > N = {dim}, got p = {self.value}")
 
 
+class _RadialGradient:
+    """The gradient of a function of r = |x - a|, as a ``gradient_fn``.
+
+    ``of_offsets(d, r)`` maps the offsets d = x - a and their norms r to the
+    gradient rows.  ``ScalarField.gradient`` already takes d and r about each
+    singular point for its guard, and passes them on when a is ``center``,
+    so each |x - a| is computed once per call.
+    """
+
+    def __init__(self, center: np.ndarray, of_offsets: Callable):
+        self.center, self.of_offsets = center, of_offsets
+
+    def __call__(self, x):
+        d = x - self.center
+        return self.of_offsets(d, row_norms(d))
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """A scalar function with exact gradient and singular-set metadata.
@@ -108,10 +125,19 @@ class ScalarField:
 
     def gradient(self, x):
         pts, single = _as_batch(x, self.dim)
+        grad = None
+        radial = self.gradient_fn if isinstance(self.gradient_fn, _RadialGradient) else None
         for a in self.singular_arrays():
-            if np.any(row_norms(pts - a) < 1e-14):
+            d = pts - a
+            r = row_norms(d)
+            if np.any(r < 1e-14):
                 raise SingularityError(f"gradient of {self.name} requested at singular point {a.tolist()}")
-        grad = np.asarray(self.gradient_fn(pts), dtype=float)
+            if radial is not None and grad is None and np.array_equal(radial.center, a):
+                # the guard's offsets and norms are the ones the gradient needs
+                grad = radial.of_offsets(d, r)
+        if grad is None:
+            grad = self.gradient_fn(pts)
+        grad = np.asarray(grad, dtype=float)
         return grad[0] if single else grad
 
     @property
@@ -305,17 +331,13 @@ def distance(center) -> ScalarField:
     def ev(x):
         return row_norms(x - a)
 
-    def gr(x):
-        d = x - a
-        return d / row_norms(d)[:, None]
-
     def lap(x):
         return (x.shape[1] - 1) / row_norms(x - a)
 
     return ScalarField(
         name=f"distance({a.tolist()})",
         evaluate_fn=ev,
-        gradient_fn=gr,
+        gradient_fn=_RadialGradient(a, lambda d, r: d / r[:, None]),
         laplacian_fn=lap,
         singular_points=(tuple(a),),
         gradient_power=0.0,
@@ -337,10 +359,6 @@ def power_distance(center, power: float) -> ScalarField:
     def ev(x):
         return row_norms(x - a) ** beta
 
-    def gr(x):
-        d = x - a
-        return beta * row_norms(d)[:, None] ** (beta - 2.0) * d
-
     def lap(x):
         r = row_norms(x - a)
         return beta * (beta + x.shape[1] - 2.0) * r ** (beta - 2.0)
@@ -348,7 +366,7 @@ def power_distance(center, power: float) -> ScalarField:
     return ScalarField(
         name=f"power_distance({a.tolist()},{beta:g})",
         evaluate_fn=ev,
-        gradient_fn=gr,
+        gradient_fn=_RadialGradient(a, lambda d, r: beta * r[:, None] ** (beta - 2.0) * d),
         laplacian_fn=lap,
         singular_points=(tuple(a),),
         gradient_power=beta - 1.0,

@@ -28,7 +28,9 @@ arrays of that run, and evaluates the integrand on slices of at most
 an array as long as itself.  Runs and slices are the runs numpy's
 pairwise sum would split the whole sum into, and every node comes from the
 same elementwise operations whatever run it falls in, so the result has
-the bits of one ``weighted_sum`` over all nodes.
+the bits of one ``weighted_sum`` over all nodes.  ``rule.integrate_rays``
+sums the same way an integrand given on the main block against
+d rho d theta about its center, whose weights leave the Jacobian out.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from types import MappingProxyType
 
@@ -161,17 +163,33 @@ def _jacobi_value(n: int, beta: float, u: np.ndarray, count: bool = True):
     The recurrence is written in v = 1 + x = 2u, so points near x = -1,
     where the weight is singular for beta < 0, keep their relative
     precision.  The roots above x are the sign changes of P_0(x), ...,
-    P_n(x), a Sturm sequence.
+    P_n(x), a Sturm sequence.  Each step runs in place on buffers
+    allocated once, with the operations of
+    ((s - 1)(s (s - 2) v - (s (s - 2) + beta^2)) P_(m-1) - c P_(m-2)) / d
+    in the same order, so every value keeps its bits.
     """
     v = 2.0 * u
     prev, p = np.ones_like(v), (beta + 2.0) * v / 2.0 - (beta + 1.0)
-    above = (p < 0.0).astype(np.int64) if count else None
+    nxt, term = np.empty_like(v), np.empty_like(v)
+    if count:
+        neg_prev, neg, flip = p < 0.0, np.empty(v.shape, dtype=bool), np.empty(v.shape, dtype=bool)
+        above = neg_prev.astype(np.int64)
+    else:
+        above = None
     for m in range(2, n + 1):
         s = 2.0 * m + beta
-        a = (s - 1.0) * (s * (s - 2.0) * v - (s * (s - 2.0) + beta * beta))
-        prev, p = p, (a * p - 2.0 * (m - 1) * (m - 1 + beta) * s * prev) / (2.0 * m * (m + beta) * (s - 2.0))
+        np.multiply(v, s * (s - 2.0), out=nxt)
+        nxt -= s * (s - 2.0) + beta * beta
+        nxt *= s - 1.0
+        nxt *= p
+        np.multiply(prev, 2.0 * (m - 1) * (m - 1 + beta) * s, out=term)
+        nxt -= term
+        nxt /= 2.0 * m * (m + beta) * (s - 2.0)
+        prev, p, nxt = p, nxt, prev
         if count:
-            above += (p < 0.0) != (prev < 0.0)
+            np.less(p, 0.0, out=neg)
+            above += np.not_equal(neg, neg_prev, out=flip)
+            neg_prev, neg = neg, neg_prev
     s = 2.0 * n + beta
     return p, n * (2.0 * (n + beta) * prev - (s * v - 2.0 * n) * p) / s, above
 
@@ -369,10 +387,12 @@ class VolumeQuadrature:
         """All weights as a read-only array, generated on each read."""
         return self._generate(0, self.count)[1]
 
-    def _generate(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    def _generate(self, lo: int, hi: int, rays: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Nodes [lo, hi) as a read-only (m, N) view of a coordinate-major
         array, and their weights: the plans write every interval that
-        overlaps the run, and the view drops the partial ones' extra nodes."""
+        overlaps the run, and the view drops the partial ones' extra nodes.
+        With ``rays`` the main block's weights are for the measure
+        d rho d theta about its center (see ``_polar_block``)."""
         n_r = self.order
         first, last = lo // n_r, -(-hi // n_r)
         nodes, weights = np.empty((self.dim, (last - first) * n_r)), np.empty((last - first) * n_r)
@@ -382,11 +402,19 @@ class VolumeQuadrature:
             i, j = max(first, start), min(last, end)
             if i < j:
                 out = slice((i - first) * n_r, (j - first) * n_r)
-                _polar_block(plan, i - start, j - start, nodes[:, out], weights[out])
+                _polar_block(plan, i - start, j - start, nodes[:, out], weights[out], rays and start == 0)
             start = end
         _frozen(nodes, weights)
         run = slice(lo - first * n_r, hi - first * n_r)
         return nodes[:, run].T, weights[run]
+
+    def _directions(self, lo: int, hi: int) -> np.ndarray:
+        """Unit directions of the rays of main-block nodes [lo, hi), as a
+        read-only (m, N) view of a coordinate-major array."""
+        plan, n_r = self.plans[0], self.order
+        first, last = lo // n_r, -(-hi // n_r)
+        theta = _frozen(np.repeat(plan.dirs[plan.ray[first:last]].T, n_r, axis=1))[0]
+        return theta[:, lo - first * n_r : hi - first * n_r].T
 
     def runs(self):
         """The (nodes, weights) of consecutive runs of at most
@@ -406,26 +434,53 @@ class VolumeQuadrature:
         """
         return _block_sum(self._generate, integrand, 0, self.count)
 
+    def integrate_rays(self, along, rest) -> float:
+        """``integrate`` for an integrand given in polar form on the main block.
 
-def _block_sum(generate, integrand, lo: int, hi: int, run=None) -> float:
+        About the main block's center c, x = c + rho theta and
+        dx = rho^(N-1) d rho d theta.  ``along(x, theta)`` maps an (m, N)
+        slice of the main block's nodes and the unit directions of their
+        rays to the integrand times rho^(N-1); ``rest(x)`` maps a slice of
+        the holes' nodes to the integrand.  The main block's weights are
+        its volume weights times rho^(1-N), made by the same radial rules
+        with the Jacobian left out, so an integrand whose kernel cancels the
+        Jacobian, as grad E(x - c) dx = theta d rho d theta / omega_N does,
+        needs no norm at any node.  The slices and the pairwise sum are
+        those of ``integrate``.
+        """
+        main = len(self.plans[0].ray) * self.order
+
+        def integrand(x, lo, hi):
+            k = min(max(main - lo, 0), hi - lo)  # nodes of the main block
+            if k == 0:
+                return rest(x)
+            values = along(x[:k], self._directions(lo, lo + k))
+            return values if k == hi - lo else np.concatenate([values, rest(x[k:])])
+
+        return _block_sum(partial(self._generate, rays=True), integrand, 0, self.count, indexed=True)
+
+
+def _block_sum(generate, integrand, lo: int, hi: int, run=None, indexed: bool = False) -> float:
     """The weighted sum over nodes [lo, hi), split where numpy's pairwise sum
     splits a run longer than its 128-element block.
 
     ``generate(lo, hi)`` returns the read-only nodes and weights of
     [lo, hi).  It is called at the first split whose run fits in
     ``GENERATE_RUN`` nodes; ``run`` passes its start and arrays down to
-    the leaves, which sum slices of them.
+    the leaves, which sum slices of them.  With ``indexed``, a leaf calls
+    ``integrand(nodes, lo, hi)``, so the integrand knows which nodes it sees.
     """
     n = hi - lo
     if run is None and n <= GENERATE_RUN:
         run = (lo, *generate(lo, hi))
     if n <= VOLUME_BLOCK:
         start, nodes, weights = run
-        return weighted_sum(weights[lo - start : hi - start], integrand(nodes[lo - start : hi - start]))
+        x = nodes[lo - start : hi - start]
+        return weighted_sum(weights[lo - start : hi - start], integrand(x, lo, hi) if indexed else integrand(x))
     half = n // 2
     half -= half % 8
-    return _block_sum(generate, integrand, lo, lo + half, run) + _block_sum(
-        generate, integrand, lo + half, hi, run
+    return _block_sum(generate, integrand, lo, lo + half, run, indexed) + _block_sum(
+        generate, integrand, lo + half, hi, run, indexed
     )
 
 
@@ -874,34 +929,41 @@ def escalated_order(domain: Domain, order: int, y) -> tuple[int, str | None]:
 # ---------------------------------------------------------------------------
 
 
-def _radial_block(t: np.ndarray, rule, dim: int, kappa: float, log_kernel: bool):
+def _radial_block(t: np.ndarray, rule, dim: int, kappa: float, log_kernel: bool, rays: bool = False):
     """Per-ray radial nodes/weights on [0, t] against the measure rho^(N-1).
 
     ``rule`` is the Gauss rule ``PolarPlan.radial``.  The returned weights
     absorb the volume Jacobian, so summing ``w * F(rho)`` approximates the
     radial integral of F rho^(N-1) for integrands F behaving like
     rho^kappa (or log rho when ``log_kernel``) times a smooth factor near 0.
+    With ``rays`` the measure is d rho: the weights carry no Jacobian.
     """
     u, w = rule
+    jacobian = 0 if rays else dim - 1
     if log_kernel:
         rho = t[:, None] * u[None, :] ** 2
-        weights = 2.0 * t[:, None] ** dim * u[None, :] ** (2 * dim - 1) * w[None, :]
+        weights = 2.0 * t[:, None] ** (jacobian + 1) * u[None, :] ** (2 * jacobian + 1) * w[None, :]
         return rho, weights
     beta = dim - 1 + kappa
     rho = t[:, None] * u[None, :]
     weights = t[:, None] ** (beta + 1.0) * w
-    if kappa != 0.0:
-        weights *= rho ** (-kappa)
+    # the Gauss weight u^beta holds rho^kappa and the Jacobian: divide out
+    # what F and the measure do not carry
+    excess = beta if rays else kappa
+    if excess != 0.0:
+        weights *= rho ** (-excess)
     return rho, weights
 
 
-def _panel_block(a: np.ndarray, b: np.ndarray, rule, dim: int):
+def _panel_block(a: np.ndarray, b: np.ndarray, rule, dim: int, rays: bool = False):
     """Radial Gauss-Legendre panels on [a, b] with the rho^(N-1) Jacobian
-    folded in; ``rule`` is ``PolarPlan.panel``."""
+    folded in, or none with ``rays``; ``rule`` is ``PolarPlan.panel``."""
     u, w = rule
     h = (b - a)[:, None]
     rho = a[:, None] + h * u
-    weights = h * w * rho ** (dim - 1)
+    weights = h * w
+    if not rays:
+        weights *= rho ** (dim - 1)
     return rho, weights
 
 
@@ -986,19 +1048,21 @@ def _polar_plan(center, dirs, w_ang, table, n_r: int, power: float, log_kernel: 
     return PolarPlan(center, dirs, w_ang, *table, power, log_kernel, radial, gauss_jacobi_01(n_r))
 
 
-def _polar_block(plan: PolarPlan, lo: int, hi: int, nodes, weights):
+def _polar_block(plan: PolarPlan, lo: int, hi: int, nodes, weights, rays: bool = False):
     """Write the nodes and weights of intervals [lo, hi) of ``plan`` into
-    ``nodes``, a coordinate-major (N, count) slice, and ``weights``.
+    ``nodes``, a coordinate-major (N, count) slice, and ``weights``; with
+    ``rays`` the weights are for the measure d rho d theta, the volume
+    weights times rho^(1-N).
 
     Every node and weight is an elementwise function of its interval, so a
     node has the same bits whatever run it is written in.
     """
     ray, a, b = plan.ray[lo:hi], plan.a[lo:hi], plan.b[lo:hi]
     dim, n_r = len(nodes), len(plan.radial[0])
-    rho, wr = _radial_block(b, plan.radial, dim, plan.power, plan.log_kernel)
+    rho, wr = _radial_block(b, plan.radial, dim, plan.power, plan.log_kernel, rays)
     # pieces off the center: panels replace their radial rows
     panel = np.flatnonzero(a)
-    rho[panel], wr[panel] = _panel_block(a[panel], b[panel], plan.panel, dim)
+    rho[panel], wr[panel] = _panel_block(a[panel], b[panel], plan.panel, dim, rays)
     # splitting each contiguous coordinate run into (rays, n_r) is a view,
     # so the writes land in ``nodes``
     grid = nodes.reshape(dim, len(ray), n_r)

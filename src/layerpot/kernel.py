@@ -108,6 +108,11 @@ def fundamental_gradient(x) -> np.ndarray:
     r = row_norms(pts)
     if np.any(r < MIN_RADIUS):
         raise SingularityError("fundamental gradient evaluated at the origin")
-    grad = pts / (sphere_area(n) * r[:, None] ** n)
+    # omega_N |x|^N by products: one division per point, and no pow
+    scale = sphere_area(n) * r
+    for _ in range(n - 1):
+        scale *= r
+    np.divide(1.0, scale, out=scale)
+    grad = pts * scale[:, None]
     return grad[0] if single else grad
 

@@ -13,6 +13,9 @@ The gradient volume integral int <grad E(x - y), grad f(x)> dx is computed
 with polar rules centered at y whose radial weight absorbs both the kernel
 singularity there and the field's own gradient growth at its singular
 points; secondary singular points are excised into their own polar blocks.
+About y, grad E(x - y) dx = theta d rho d theta / omega_N, so the block
+centred at y sums <theta, grad f> / omega_N along its rays, with no
+distance computed at its nodes; the hole blocks sum the kernel pairing.
 Its values are memoized per process, since most identities of one suite
 share the same (field, target, order) terms.
 """
@@ -249,9 +252,11 @@ def gradient_volume_integral(f: ScalarField, domain: Domain, y, order: int = 64)
     """int_Omega <grad E(x - y), grad f(x)> dx for y off the boundary.
 
     Interior targets get a polar rule centered at y (the radial Jacobian
-    cancels the kernel's |x - y|^(1-N) growth) with ball-shaped excisions
-    around the field's other singular points; exterior targets use a
-    regular rule (the kernel is smooth on the closure).  A singular point
+    cancels the kernel's |x - y|^(1-N) growth, so its main block is summed
+    along its rays, see ``VolumeQuadrature.integrate_rays``) with
+    ball-shaped excisions around the field's other singular points;
+    exterior targets use a regular rule (the kernel is smooth on the
+    closure).  A singular point
     of f coinciding with y is folded into the radial weight, not an error.
 
     Values are memoized by (field, domain, target, order, node budget); the
@@ -273,12 +278,17 @@ def _gradient_volume_integral(f: ScalarField, domain: Domain, y: tuple, order: i
     cls = domain.classify(y)
     if cls == BOUNDARY:
         raise PlacementError("target on the boundary; use boundary_limit_zeta instead")
+
+    def pairing(x):
+        return row_dots(fundamental_gradient(x - y), f.gradient(x))
+
     if cls == INTERIOR:
         order = _volume_order_for_target(domain, order, y)
         rule = _singular_rule(f, domain, order, y, kernel_power=float(1 - domain.dim))
-    else:
-        rule = _singular_rule(f, domain, order, domain.center)
-    return rule.integrate(lambda x: row_dots(fundamental_gradient(x - y), f.gradient(x)))
+        # about y, grad E(x - y) dx = theta d rho d theta / omega_N
+        omega = sphere_area(domain.dim)
+        return rule.integrate_rays(lambda x, theta: row_dots(theta, f.gradient(x)) / omega, pairing)
+    return _singular_rule(f, domain, order, domain.center).integrate(pairing)
 
 
 def boundary_limit_zeta(f: ScalarField, domain: Domain, z, order: int = 64) -> float:

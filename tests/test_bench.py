@@ -5,9 +5,12 @@ not in the benchmark."""
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from layerpot.harness import cli
 from layerpot.harness.config import build_config
@@ -86,3 +89,20 @@ def test_tracer_counts_the_nodes_of_plan_held_rules():
     assert layers["geometry.composite_volume_rule.nodes"] == sum(count for _, count, _ in built)
     assert layers["potentials.gradient_volume_integral.kernel_evals"] == sum(count for count, _ in consumed)
     assert layers["potentials.gradient_volume_integral.bytes_computed"] == sum(size for _, size in consumed)
+
+
+@pytest.mark.parametrize("workload", sorted(_bench_module("worker").WORKLOADS))
+def test_traced_workload_passes_the_layer_self_test(workload, monkeypatch):
+    # a traced benchmark run fails when a layer records no calls on a
+    # workload it runs on (or calls where it should not), or when the
+    # distinct-rule ratio leaves its bounds; one traced sample per workload,
+    # at a fixed probe seed and one pool thread, runs the same check
+    cmd = [sys.executable, str(ROOT / "bench" / "worker.py"), "--workload", workload]
+    cmd += ["--seed", "577090037", "--mode", "trace", "--workers", "1"]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}  # leaves bench/ as it is
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    layers = json.loads(proc.stdout.strip().splitlines()[-1])["layers"]
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))  # run.py imports worker
+    assert _bench_module("run").self_test(workload, layers) == []

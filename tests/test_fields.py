@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import layerpot as lp
+import layerpot.fields
 from diagnostics import fd_gradient, holder_ratio
 from layerpot.errors import (
     CatalogError,
@@ -15,6 +16,7 @@ from layerpot.errors import (
     SingularityError,
 )
 from layerpot.fields import LebesgueExponent
+from layerpot.kernel import row_norms
 
 DISK = lp.Ball([0.0, 0.0], 1.0)
 
@@ -91,6 +93,44 @@ def test_gradient_at_singular_point_raises():
     f = lp.catalog("distance", [0.0, 0.0])
     with pytest.raises(SingularityError):
         f.gradient([0.0, 0.0])
+
+
+def test_gradient_raises_within_1e_14_of_every_singular_point():
+    a, b = np.array([0.2, 0.1]), np.array([-0.3, 0.4])
+    ref = lp.catalog("distance", a)
+    fields = [
+        ref,
+        lp.catalog("power_distance", a, 0.5),
+        # built directly: the catalog's radial gradient about a, with b singular too
+        lp.ScalarField(
+            name="two-points", evaluate_fn=ref.evaluate_fn, gradient_fn=ref.gradient_fn, singular_points=(b, a), dim=2
+        ),
+        lp.ScalarField(
+            name="plain", evaluate_fn=ref.evaluate_fn, gradient_fn=lambda x: x.copy(), singular_points=(a, b), dim=2
+        ),
+    ]
+    for f in fields:
+        for p in f.singular_arrays():
+            with pytest.raises(SingularityError):
+                f.gradient(np.stack([[0.9, 0.0], p + [0.7e-14, 0.0]]))
+            assert np.all(np.isfinite(f.gradient(p + [2e-14, 0.0])))
+
+
+@pytest.mark.parametrize("field", [f for f in CATALOG_2D + CATALOG_3D if f.singular_points], ids=lambda f: f.name)
+def test_singular_field_gradients_take_each_distance_once(field, monkeypatch):
+    # the singular-point guard's norms serve the gradient too, with the
+    # bits of the gradient function alone
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, size=(1000, len(field.singular_points[0])))
+    expected = field.gradient_fn(x)
+    calls = []
+
+    def counting(d):
+        calls.append(len(d))
+        return row_norms(d)
+
+    monkeypatch.setattr(layerpot.fields, "row_norms", counting)
+    assert field.gradient(x).tobytes() == expected.tobytes()
+    assert calls == [len(x)]
 
 
 def test_extremal_field_shapes():

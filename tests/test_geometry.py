@@ -174,6 +174,38 @@ def test_streamed_blocks_have_the_bits_of_the_whole_rule(name, monkeypatch):
         assert np.concatenate([run[k] for run in runs]).tobytes() == full.tobytes()
 
 
+@pytest.mark.parametrize("name", ["disk-two-holes", "ball3-hole", "star-reentrant"])
+def test_ray_form_has_the_bits_of_one_weighted_sum(name, monkeypatch):
+    # small runs and blocks split the main block's rays, and a leaf may
+    # straddle its end; the ray sum must have the bits of one weighted_sum
+    # over the whole rule, every leaf must get its own nodes' directions,
+    # and the main block's ray weights are its volume weights times rho^(1-N)
+    monkeypatch.setattr(geometry, "VOLUME_BLOCK", 1000)
+    monkeypatch.setattr(geometry, "GENERATE_RUN", 3000)
+    rule = streamed_rule(name)
+    c, main = rule.plans[0].center, len(rule.plans[0].ray) * rule.order
+    seen = []
+
+    def along(x, theta):
+        seen.append(len(x))
+        offsets = x - c
+        np.testing.assert_allclose(offsets, np.linalg.norm(offsets, axis=1)[:, None] * theta, rtol=0, atol=1e-15)
+        return np.cos(3.0 * x[:, 0]) * theta[:, 1] + x[:, 1]
+
+    def rest(x):
+        return np.sin(x[:, 0] + 2.0 * x[:, 1])
+
+    nodes, weights = rule._generate(0, rule.count, rays=True)
+    values = np.concatenate([along(nodes[:main], rule._directions(0, main)), rest(nodes[main:])])
+    seen.clear()
+    assert rule.integrate_rays(along, rest) == weighted_sum(weights, values)
+    assert sum(seen) == main and max(seen) <= 1000
+    # rho taken back from the nodes is exact only to |c| eps
+    rho, volume = np.linalg.norm(nodes[:main] - c, axis=1), rule.weights[:main]
+    np.testing.assert_allclose(weights[:main] * rho ** (rule.dim - 1), volume, rtol=1e-13, atol=1e-13 * volume.max())
+    assert weights[main:].tobytes() == rule.weights[main:].tobytes()
+
+
 def test_nested_integrals_match_one_weighted_sum_each(monkeypatch):
     # the F2 pattern: the outer integrand integrates an inner rule at each
     # of its nodes, so runs of the two rules are alive at the same time
@@ -366,6 +398,34 @@ def test_degenerate_star_matches_circle():
     b = unit_disk().boundary_rule(64)
     np.testing.assert_allclose(a.nodes, b.nodes, atol=1e-14)
     np.testing.assert_allclose(a.weights, b.weights, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "domain, center",
+    [(unit_disk(), [0.3, -0.2]), (star_domain(), [0.1, 0.05]), (unit_ball3(), [0.2, -0.1, 0.3])],
+    ids=["disk", "star", "ball"],
+)
+def test_ray_sums_of_a_harmonic_gradient_are_its_boundary_differences(domain, center):
+    # along the ray c + rho theta, <theta, grad h> = dh/drho, and the ray
+    # weights are Gauss-Legendre in rho on [0, T(theta)], exact for the
+    # polynomial h; so the ray sums are sum_theta w_theta (h(c + T theta) - h(c)),
+    # and the gradient volume integral about c is that over omega_N
+    h = lp.catalog("harmonic_poly", 3) if domain.dim == 2 else lp.catalog("harmonic_poly", 2, dim=3)
+    c = np.array(center)
+    order = 24
+    rule = lp.composite_volume_rule(domain, order, c, kernel_power=float(1 - domain.dim))
+    dirs, w_ang, t, extras = domain.ray_table(c, order)
+    assert not extras and len(rule.plans) == 1
+    differences = w_ang * (h.evaluate(c + t[:, None] * dirs) - h.evaluate(c))
+    oracle, scale = differences.sum(), np.abs(differences).sum()
+
+    def no_hole(x):
+        raise AssertionError("a rule without holes has no node off its main block")
+
+    rays = rule.integrate_rays(lambda x, theta: row_dots(theta, h.gradient(x)), no_hole)
+    assert abs(rays - oracle) <= 1e-14 * scale, (rays, oracle)
+    omega = lp.sphere_area(domain.dim)
+    assert abs(lp.gradient_volume_integral(h, domain, c, order) - oracle / omega) <= 1e-14 * scale / omega
 
 
 def test_volume_rule_measures():

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,7 +17,7 @@ from diagnostics import fd_laplacian, loglog_slope, sphere_ratio
 from layerpot.errors import BudgetError, CapabilityError, ParameterError, PlacementError
 from layerpot.fields import _singular_rule
 from layerpot.geometry import INTERIOR, escalated_order
-from layerpot.kernel import fundamental_solution, row_dots
+from layerpot.kernel import fundamental_gradient, fundamental_solution, row_dots
 
 DISK = lp.Ball([0.0, 0.0], 1.0)
 BALL3 = lp.Ball([0.0, 0.0, 0.0], 1.0)
@@ -255,6 +256,78 @@ def test_memoized_gradient_volume_integral_respects_node_budget(monkeypatch):
     monkeypatch.setenv("LAYERPOT_MAX_NODES", str(built[0] - 1))
     with pytest.raises(BudgetError):
         lp.gradient_volume_integral(f, DISK, [0.1, 0.4], 64)
+
+
+def _near_boundary(domain, z):
+    """The interior point 1e-2 inradii from the boundary point z."""
+    return z - 1e-2 * domain.inradius * domain.outward_normal(z)
+
+
+RAY_FORM_CASES = {
+    "disk-harmonic": (lp.catalog("harmonic_poly", 3), DISK, [-0.4, 0.5]),
+    "disk-distance-hole": (lp.catalog("distance", [0.2, 0.1]), DISK, [-0.3, 0.4]),
+    "disk-power-folded": (lp.catalog("power_distance", [0.2, -0.1], 0.5), DISK, [0.2, -0.1]),
+    "disk-near-boundary": (
+        lp.catalog("harmonic_poly", 2),
+        DISK,
+        _near_boundary(DISK, np.array([math.cos(0.7), math.sin(0.7)])),
+    ),
+    "star-harmonic": (lp.catalog("harmonic_poly", 3), STAR, [0.3, -0.2]),
+    "star-distance-hole": (lp.catalog("distance", [0.2, 0.1]), STAR, [-0.3, 0.4]),
+    "star-power-folded": (lp.catalog("power_distance", [0.2, -0.1], 0.5), STAR, [0.2, -0.1]),
+    "star-near-boundary": (lp.catalog("harmonic_poly", 2), STAR, _near_boundary(STAR, STAR.boundary_point(0.9))),
+    "ball-harmonic": (lp.catalog("harmonic_poly", 2, dim=3), BALL3, [0.3, -0.2, 0.1]),
+    "ball-distance-hole": (lp.catalog("distance", [0.2, 0.1, 0.0]), BALL3, [-0.3, 0.2, 0.1]),
+    "ball-power-folded": (lp.catalog("power_distance", [0.2, 0.1, 0.0], 0.5), BALL3, [0.2, 0.1, 0.0]),
+    "ball-near-boundary": (
+        lp.catalog("harmonic_poly", 2, dim=3),
+        BALL3,
+        _near_boundary(BALL3, np.array([0.6, 0.0, 0.8])),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAY_FORM_CASES))
+def test_ray_form_matches_the_kernel_pairing_on_the_same_rule(name):
+    # the interior integral sums <theta, grad f> / omega_N along the
+    # target's rays; summing <grad E(x - y), grad f> on the same rule's
+    # volume weights must agree to roundoff
+    f, domain, y = RAY_FORM_CASES[name]
+    y = np.asarray(y, dtype=float)
+    order = 16 if domain.dim == 3 else 32
+    value = layerpot.potentials._gradient_volume_integral.__wrapped__(f, domain, tuple(y), order, 10**8)
+    eff = layerpot.potentials._volume_order_for_target(domain, order, y)
+    rule = _singular_rule(f, domain, eff, y, kernel_power=float(1 - domain.dim))
+    if name.endswith("near-boundary"):
+        assert eff > order
+    if "hole" in name:
+        assert len(rule.plans) == 2
+    if "folded" in name:
+        assert rule.plans[0].power == 1 - domain.dim + f.gradient_power
+    reference = rule.integrate(lambda x: row_dots(fundamental_gradient(x - y), f.gradient(x)))
+    assert abs(value - reference) <= 1e-13 * abs(reference), (value, reference)
+
+
+def test_gradient_volume_integral_peak_memory_stays_at_the_parent_level():
+    # tracemalloc peaks of order-64 3-D integrals before the ray form, with
+    # numpy 2.4: 4,131,786 B for distance(0) about (0.5, 0, 0), whose rule
+    # has a hole, and 7,540,855 B for a harmonic field, whose rule has
+    # none.  Directions are built per leaf, so the peak may grow by 10 %
+    # at most; a copy of the directions per generated run would add 3 MB.
+    compute = layerpot.potentials._gradient_volume_integral.__wrapped__
+    cases = [
+        (lp.catalog("distance", [0.0, 0.0, 0.0]), (0.5, 0.0, 0.0), 4_131_786),
+        (lp.catalog("harmonic_poly", 2, dim=3), (0.3, -0.2, 0.1), 7_540_855),
+    ]
+    for f, y, parent_peak in cases:
+        compute(f, BALL3, y, 64, 10**8)  # fills the angular and Gauss rule caches
+        tracemalloc.start()
+        try:
+            compute(f, BALL3, y, 64, 10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * parent_peak, (f.name, peak)
 
 
 def test_singular_point_coinciding_with_target_is_not_an_error():
