@@ -16,7 +16,9 @@ Volume rules are polar about a center; their radial nodes absorb the
 Jacobian rho^(N-1) and a kernel power rho^kappa at the center, so
 integrands singular there stay in the rule's accuracy class.  The composite
 builder additionally punches disjoint ball-shaped holes around secondary
-singular points and covers each hole with its own polar block.
+singular points and covers each hole with its own polar block.  A hole is
+small next to its distance from the other singular points, so its block
+takes the angular rule of at most ``HOLE_ORDER``.
 
 A volume rule holds no nodes, only the plan of each block: its center,
 directions, angular weights, table of covered radial intervals and radial
@@ -69,9 +71,18 @@ ORDER_CAP = 4096
 VOLUME_BLOCK = 1 << 15
 
 #: Most nodes of a volume rule generated at once; at least VOLUME_BLOCK.
-#: Shorter runs churn pages, longer ones hold more memory per running
-#: integral.
-GENERATE_RUN = 1 << 17
+#: Longer runs hold more memory per running integral.  The CLI pins
+#: malloc's thresholds to one full 3-D run, so freed runs stay in the heap
+#: and the next run reuses their pages.
+GENERATE_RUN = 1 << 16
+
+#: Most angular nodes per direction of a hole's block.  A hole is at most
+#: half as wide as the distance to the nearest other singular point, so
+#: its integrand's angular content decays like 2^-l: 2 * HOLE_ORDER angles
+#: on the circle leave an error near 2^-64, and the sphere rule, whose
+#: polar angles are Gauss-Legendre in theta, about 1e-14 relative when the
+#: nearest point lies on its equator.
+HOLE_ORDER = 32
 
 #: Default cap on the node count of a single constructed rule; the
 #: LAYERPOT_MAX_NODES environment variable overrides it.
@@ -978,6 +989,10 @@ def _interval_table(center, dirs, t, extras, holes):
     pieces ascending.
     """
     n = len(dirs)
+    if not holes and not extras:
+        # every ray is one piece [0, t]: the table the general path builds
+        ray = np.flatnonzero(t > 1e-15)
+        return ray, np.zeros(len(ray)), t[ray]
     # per ray: a cut at -inf, the hole chords, and a sentinel; a chord the
     # ray misses stays (inf, inf) and sorts last with the sentinel
     starts = np.full((n, len(holes) + 2), np.inf)
@@ -1105,7 +1120,8 @@ def composite_volume_rule(
     ``holes`` is a sequence of (point, radius, power) triples: each ball is
     removed from the main rule's rays and re-integrated by a polar block of
     its own, whose radial rule is matched to integrands behaving like
-    rho^power about the hole center.
+    rho^power about the hole center.  A hole's block has ``order`` radial
+    nodes per ray but the angular rule of ``min(order, HOLE_ORDER)``.
 
     The rule keeps only the ``PolarPlan`` of each block; its nodes are
     generated when it integrates.  The node budget is checked here all the
@@ -1123,7 +1139,7 @@ def composite_volume_rule(
     # log kernel) of the main block, then of each hole's block
     blocks = [(center, dirs, w_ang, _interval_table(center, dirs, t, extras, holes), float(kernel_power), log_kernel)]
     if holes:
-        hdirs, hw_ang = angular_rule(domain.dim, order)
+        hdirs, hw_ang = angular_rule(domain.dim, min(order, HOLE_ORDER))
     for hc, hr, hp in holes:
         table = _interval_table(hc, hdirs, np.full(len(hdirs), hr), {}, ())
         blocks.append((hc, hdirs, hw_ang, table, hp, False))

@@ -10,9 +10,12 @@ variable caps quadrature node budgets.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import sys
 
 from ..errors import BudgetError, ConfigError, LayerpotError
+from ..geometry import GENERATE_RUN
 from .config import _ORDER, SuiteConfig, build_config
 from .report import write_report
 from .runner import run_bound, run_converge, run_table, run_verify
@@ -68,7 +71,38 @@ def _load_config(args) -> SuiteConfig:
     return build_config(text, args.command)
 
 
+#: glibc's ``mallopt`` parameters (malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _pin_malloc_thresholds() -> bool:
+    """Fix malloc's mmap threshold at the bytes of one full 3-D volume-rule
+    run, and its trim threshold at four times that; False where libc has
+    no ``mallopt``.
+
+    glibc raises both thresholds to the largest block freed so far, so
+    without a pin whether a run's arrays come from the heap or from fresh
+    pages depends on which rules ran before: a suite of 32,768-node 2-D
+    integrals maps and faults in each run anew unless a larger rule ran
+    first.  glibc would settle at twice the run for the trim threshold,
+    but a running 3-D integral holds its run and a leaf's temporaries, up
+    to about two runs: freeing that would trim the heap after every
+    integral, and the next one would fault it in again.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    run_bytes = (3 + 1) * GENERATE_RUN * 8  # three coordinates and a weight
+    mallopt(_M_MMAP_THRESHOLD, run_bytes)
+    mallopt(_M_TRIM_THRESHOLD, 4 * run_bytes)
+    return True
+
+
 def main(argv=None) -> int:
+    _pin_malloc_thresholds()
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)

@@ -95,7 +95,9 @@ def test_block_sum_has_the_bits_of_one_weighted_sum(count):
 
 
 def test_block_sum_on_a_3d_rule_with_a_hole():
-    rule = lp.composite_volume_rule(unit_ball3(), 64, [0.0, 0.0, 0.0], holes=[([0.4, 0.1, 0.0], 0.2, 0.0)])
+    # order 80: the hole's block is smaller than the main block, and the
+    # rule must still span more than 30 blocks
+    rule = lp.composite_volume_rule(unit_ball3(), 80, [0.0, 0.0, 0.0], holes=[([0.4, 0.1, 0.0], 0.2, 0.0)])
     nodes, weights = rule.nodes, rule.weights
     assert len(weights) == rule.count > 30 * VOLUME_BLOCK
 
@@ -246,7 +248,7 @@ def test_volume_integrand_memory_does_not_grow_with_the_rule():
     # distance(0)'s rule about an off-center target: a million nodes with a hole
     f = lp.catalog("distance", [0.0, 0.0, 0.0])
     y = np.array([0.5, 0.0, 0.0])
-    rule = _singular_rule(f, unit_ball3(), 64, y, kernel_power=-2.0)
+    rule = _singular_rule(f, unit_ball3(), 80, y, kernel_power=-2.0)
     assert len(rule.weights) > 10**6
     tracemalloc.start()
     try:
@@ -264,7 +266,7 @@ def test_building_and_integrating_a_rule_holds_a_fraction_of_its_nodes():
     y = np.array([0.5, 0.0, 0.0])
     tracemalloc.start()
     try:
-        rule = _singular_rule(f, unit_ball3(), 64, y, kernel_power=-2.0)
+        rule = _singular_rule(f, unit_ball3(), 80, y, kernel_power=-2.0)
         rule.integrate(lambda x: row_dots(f.gradient(x), x - y))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -614,7 +616,8 @@ def _nodes_in_ball(rule, center, radius):
 
 def test_hole_on_reentered_chord():
     # a hole on a re-entered segment is cut out of that segment only and
-    # re-covered by its own block of 2 * order^2 nodes
+    # re-covered by its own block: 2 min(order, HOLE_ORDER) rays of order
+    # nodes each
     star = star_domain()
     z = star.boundary_point(0.9)
     origin = z - 0.01 * star.outward_normal(z)
@@ -626,7 +629,7 @@ def test_hole_on_reentered_chord():
     mid = origin + 0.5 * (enter + leave) * dirs[ray]
     radius = 0.5 * star.boundary_distance(mid)
     rule = lp.composite_volume_rule(star, order, origin, holes=[(mid, radius, 0.0)])
-    assert _nodes_in_ball(rule, mid, radius) == 2 * order**2
+    assert _nodes_in_ball(rule, mid, radius) == 2 * order * min(order, geometry.HOLE_ORDER)
     assert rule.weights.sum() == pytest.approx(star.volume_measure, abs=1e-4)
 
 
@@ -637,14 +640,14 @@ def test_touching_holes(order):
     holes = [([0.3, 0.0], 0.1, 0.0), ([0.5, 0.0], 0.1, 0.0)]
     rule = lp.composite_volume_rule(unit_disk(), order, [0.0, 0.0], holes=holes)
     for center, radius, _ in holes:
-        assert _nodes_in_ball(rule, center, radius) == 2 * order**2
+        assert _nodes_in_ball(rule, center, radius) == 2 * order * min(order, geometry.HOLE_ORDER)
     assert rule.weights.sum() == pytest.approx(math.pi, abs=1e-3)
 
 
 def subtract_intervals(segments, cuts):
     """Set difference of interval lists: segments minus the (merged) cuts."""
     if not cuts:
-        return list(segments)
+        return [(a, b) for a, b in segments if b - a > 1e-15]
     cuts = sorted(cuts)
     merged = [list(cuts[0])]
     for lo, hi in cuts[1:]:
@@ -708,9 +711,17 @@ def test_interval_table_matches_loop_reference(domain):
             a = origin + rng.uniform(start + 0.2 * (end - start), end - 0.2 * (end - start)) * dirs[ray]
             radius = 0.5 * min(np.linalg.norm(a - origin), domain.boundary_distance(a))
             holes.append((a, radius, 0.0))
-        got = _interval_table(origin, dirs, t, extras, holes)
-        for column, want in zip(got, loop_interval_table(origin, dirs, t, extras, holes)):
-            np.testing.assert_array_equal(column, want)
+        # with no hole and no re-entered ray, as in every hole block and
+        # plain rule, the table is built directly; a ray of length 0 is
+        # dropped, as the general path drops it
+        short = t.copy()
+        short[0] = 0.0
+        cases = [(t, extras, holes), (t, extras, ()), (t, {}, ()), (short, {}, ())]
+        for args in cases:
+            got = _interval_table(origin, dirs, *args)
+            want = loop_interval_table(origin, dirs, *args)
+            for column, expected in zip(got, want):
+                np.testing.assert_array_equal(column, expected)
 
 
 def loop_ray_segments(star, origin, dirs):

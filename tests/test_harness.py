@@ -1,5 +1,6 @@
 """Tests for the configuration parser, report writer, runner, and CLI."""
 
+import ctypes
 import io
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 import layerpot as lp
 from layerpot.errors import CapabilityError, ConfigError
 from layerpot.harness import parse_config
-from layerpot.harness.cli import main
+from layerpot.harness.cli import _pin_malloc_thresholds, main
 from layerpot.harness import runner
 from layerpot.harness.config import KNOWN_KEYS, build_config
 from layerpot.harness.report import write_report
@@ -561,6 +562,79 @@ def test_importing_the_package_and_cli_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _libc_has_mallopt():
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return True
+
+
+#: Integrals that generate runs of one size over and over, and what they
+#: take unpinned: 2-D order-128 runs of 32,768 nodes, larger than glibc's
+#: initial mmap threshold, are mapped and faulted in anew each time (about
+#: 9,400 minor faults for 20 integrals); order-64 3-D integrals take about
+#: 18,000 for 6.
+FAULT_CASES = {
+    "disk": (
+        "from layerpot.representations import _gradient_pairing\n"
+        "disk = lp.Ball([0.0, 0.0], 1.0)\n"
+        "fields = [lp.catalog('harmonic_poly', 2), lp.catalog('coordinate', 1), lp.catalog('constant', 2.5)]\n"
+        "def run(k):\n"
+        "    _gradient_pairing(fields[k % 3], disk, [0.1, 0.2], 128)\n",
+        3,
+        20,
+    ),
+    "ball3": (
+        "from layerpot.potentials import _gradient_volume_integral\n"
+        "ball = lp.Ball([0.0, 0.0, 0.0], 1.0)\n"
+        "cases = [(lp.catalog('harmonic_poly', 2, dim=3), (0.3, -0.2, 0.1)), (lp.catalog('distance', [0.0, 0.0, 0.0]), (0.5, 0.0, 0.0))]\n"
+        "def run(k):\n"
+        "    f, y = cases[k % 2]\n"
+        "    _gradient_volume_integral.__wrapped__(f, ball, y, 64, 10**8)\n",
+        2,
+        6,
+    ),
+}
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
+@pytest.mark.parametrize("case", sorted(FAULT_CASES))
+def test_pinned_malloc_thresholds_keep_volume_runs_in_the_heap(case):
+    # pinned by the CLI, freed runs stay in the heap and the next integral
+    # reuses their pages; the first integrals fill the caches
+    setup, warm, repeats = FAULT_CASES[case]
+    code = (
+        "import resource\n"
+        "import layerpot as lp\n"
+        "from layerpot.harness import cli\n"
+        "assert cli.main(['verify']) == 2\n"
+        f"{setup}"
+        f"for k in range({warm}):\n"
+        "    run(k)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        f"for k in range({repeats}):\n"
+        "    run(k)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1000
+
+
+def test_cli_runs_where_libc_has_no_mallopt(tmp_path, monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    _pin_malloc_thresholds.cache_clear()
+    try:
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(BASE)
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "report.csv")]) == 0
+        assert _pin_malloc_thresholds.cache_info().currsize == 1 and _pin_malloc_thresholds() is False
+    finally:
+        _pin_malloc_thresholds.cache_clear()
 
 
 def test_zeta_mode_is_an_unknown_key(tmp_path, capsys):

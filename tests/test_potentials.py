@@ -330,6 +330,27 @@ def test_gradient_volume_integral_peak_memory_stays_at_the_parent_level():
         assert peak <= 1.1 * parent_peak, (f.name, peak)
 
 
+@pytest.mark.parametrize("domain, order, too_few", [(DISK, 128, 16), (BALL3, 64, 24)], ids=["disk", "ball3"])
+def test_capped_hole_block_resolves_the_widest_hole(domain, order, too_few, monkeypatch):
+    # a hole is at most half as wide as the distance to the nearest other
+    # singular point: here the target lies exactly that far away, on the
+    # equator of the sphere rule, where the hole block's angles resolve
+    # the kernel slowest.  The capped block must match the one with
+    # ``order`` angles, and a lower cap must not: 48 angles on the circle
+    # still reach roundoff here, so the disk checks 16
+    f = lp.catalog("distance", [0.0] * domain.dim)
+    y = (0.5,) + (0.0,) * (domain.dim - 1)
+    compute = layerpot.potentials._gradient_volume_integral.__wrapped__
+    assert layerpot.geometry.HOLE_ORDER < order
+    capped = compute(f, domain, y, order, 10**8)
+    monkeypatch.setattr(layerpot.geometry, "HOLE_ORDER", order)
+    full = compute(f, domain, y, order, 10**8)
+    monkeypatch.setattr(layerpot.geometry, "HOLE_ORDER", too_few)
+    coarse = compute(f, domain, y, order, 10**8)
+    assert abs(capped - full) <= 1e-14 * abs(full), (capped, full)
+    assert abs(coarse - full) > 1e-14 * abs(full), (coarse, full)
+
+
 def test_singular_point_coinciding_with_target_is_not_an_error():
     f = lp.catalog("power_distance", [0.0, 0.0], 0.5)
     val = lp.gradient_volume_integral(f, DISK, [0.0, 0.0], 64)
