@@ -321,11 +321,18 @@ def sphere_directions(order: int, pole=None) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
+def _circle_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``circle_directions(n)``, cached and read-only: 2-D polar and
+    boundary rules take only a few n."""
+    return _frozen(*circle_directions(n))
+
+
+@lru_cache(maxsize=64)
 def angular_rule(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Directions and angular weights of a polar rule of ``order``, cached
     and read-only: only a few (dim, order) pairs occur."""
     if dim == 2:
-        return _frozen(*circle_directions(2 * order))
+        return _circle_rule(2 * order)
     if dim == 3:
         return _frozen(*sphere_directions(order))
     raise DimensionError(f"quadrature is implemented for N in {{2, 3}}, got N={dim}")
@@ -658,7 +665,8 @@ class Ball(Domain):
         if order < 4:
             raise ParameterError(f"boundary rules need order >= 4, got {order}")
         if self.dim == 2:
-            dirs, w_ang = circle_directions(order)
+            # the unit normals are the shared, read-only directions
+            dirs, w_ang = _circle_rule(order)
         else:
             dirs, w_ang = sphere_directions(order, pole=pole)
         nodes = self.center + self.radius * dirs
@@ -699,18 +707,18 @@ class StarShaped2D(Domain):
             raise ParameterError("radial function must be positive")
         self._r_max = float(np.max(r))
         self._r_min = float(np.min(r))
-        # ray_segments evaluates the level function only between these
-        # squared radii; the true extremes of r lie within
-        # max |r''| (pi / 4096)^2 / 2 of the sampled ones
-        slack = float(np.max(np.abs(self._rpp(grid)))) * (math.pi / 4096) ** 2 / 2.0
-        self._annulus = (max(0.98 * self._r_min - slack, 0.0) ** 2, (1.02 * self._r_max + slack) ** 2)
         # Spectral reference values for the measures (trapezoid on a periodic
         # smooth integrand converges faster than any power of the grid size).
         rp = self._rp(grid)
         self._surface = float(np.mean(np.sqrt(r**2 + rp**2)) * 2.0 * math.pi)
         self._volume = float(np.mean(r**2 / 2.0) * 2.0 * math.pi)
+        radial = np.stack([np.cos(grid), np.sin(grid)])
+        p, dp = r * radial, rp * radial + r * _perp(radial)
+        # the nodes ray_segments starts from: theta, p - center and p' at
+        # the samples, coordinate-major, the first again at 2 pi
+        self._samples = _frozen(np.append(grid, 2.0 * math.pi), *(np.append(x, x[:, :1], axis=1) for x in (p, dp)))
         # coordinate-major, as volume-rule nodes are
-        self._bnd_cache = (self.center[:, None] + r * np.stack([np.cos(grid), np.sin(grid)])).T
+        self._bnd_cache = (self.center[:, None] + p).T
 
     def __repr__(self):
         return f"StarShaped2D(center={self.center.tolist()}, r_min={self._r_min:.3g}, r_max={self._r_max:.3g})"
@@ -827,78 +835,228 @@ class StarShaped2D(Domain):
         return int(math.ceil(30.0 * self._r_max / distance))
 
     def ray_table(self, center, order):
-        # the march is most of a star rule's cost, and many rules share a
-        # center and order
+        # many rules share a center and order
         return computed_once(_ray_table, self, tuple(center.tolist()), order)
 
     def ray_segments(self, origin, dirs):
-        """All interior intervals along each ray, found on a marching grid
-        with vectorized bisection refinement.
+        """All interior intervals along each ray, found from the boundary
+        side: the points where the boundary meets each ray.
+
+        Seen from the origin o, the boundary point p(theta) has the visual
+        angle alpha = arg(p - o), which turns back where
+        tau = cross(p - o, p') changes sign.  The 4096 boundary samples
+        are the nodes; where the origin lies within a few samples of the
+        boundary, nodes are added until no interval between two turns by
+        more than pi / 8.  Turning points located by bracketed Newton steps
+        on tau split the intervals into pieces along which alpha is
+        monotone.  A ray of angle beta meets a piece once for each
+        beta + 2 pi m in the piece's angle range, and ``searchsorted`` on
+        the sorted ray angles lists those.  Each crossing is then the zero
+        of alpha(theta) - beta in its piece, again by bracketed Newton
+        steps, at t = |p - o|, which there is <p - o, d> for a unit d.
 
         Handles concave boundary sections (rays that exit and re-enter).
-        Re-entered slivers shorter than the marching step can be missed;
-        the step is a small fraction of the inner radius.
-
-        The level function is evaluated only at grid points whose distance
-        rho from the domain center lies in the annulus [0.98 r_min - e,
-        1.02 r_max + e]; rho(t)^2 is a quadratic in t, and a point nearer
-        the center is inside, one further out outside.  r_min and r_max
-        are sampled on 4096 angles, so the true extremes lie within
-        e = max |r''| (pi / 4096)^2 / 2 of them, with |r''| taken on the
-        same samples; the 2 % margins keep rounding in rho away from the
-        boundary.  Every grid point then gets the side the full-grid march
-        gives it, and the results keep that march's bits.
+        Boundary features narrower than one of the 4096 samples can be
+        missed: a fold of alpha that turns twice between two samples hides
+        the crossings in it.
         """
         origin = as_point(origin, 2)
         if self.classify(origin) != INTERIOR:
             raise PlacementError("ray origin must lie strictly inside the domain")
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         n_rays = len(dirs)
-        v = origin - self.center
-        t_max = float(np.linalg.norm(v)) + 2.05 * self._r_max
-        m = 512
-        grid = np.linspace(0.0, t_max, m)
-        # (rays, grid): rho^2 = |v|^2 + 2 t (v . d) + t^2 along each ray
-        rho2 = grid * (2.0 * (dirs @ v)[:, None] + grid) + float(v @ v)
-        inside = rho2 < self._annulus[0]
-        ray_idx, grid_idx = np.nonzero(~inside & (rho2 <= self._annulus[1]))
-        inside[ray_idx, grid_idx] = self._level(grid[grid_idx], dirs[ray_idx, 0], dirs[ray_idx, 1], origin) < 0.0
-        # the origin is interior, where the level is negative as well
-        inside[:, 0] = True
-        flips = inside[:, :-1] != inside[:, 1:]
-        # row-major order lists each ray's crossings by grid cell, and
-        # bisection keeps every crossing inside its cell: they come sorted
-        ray_idx, grid_idx = np.nonzero(flips)
-        lo = grid[grid_idx]
-        hi = grid[grid_idx + 1]
-        dx, dy = dirs[ray_idx, 0], dirs[ray_idx, 1]
-        lo_inside = inside[ray_idx, grid_idx]
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            same = (self._level(mid, dx, dy, origin) < 0.0) == lo_inside
-            lo = np.where(same, mid, lo)
-            hi = np.where(same, hi, mid)
-        crossings = 0.5 * (lo + hi)
-        counts = np.bincount(ray_idx, minlength=n_rays)
+        v = (origin - self.center)[:, None]
+        theta, u, dp = self._samples
+        u = u - v
+        angle = np.arctan2(u[1], u[0])
+        turned, wraps = _turns(np.diff(angle))
+        # cut the intervals that turn by more than pi / 8, which only an
+        # origin within a few samples of the boundary sees, in eighths until
+        # none does
+        (wide,) = np.nonzero(np.abs(turned) > math.pi / 8.0)
+        if wide.size:
+            a, b, angle_a, angle_b = theta[wide], theta[wide + 1], angle[wide], angle[wide + 1]
+            added = []
+            for _ in range(_ROOT_STEPS):
+                mid = (a[:, None] + (b - a)[:, None] * np.arange(1, 8) / 8.0).ravel()
+                at, tangent = self._jet(v, mid, 1)
+                mid_angle = np.arctan2(at[1], at[0])
+                added.append((mid, mid_angle, at, tangent))
+                ends = np.column_stack([a, mid.reshape(-1, 7), b])
+                angles = np.column_stack([angle_a, mid_angle.reshape(-1, 7), angle_b])
+                keep = np.abs(_turns(np.diff(angles, axis=1))[0]) > math.pi / 8.0
+                a, b = ends[:, :-1][keep], ends[:, 1:][keep]
+                angle_a, angle_b = angles[:, :-1][keep], angles[:, 1:][keep]
+                if not a.size:
+                    break
+            mid, mid_angle, at, tangent = (np.concatenate(x, axis=-1) for x in zip(*added))
+            by_theta = np.argsort(mid)
+            where = np.searchsorted(theta, mid[by_theta])
+            theta, angle = np.insert(theta, where, mid[by_theta]), np.insert(angle, where, mid_angle[by_theta])
+            u, dp = np.insert(u, where, at[:, by_theta], axis=1), np.insert(dp, where, tangent[:, by_theta], axis=1)
+            turned, wraps = _turns(np.diff(angle))
+        tau = _cross(u, dp)
+        rising = tau >= 0.0
+        # tau changes sign between nodes k and k + 1; Newton starts where
+        # it would vanish if linear
+        (k,) = np.nonzero(rising[:-1] != rising[1:])
+        turn = np.zeros(theta.size, dtype=bool)
+        if k.size:
+            guess = theta[k] + (theta[k + 1] - theta[k]) * tau[k] / (tau[k] - tau[k + 1])
+            turns = _bracketed_newton(partial(self._tau, v), theta[k], theta[k + 1], guess, ~rising[k])
+            (at,) = self._jet(v, turns, 0)
+            theta, angle = np.insert(theta, k + 1, turns), np.insert(angle, k + 1, np.arctan2(at[1], at[0]))
+            turn = np.insert(turn, k + 1, True)
+            turned, wraps = _turns(np.diff(angle))
+        # alpha is monotone between two nodes, the way tau goes at the end
+        # that is no turning point
+        rising = np.insert(rising[:-1], k + 1, rising[k + 1])
+        # alpha at the nodes is angle + 2 pi laps
+        laps = np.concatenate(([0], -np.cumsum(wraps, dtype=int)))
+        laps -= laps.min()
+        # the targets beta + 2 pi m, m >= 0, numbered in (m, beta) order:
+        # comparing (m, beta) with a node's (laps, angle) compares the
+        # target with alpha, and rounds nothing
+        beta = np.arctan2(dirs[:, 1], dirs[:, 0])
+        order = np.argsort(beta, kind="stable")
+        ascending = beta[order]
+        left = np.searchsorted(ascending, angle, "left")
+        # a node's angle equal to a ray angle takes a second search
+        right = left.copy()
+        (tie,) = np.nonzero(np.append(ascending, np.inf)[left] == angle)
+        right[tie] = np.searchsorted(ascending, angle[tie], "right")
+        left, right = left + laps * n_rays, right + laps * n_rays
+        # a piece holds the angle it starts at, and the one it ends at only
+        # where a turning point ends it: a ray through a node meets one
+        # piece there, and a ray touching a turning point meets two
+        end = np.where(turn[1:], right[1:], left[1:])
+        start = np.where(rising, left[:-1], np.where(turn[1:], left[1:], right[1:]))
+        stop = np.where(rising, end, right[:-1])
+        count = np.maximum(stop - start, 0)
+        piece = np.repeat(np.arange(count.size), count)
+        slot = np.arange(piece.size) - np.repeat(np.cumsum(count) - count, count) + start[piece]
+        ray = order[slot % n_rays]
+        # Newton starts where alpha would reach the target if linear in
+        # theta, taken in (-pi, pi], where theta has the finer ulp
+        short = angle[piece] - beta[ray] + 2.0 * math.pi * (laps[piece] - slot // n_rays)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = np.clip(-short / turned[piece], 0.0, 1.0)
+        lo, hi = (np.where(theta[piece] < math.pi, x, x - 2.0 * math.pi) for x in (theta[piece], theta[piece + 1]))
+        guess = lo + np.where(np.isfinite(frac), frac, 0.5) * (hi - lo)
+        phi = _bracketed_newton(partial(self._ahead, v, dirs[ray].T), lo, hi, guess, rising[piece])
+        t = np.hypot(*self._jet(v, phi, 0)[0])
+        # each ray's crossings in order along it
+        by_ray = np.lexsort((t, ray))
+        ray, crossings = ray[by_ray], t[by_ray]
+        counts = np.bincount(ray, minlength=n_rays)
         if np.any(counts == 0):
             raise RangeError("ray failed to exit the domain")
         first = np.cumsum(counts) - counts
         t_first = crossings[first]
         # crossings after the first pair up into re-entered (enter, exit)
         # intervals; an unpaired last one is dropped
-        pos = np.arange(ray_idx.size) - first[ray_idx]
-        paired = (pos > 0) & (pos <= (counts[ray_idx] - 1) // 2 * 2)
+        pos = np.arange(ray.size) - first[ray]
+        paired = (pos > 0) & (pos <= (counts[ray] - 1) // 2 * 2)
         extras: dict[int, list[tuple[float, float]]] = {}
-        for i, seg in zip(ray_idx[paired][::2].tolist(), crossings[paired].reshape(-1, 2).tolist()):
+        for i, seg in zip(ray[paired][::2].tolist(), crossings[paired].reshape(-1, 2).tolist()):
             extras.setdefault(i, []).append(tuple(seg))
         return t_first, extras
 
-    def _level(self, t, dx, dy, origin):
-        """rho - r(theta) at the points origin + t (dx, dy), by broadcasting;
-        negative inside the domain."""
-        rx = origin[0] + t * dx - self.center[0]
-        ry = origin[1] + t * dy - self.center[1]
-        return np.sqrt(rx * rx + ry * ry) - self._r(np.arctan2(ry, rx))
+    def _jet(self, v, theta, order):
+        """p(theta) - o, where v = o - center is a column, and its first
+        ``order`` derivatives in theta, each coordinate-major."""
+        radial = np.stack([np.cos(theta), np.sin(theta)])
+        r = self._r(theta)
+        jet = [r * radial - v]
+        if order > 0:
+            rp = self._rp(theta)
+            jet.append(rp * radial + r * _perp(radial))
+        if order > 1:
+            jet.append((self._rpp(theta) - r) * radial + 2.0 * rp * _perp(radial))
+        return jet
+
+    def _tau(self, v, theta, which):
+        """tau = cross(p - o, p') and its theta derivative cross(p - o, p'')."""
+        u, dp, ddp = self._jet(v, theta, 2)
+        return _cross(u, dp), _cross(u, ddp)
+
+    def _ahead(self, v, dirs, theta, which):
+        """The angle from the rays numbered ``which`` to p - o, and its
+        theta derivative tau / |p - o|^2.  Within a piece alpha - beta
+        stays far inside (-pi, pi), so the angle is alpha - beta, and it
+        keeps its relative precision near 0."""
+        u, dp = self._jet(v, theta, 1)
+        return _angle(dirs[:, which], u), _cross(u, dp) / np.einsum("ij,ij->j", u, u)
+
+
+def _perp(a):
+    """a turned by pi / 2, for coordinate-major 2-D vectors."""
+    return np.stack([-a[1], a[0]])
+
+
+def _cross(a, b):
+    """a_x b_y - a_y b_x for coordinate-major 2-D vectors."""
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _turns(step):
+    """Differences of angles in (-pi, pi], each taken in [-pi, pi], and
+    the multiples of 2 pi taken off them."""
+    wraps = np.rint(step / (2.0 * math.pi))
+    return step - 2.0 * math.pi * wraps, wraps
+
+
+def _angle(a, b):
+    """The angle in (-pi, pi] from a to b, for coordinate-major 2-D vectors."""
+    return np.arctan2(_cross(a, b), np.einsum("ij,ij->j", a, b))
+
+
+#: Steps after which a bracketed root search, or the refinement of the
+#: nodes ``StarShaped2D.ray_segments`` sees turn too far, stops; bisection
+#: alone takes a bracket of one boundary sample (2 pi / 4096) to an ulp in
+#: about 45.
+_ROOT_STEPS = 100
+
+#: A root search stops once its step or bracket is below this times
+#: max(1, |theta|).
+_ROOT_TOL = 2.0 * np.finfo(float).eps
+
+
+def _bracketed_newton(fn, lo, hi, x, rising):
+    """The zero of fn in each bracket [lo, hi], by Newton steps from x that
+    stay inside the bracket; a step that would leave it bisects instead.
+
+    ``fn(x, which)`` returns the values and slopes at x of the brackets
+    numbered ``which``; fn rises through its zero where ``rising`` holds.
+    Each evaluation narrows its bracket, and a bracket stops once its
+    step or its width falls to a few ulps, or once two Newton steps s and
+    s' in a row put the next one, about s'^2 s' / s^2 by quadratic
+    convergence, below that.
+    """
+    lo, hi, x, last = lo.copy(), hi.copy(), x.copy(), np.zeros(x.size)
+    which = np.arange(x.size)
+    for _ in range(_ROOT_STEPS):
+        if not which.size:
+            break
+        at = x[which]
+        value, slope = fn(at, which)
+        below = (value < 0.0) == rising[which]  # the zero lies above ``at``
+        lo[which] = np.where(below, at, lo[which])
+        hi[which] = np.where(below, hi[which], at)
+        low, high = lo[which], hi[which]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = value / slope
+        tol = _ROOT_TOL * np.maximum(np.abs(at), 1.0)
+        # a step onto an end already evaluated could cycle between them
+        new = at - step
+        newton = ((new > low) & (new < high)) | (np.abs(step) <= tol)
+        new = np.where(newton, new, 0.5 * (low + high))
+        x[which] = new
+        size = np.abs(new - at)
+        done = (size <= tol) | (high - low <= tol) | (newton & (size**3 <= tol * last[which] ** 2))
+        last[which] = np.where(newton, size, 0.0)
+        which = which[~done]
+    return x
 
 
 # ---------------------------------------------------------------------------

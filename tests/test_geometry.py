@@ -383,6 +383,18 @@ def test_circle_rule_weight_sum():
     np.testing.assert_allclose(np.linalg.norm(rule.normals, axis=1), 1.0, atol=1e-12)
 
 
+def test_disk_boundary_rules_of_one_order_share_read_only_normals():
+    # 2-D ball rules take their directions from a cache, as polar rules
+    # do; the nodes and weights scale them, so each rule has its own
+    a, b = unit_disk().boundary_rule(128), lp.Ball([0.5, -1.0], 2.0).boundary_rule(128)
+    assert a.normals is b.normals
+    with pytest.raises(ValueError):
+        a.normals[0, 0] = 0.0
+    assert a.nodes is not b.nodes and a.weights is not b.weights
+    np.testing.assert_array_equal(b.nodes, [0.5, -1.0] + 2.0 * a.normals)
+    assert unit_disk().boundary_rule(96).normals is not a.normals
+
+
 def test_sphere_rule_weight_sum():
     rule = unit_ball3().boundary_rule(32)
     assert rule.weights.sum() == pytest.approx(4 * math.pi, abs=1e-10)
@@ -725,9 +737,11 @@ def test_interval_table_matches_loop_reference(domain):
 
 
 def loop_ray_segments(star, origin, dirs):
-    """Per-ray loop reference for StarShaped2D.ray_segments: the same
-    marching grid and bisection on (rays, grid, 2) arrays, then each ray's
-    crossings regrouped and sorted one ray at a time."""
+    """Independent reference for StarShaped2D.ray_segments, found from the
+    ray side: a march of 512 points along each ray and 48 bisection steps
+    on each crossing, on (rays, grid, 2) arrays, then each ray's crossings
+    regrouped and sorted one ray at a time.  It misses re-entered slivers
+    shorter than its step."""
     t_max = float(np.linalg.norm(origin - star.center)) + 2.05 * star._r_max
     grid = np.linspace(0.0, t_max, 512)
     rel = origin[None, None, :] + grid[None, :, None] * dirs[:, None, :] - star.center
@@ -767,8 +781,8 @@ def five_lobe_star():
 
 
 def annulus_origins(star, count, seed):
-    """Interior origins with r_min < |o - c| < r_max: rays from them meet
-    the annulus the march evaluates on both sides of the inner disk."""
+    """Interior origins with r_min < |o - c| < r_max: the boundary turns
+    back as they see it, and many of their rays exit and re-enter."""
     rng = np.random.default_rng(seed)
     origins = []
     while len(origins) < count:
@@ -777,6 +791,31 @@ def annulus_origins(star, count, seed):
         if star.classify(origin) == lp.geometry.INTERIOR:
             origins.append(origin)
     return origins
+
+
+EPS = np.finfo(float).eps
+
+
+def assert_matches_loop_reference(star, origin, dirs):
+    """ray_segments against the march of loop_ray_segments: the same rays
+    re-entered, as many intervals on each, and every endpoint within
+    16 eps max(1, t) / |sin psi| of the march's, psi the angle between the
+    ray and the boundary where they cross.  Returns the extras."""
+    t, extras = star.ray_segments(origin, dirs)
+    want_t, want_extras = loop_ray_segments(star, origin, dirs)
+    assert extras.keys() == want_extras.keys()
+    for i, d in enumerate(dirs):
+        assert len(extras.get(i, [])) == len(want_extras.get(i, [])), i
+        got = [t[i], *(end for segment in extras.get(i, []) for end in segment)]
+        want = [want_t[i], *(end for segment in want_extras.get(i, []) for end in segment)]
+        for g, w in zip(got, want):
+            x = origin + w * d - star.center
+            theta = math.atan2(x[1], x[0])
+            radial = np.array([math.cos(theta), math.sin(theta)])
+            tangent = float(star._rp(theta)) * radial + float(star._r(theta)) * np.array([-radial[1], radial[0]])
+            sin_psi = abs(d[0] * tangent[1] - d[1] * tangent[0]) / np.linalg.norm(tangent)
+            assert abs(g - w) <= 16.0 * EPS * max(1.0, w) / sin_psi, (i, g, w)
+    return extras
 
 
 @pytest.mark.parametrize("order", [16, 64, 128])
@@ -794,11 +833,7 @@ def test_ray_segments_match_loop_reference(order, reentrant):
     found = []
     for star, origin in cases:
         dirs, _ = angular_rule(2, order * star.angular_oversampling)
-        t, extras = star.ray_segments(origin, dirs)
-        want_t, want_extras = loop_ray_segments(star, origin, dirs)
-        np.testing.assert_array_equal(t, want_t)
-        assert extras == want_extras
-        found.append(bool(extras))
+        found.append(bool(assert_matches_loop_reference(star, origin, dirs)))
     if reentrant:
         assert found[0] and any(found[-3:])
     else:
@@ -807,9 +842,8 @@ def test_ray_segments_match_loop_reference(order, reentrant):
 
 def test_ray_segments_match_loop_reference_near_a_sharp_dip():
     # a dip of depth 0.5 and width two sampling steps, its bottom between
-    # two of the 4096 samples: the sampled r_min is 3 % too large, beyond
-    # the 2 % margin, so the annulus must widen by the bound it takes
-    # from the sampled |r''|
+    # two of the 4096 samples: the samples see it, and the crossings next
+    # to its bottom meet a boundary that turns within a few samples
     h = 2.0 * math.pi / 4096
     w, theta0 = 2.0 * h, 0.5 * h
 
@@ -825,21 +859,159 @@ def test_ray_segments_match_loop_reference_near_a_sharp_dip():
     assert star._r_min > 0.5 / 0.98
     angles = theta0 + np.linspace(-3.0 * w, 3.0 * w, 41)
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-    t, extras = star.ray_segments(star.center, dirs)
-    want_t, want_extras = loop_ray_segments(star, star.center, dirs)
-    np.testing.assert_array_equal(t, want_t)
-    assert extras == want_extras
+    assert assert_matches_loop_reference(star, star.center, dirs) == {}
+    t, _ = star.ray_segments(star.center, dirs)
     assert np.min(t) < 0.501
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.9, 2.0])
+@pytest.mark.parametrize("star", [star_domain(), five_lobe_star()], ids=["three", "five"])
+def test_ray_segments_from_an_origin_just_inside_the_boundary(star, theta):
+    # 1e-9 inside, at the three-lobe star's convex tip (0) and concave
+    # waist (0.9): the origin sees the boundary near its foot sweep about
+    # pi between two samples, where the rays pointing out leave at once
+    z = star.boundary_point(theta)
+    normal = star.outward_normal(z)
+    origin = z - 1e-9 * normal
+    dirs, _ = angular_rule(2, 64 * star.angular_oversampling)
+    assert_matches_loop_reference(star, origin, dirs)
+    # away from the tangent, rays pointing out leave after 1e-9 / cos, to
+    # the rounding of z and of p - o, about 3e-16 each
+    t, _ = star.ray_segments(origin, dirs)
+    out = dirs @ normal
+    np.testing.assert_allclose(t[out > 0.05], 1e-9 / out[out > 0.05], rtol=2e-6)
+    assert np.all(t[out < -0.05] > 0.02)
+
+
+def test_ray_segments_find_gaps_shorter_than_a_march_step():
+    # 1e-7 inside a waist of the five-lobe star, rays leaving almost along
+    # the boundary come back in within 5e-5 to 6e-3, less than the step of
+    # loop_ray_segments' march; every interval's midpoint lies inside the
+    # domain and every gap's midpoint outside
+    star = five_lobe_star()
+    z = star.boundary_point(math.pi / 5.0)
+    origin = z - 1e-7 * star.outward_normal(z)
+    dirs, _ = angular_rule(2, 64 * star.angular_oversampling)
+    t, extras = star.ray_segments(origin, dirs)
+    step = (np.linalg.norm(origin - star.center) + 2.05 * star._r_max) / 511
+    short = 0
+    for i, d in enumerate(dirs):
+        segments = [(0.0, t[i]), *extras.get(i, [])]
+        for a, b in segments:
+            assert star.signed_boundary_distance(origin + 0.5 * (a + b) * d) < 0.0
+        for (_, a), (b, _) in zip(segments, segments[1:]):
+            assert star.signed_boundary_distance(origin + 0.5 * (a + b) * d) > 0.0
+            short += b - a < step
+    assert short >= 20
+
+
+SAMPLE_DIRECTIONS = np.column_stack([np.cos(2.0 * math.pi * np.arange(4096) / 4096), np.sin(2.0 * math.pi * np.arange(4096) / 4096)])
+
+
+def test_ray_segments_along_the_sample_angles():
+    # from off-center origins, rays aimed at the angles 2 pi k / 4096 of
+    # the boundary samples (every fourth, to keep the march small)
+    dirs = SAMPLE_DIRECTIONS[::4]
+    three, five = star_domain(), five_lobe_star()
+    z = three.boundary_point(0.9)
+    for star, origin in [(three, three.center + [0.3, 0.1]), (three, z - 0.01 * three.outward_normal(z)), (five, five.center + [0.3, 0.1])]:
+        assert_matches_loop_reference(star, origin, dirs)
+
+
+@pytest.mark.parametrize("dirs", [angular_rule(2, 32)[0], angular_rule(2, 256)[0], SAMPLE_DIRECTIONS], ids=["64", "512", "samples"])
+def test_ray_segments_from_the_center_match_the_radius(dirs):
+    # from its own center a star's boundary crossing along angle theta
+    # lies at r(theta); the 4096 sample directions each aim at a sample,
+    # which one piece alone may hold.  theta is known to an ulp, over
+    # which r moves by |r'| ulp(theta): that adds to the 4 ulps of t
+    star = star_domain()
+    t, extras = star.ray_segments(star.center, dirs)
+    assert extras == {}
+    theta = np.arctan2(dirs[:, 1], dirs[:, 0])
+    want = star._r(theta)
+    assert np.all(np.abs(t - want) <= 4.0 * np.spacing(want) + np.abs(star._rp(theta)) * np.spacing(np.abs(theta)))
+    # on the unit circle about the origin the samples lie exactly on the
+    # sample directions, so each of those rays passes through a node
+    circle = lp.StarShaped2D(np.ones_like, radius_d1=np.zeros_like, radius_d2=np.zeros_like)
+    t, extras = circle.ray_segments(circle.center, dirs)
+    assert extras == {}
+    assert np.all(np.abs(t - 1.0) <= 4.0 * EPS)
+
+
+@pytest.mark.parametrize("order", [16, 64, 128])
+def test_ray_segments_of_a_circle_match_the_ball(order):
+    # a constant-radius star is a disk, whose crossings Ball.ray_segments
+    # gives in closed form.  The offsets are exact in binary and at most
+    # 2/3 of the radius, so t >= R / 3 and the rounding of p - o, about
+    # eps R, stays within a few ulps of t
+    center, radius = np.array([0.25, -0.125]), 0.75
+    circle = lp.StarShaped2D(lambda th: np.full_like(th, radius), center=center, radius_d1=np.zeros_like, radius_d2=np.zeros_like)
+    dirs, _ = angular_rule(2, order * circle.angular_oversampling)
+    for offset in ([0.0, 0.0], [0.25, 0.125], [-0.375, 0.0625], [0.0, -0.5]):
+        t, extras = circle.ray_segments(center + offset, dirs)
+        want, _ = lp.Ball(center, radius).ray_segments(center + offset, dirs)
+        assert extras == {}
+        assert np.all(np.abs(t - want) <= 4.0 * np.spacing(want))
+
+
+def counted_star(star):
+    """A copy of ``star`` whose radius function and derivatives count the
+    points they are evaluated at, and the count."""
+    seen = [0]
+
+    def counted(fn):
+        def count(theta):
+            seen[0] += np.size(theta)
+            return fn(theta)
+
+        return count
+
+    return lp.StarShaped2D(
+        counted(star.radius_fn), star.center, radius_d1=counted(star._d1), radius_d2=counted(star._d2)
+    ), seen
+
+
+@pytest.mark.parametrize(
+    "star, theta, order, parent",
+    [
+        (star_domain(), None, 16, 9984),
+        (star_domain(), None, 64, 39936),
+        (star_domain(), 0.9, 16, 10502),
+        (star_domain(), 0.9, 64, 41720),
+        (five_lobe_star(), None, 16, 15424),
+        (five_lobe_star(), None, 64, 61696),
+        (five_lobe_star(), 0.2, 16, 14264),
+        (five_lobe_star(), 0.2, 64, 56570),
+    ],
+    ids=["three-16", "three-64", "three-reentrant-16", "three-reentrant-64", "five-16", "five-64", "five-reentrant-16", "five-reentrant-64"],
+)
+def test_ray_table_evaluates_the_boundary_near_its_crossings_only(star, theta, order, parent):
+    # radius_fn, r' and r'' points evaluated while one table is built from
+    # the center or 0.01 inside the boundary at ``theta``.  ``parent`` is
+    # the count of the 512-point march with 48 bisection steps that found
+    # the crossings before; the boundary-side search counts 3 (centered)
+    # to 6 points per crossing here
+    star, seen = counted_star(star)
+    origin = star.center
+    if theta is not None:
+        z = star.boundary_point(theta)
+        origin = z - 0.01 * star.outward_normal(z)
+    seen[0] = 0
+    _, _, t, extras = star.ray_table(origin, order)
+    crossings = len(t) + 2 * sum(len(segments) for segments in extras.values())
+    assert (theta is not None) == bool(extras)
+    assert seen[0] <= 4096 + 16 * crossings
+    assert 5 * seen[0] <= parent
 
 
 def counted_ray_segments(monkeypatch, delay=0.0):
     """Patch StarShaped2D.ray_segments to record each call's origin."""
-    calls, march = [], lp.StarShaped2D.ray_segments
+    calls, build = [], lp.StarShaped2D.ray_segments
 
     def counted(star, origin, dirs):
         calls.append(tuple(origin))
         time.sleep(delay)
-        return march(star, origin, dirs)
+        return build(star, origin, dirs)
 
     monkeypatch.setattr(lp.StarShaped2D, "ray_segments", counted)
     return calls

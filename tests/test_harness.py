@@ -564,6 +564,24 @@ def test_importing_the_package_and_cli_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_f2_f3_suite_draws_no_probes(tmp_path):
+    # F2 and F3 read no probe point; drawing probes would import
+    # numpy.random, which a fresh interpreter shows
+    cfg = tmp_path / "f2.cfg"
+    cfg.write_text(BASE.replace("identities = GAUSS, F1, REP2", "identities = F2, F3").replace("orders = 64", "orders = 16"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    code = (
+        "import sys\nfrom layerpot.harness.cli import main\n"
+        "code = main(['verify', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, 'numpy.random' in sys.modules)"
+    )
+    out = tmp_path / "r.csv"
+    proc = subprocess.run([sys.executable, "-c", code, str(cfg), str(out)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+    assert {line.split(",")[1] for line in out.read_text().splitlines()[1:]} == {"F2", "F3"}
+
+
 def _libc_has_mallopt():
     try:
         ctypes.CDLL(None).mallopt
