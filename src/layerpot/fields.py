@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     ParameterError,
     SingularityError,
 )
-from .geometry import INTERIOR, Ball, Domain, as_point, composite_volume_rule, volume_rule
+from .geometry import INTERIOR, Ball, Domain, _frozen, as_point, composite_volume_rule, volume_rule
 from .kernel import _as_batch, row_dots, row_norms, sphere_area
 
 #: Cap on the size of the singular family carried by one field.
@@ -112,6 +113,13 @@ class ScalarField:
             raise ParameterError(
                 f"singular family capped at {MAX_SINGULAR_POINTS} points, got {len(points)}"
             )
+        # made once: every gradient call guards against them, and the
+        # first one a radial gradient is taken about hands its norms on
+        arrays = _frozen(*(np.array(a) for a in points))
+        radial = self.gradient_fn if isinstance(self.gradient_fn, _RadialGradient) else None
+        about = next((k for k, a in enumerate(arrays) if radial is not None and np.array_equal(radial.center, a)), None)
+        object.__setattr__(self, "_singular", arrays)
+        object.__setattr__(self, "_radial_at", about)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -126,15 +134,14 @@ class ScalarField:
     def gradient(self, x):
         pts, single = _as_batch(x, self.dim)
         grad = None
-        radial = self.gradient_fn if isinstance(self.gradient_fn, _RadialGradient) else None
-        for a in self.singular_arrays():
+        for k, a in enumerate(self._singular):
             d = pts - a
             r = row_norms(d)
-            if np.any(r < 1e-14):
+            if (r < 1e-14).any():
                 raise SingularityError(f"gradient of {self.name} requested at singular point {a.tolist()}")
-            if radial is not None and grad is None and np.array_equal(radial.center, a):
+            if k == self._radial_at:
                 # the guard's offsets and norms are the ones the gradient needs
-                grad = radial.of_offsets(d, r)
+                grad = self.gradient_fn.of_offsets(d, r)
         if grad is None:
             grad = self.gradient_fn(pts)
         grad = np.asarray(grad, dtype=float)
@@ -153,8 +160,9 @@ class ScalarField:
 
     # -- singular-set helpers -------------------------------------------------
 
-    def singular_arrays(self) -> list[np.ndarray]:
-        return [np.asarray(a, dtype=float) for a in self.singular_points]
+    def singular_arrays(self) -> tuple[np.ndarray, ...]:
+        """The singular points as read-only arrays, made once per field."""
+        return self._singular
 
     @property
     def is_smooth(self) -> bool:
@@ -459,25 +467,31 @@ def _singular_rule(
     re-covered by a polar block matched to that power.  A field with no
     singular point inside gets the plain rule about ``center``.
     """
-    singulars = [a for a in f.singular_arrays() if domain.classify(a) == INTERIOR]
+    singulars = _interior_singulars(f, domain)
     if center is None:
-        center = singulars[0] if singulars else domain.center
+        center = singulars[0][0] if singulars else domain.center
     if power is None:
         power = f.gradient_power
     rest = []
-    for a in singulars:
-        if np.linalg.norm(a - center) <= 1e-12 * domain.diameter:
+    for a, wall in singulars:
+        gap = np.linalg.norm(a - center)
+        if gap <= 1e-12 * domain.diameter:
             kernel_power += power
         else:
-            rest.append(a)
-    holes = [(a, _hole_radius(a, [center] + [b for b in rest if b is not a], domain), power) for a in rest]
+            rest.append((a, wall, gap))
+    # a hole is half as wide as the distance from its point to the boundary,
+    # the center or the nearest other point
+    holes = []
+    for a, wall, gap in rest:
+        others = [np.linalg.norm(a - b) for b, _, _ in rest if b is not a]
+        holes.append((a, 0.5 * min([wall, gap] + [d for d in others if d > 0]), power))
     return composite_volume_rule(
         domain, order, center, kernel_power=kernel_power, log_kernel=log_kernel, holes=holes
     )
 
 
-def _hole_radius(a, others, domain: Domain) -> float:
-    """Half the distance from a to the boundary or the nearest other point."""
-    dists = [np.linalg.norm(a - np.asarray(b)) for b in others if np.linalg.norm(a - np.asarray(b)) > 0]
-    dists.append(domain.boundary_distance(a))
-    return 0.5 * min(dists)
+@lru_cache(maxsize=256)
+def _interior_singulars(f: ScalarField, domain: Domain) -> tuple:
+    """(point, boundary distance) of each singular point of f inside the
+    domain, found once: every rule about a new target reads them."""
+    return tuple((a, domain.boundary_distance(a)) for a in f.singular_arrays() if domain.classify(a) == INTERIOR)

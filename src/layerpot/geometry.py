@@ -109,7 +109,7 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
         raise DimensionError(f"points live in R^N with N >= 2, got {x!r}")
     if dim is not None and p.size != dim:
         raise DimensionError(f"expected a point of dimension {dim}, got dimension {p.size}")
-    if not np.all(np.isfinite(p)):
+    if not all(map(math.isfinite, p.tolist())):
         raise ParameterError(f"point coordinates must be finite, got {x!r}")
     return p
 
@@ -520,11 +520,10 @@ class Domain:
     # -- classification ----------------------------------------------------
 
     def boundary_distance(self, y) -> float:
-        raise NotImplementedError
+        return abs(self.signed_boundary_distance(y))
 
     def classify(self, y) -> str:
-        y = as_point(y, self.dim)
-        d = self.signed_boundary_distance(y)
+        d = self.signed_boundary_distance(y)  # validates y
         if abs(d) <= BOUNDARY_TOL * self.diameter:
             return BOUNDARY
         return INTERIOR if d < 0 else EXTERIOR
@@ -614,9 +613,6 @@ class Ball(Domain):
     def signed_boundary_distance(self, y) -> float:
         y = as_point(y, self.dim)
         return float(np.linalg.norm(y - self.center) - self.radius)
-
-    def boundary_distance(self, y) -> float:
-        return abs(self.signed_boundary_distance(y))
 
     @property
     def surface_measure(self) -> float:
@@ -1115,7 +1111,7 @@ def _radial_block(t: np.ndarray, rule, dim: int, kappa: float, log_kernel: bool,
         return rho, weights
     beta = dim - 1 + kappa
     rho = t[:, None] * u[None, :]
-    weights = t[:, None] ** (beta + 1.0) * w
+    weights = (t[:, None] if beta == 0.0 else t[:, None] ** (beta + 1.0)) * w
     # the Gauss weight u^beta holds rho^kappa and the Jacobian: divide out
     # what F and the measure do not carry
     excess = beta if rays else kappa
@@ -1149,20 +1145,26 @@ def _interval_table(center, dirs, t, extras, holes):
     n = len(dirs)
     if not holes and not extras:
         # every ray is one piece [0, t]: the table the general path builds
-        ray = np.flatnonzero(t > 1e-15)
+        (ray,) = (t > 1e-15).nonzero()
         return ray, np.zeros(len(ray)), t[ray]
+    chords = [_chord(center, dirs, hc, hr) for hc, hr, _ in holes]
+    if not extras and len(holes) == 1:
+        # the general path's rows: [0, min(t, enter)] and [leave, t] on a
+        # cut ray, [0, t] and the empty [inf, t] on the others
+        enter, leave, cut = chords[0]
+        a, b = np.zeros((n, 2)), np.empty((n, 2))
+        a[:, 1] = np.where(cut, leave, np.inf)
+        b[:, 0], b[:, 1] = np.where(cut, np.minimum(t, enter), t), t
+        ray = np.argsort(cut, kind="stable")
+        a, b = a[ray], b[ray]
+        piece = np.nonzero(b - a > 1e-15)
+        return ray[piece[0]], a[piece], b[piece]
     # per ray: a cut at -inf, the hole chords, and a sentinel; a chord the
     # ray misses stays (inf, inf) and sorts last with the sentinel
     starts = np.full((n, len(holes) + 2), np.inf)
     ends = np.full((n, len(holes) + 2), np.inf)
     starts[:, 0] = ends[:, 0] = -np.inf
-    for k, (hc, hr, _) in enumerate(holes, start=1):
-        v = hc - center
-        proj = dirs @ v
-        disc = proj**2 - float(v @ v) + hr**2
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        enter, leave = np.maximum(proj - sq, 0.0), proj + sq
-        cut = (disc > 0.0) & (leave > enter + 1e-15)
+    for k, (enter, leave, cut) in enumerate(chords, start=1):
         starts[cut, k], ends[cut, k] = enter[cut], leave[cut]
     rows = np.arange(n)[:, None]
     by_start = np.argsort(starts, axis=1, kind="stable")
@@ -1182,6 +1184,17 @@ def _interval_table(center, dirs, t, extras, holes):
     b = np.minimum(np.concatenate([t, spans[:, 1]])[seg, None], gap_hi[seg_ray])
     piece = np.nonzero(b - a > 1e-15)
     return seg_ray[piece[0]], a[piece], b[piece]
+
+
+def _chord(center, dirs, hc, hr):
+    """Where each ray from ``center`` along ``dirs`` enters and leaves the
+    ball (hc, hr), and whether it cuts a chord longer than 1e-15."""
+    v = hc - center
+    proj = dirs @ v
+    disc = proj**2 - float(v @ v) + hr**2
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    enter, leave = np.maximum(proj - sq, 0.0), proj + sq
+    return enter, leave, (disc > 0.0) & (leave > enter + 1e-15)
 
 
 @dataclass(frozen=True)
@@ -1208,8 +1221,10 @@ class PolarPlan:
     panel: tuple[np.ndarray, np.ndarray]
 
 
-def _polar_plan(center, dirs, w_ang, table, n_r: int, power: float, log_kernel: bool) -> PolarPlan:
-    dim = len(center)
+@lru_cache(maxsize=256, typed=True)
+def _radial_rules(dim: int, n_r: int, power: float, log_kernel: bool):
+    """``PolarPlan.radial`` and ``PolarPlan.panel``; ``typed`` keeps a
+    float ``n_r``, which has no Gauss rule, from hitting an int's rules."""
     if log_kernel:
         radial = gauss_jacobi_01(n_r)
     else:
@@ -1217,8 +1232,13 @@ def _polar_plan(center, dirs, w_ang, table, n_r: int, power: float, log_kernel: 
         if beta <= -1.0:
             raise ParameterError(f"kernel power {power} is not integrable in dimension {dim}")
         radial = gauss_jacobi_01(n_r, beta)
+    return radial, gauss_jacobi_01(n_r)
+
+
+def _polar_plan(center, dirs, w_ang, table, n_r: int, power: float, log_kernel: bool) -> PolarPlan:
+    radial, panel = _radial_rules(len(center), n_r, power, log_kernel)
     _frozen(center, *table)
-    return PolarPlan(center, dirs, w_ang, *table, power, log_kernel, radial, gauss_jacobi_01(n_r))
+    return PolarPlan(center, dirs, w_ang, *table, power, log_kernel, radial, panel)
 
 
 def _polar_block(plan: PolarPlan, lo: int, hi: int, nodes, weights, rays: bool = False):
@@ -1234,14 +1254,14 @@ def _polar_block(plan: PolarPlan, lo: int, hi: int, nodes, weights, rays: bool =
     dim, n_r = len(nodes), len(plan.radial[0])
     rho, wr = _radial_block(b, plan.radial, dim, plan.power, plan.log_kernel, rays)
     # pieces off the center: panels replace their radial rows
-    panel = np.flatnonzero(a)
-    rho[panel], wr[panel] = _panel_block(a[panel], b[panel], plan.panel, dim, rays)
+    (panel,) = a.nonzero()
+    if panel.size:
+        rho[panel], wr[panel] = _panel_block(a[panel], b[panel], plan.panel, dim, rays)
     # splitting each contiguous coordinate run into (rays, n_r) is a view,
     # so the writes land in ``nodes``
     grid = nodes.reshape(dim, len(ray), n_r)
-    for k in range(dim):
-        np.multiply(rho, plan.dirs[ray, k, None], out=grid[k])
-        grid[k] += plan.center[k]
+    np.multiply(rho, plan.dirs[ray].T[:, :, None], out=grid)
+    grid += plan.center[:, None, None]
     np.multiply(wr, plan.w_ang[ray][:, None], out=weights.reshape(len(ray), n_r))
 
 

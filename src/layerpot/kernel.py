@@ -17,6 +17,7 @@ contiguous points instead of an inner loop of length N.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,8 +44,10 @@ def _gamma_half(n: int) -> float:
     return math.sqrt(math.pi) * math.factorial(2 * k) / (4.0**k * math.factorial(k))
 
 
+@lru_cache(maxsize=16)
 def sphere_area(dim: int) -> float:
-    """Area of the unit sphere in R^dim: 2 pi^(dim/2) / Gamma(dim/2)."""
+    """Area of the unit sphere in R^dim: 2 pi^(dim/2) / Gamma(dim/2), cached:
+    kernels ask for it on every call."""
     if int(dim) != dim or dim < 2:
         raise DimensionError(f"unit-sphere area defined here for integer dim >= 2, got {dim!r}")
     dim = int(dim)
@@ -76,7 +79,8 @@ def _as_batch(x, dim: int | None = None) -> tuple[np.ndarray, bool]:
     """Coerce x to a (m, N) float array; report whether input was a single point."""
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
-    arr = np.atleast_2d(arr)
+    if arr.ndim < 2:
+        arr = arr.reshape(1, -1)
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise DimensionError(f"points must have dimension N >= 2, got shape {arr.shape}")
     if dim is not None and arr.shape[1] != dim:
@@ -92,7 +96,7 @@ def fundamental_solution(x) -> float | np.ndarray:
     pts, single = _as_batch(x)
     n = pts.shape[1]
     r = row_norms(pts)
-    if np.any(r < MIN_RADIUS):
+    if (r < MIN_RADIUS).any():
         raise SingularityError("fundamental solution evaluated at the origin")
     if n == 2:
         val = np.log(r) / (2.0 * math.pi)
@@ -106,7 +110,7 @@ def fundamental_gradient(x) -> np.ndarray:
     pts, single = _as_batch(x)
     n = pts.shape[1]
     r = row_norms(pts)
-    if np.any(r < MIN_RADIUS):
+    if (r < MIN_RADIUS).any():
         raise SingularityError("fundamental gradient evaluated at the origin")
     # omega_N |x|^N by products: one division per point, and no pow
     scale = sphere_area(n) * r

@@ -241,6 +241,18 @@ def test_array_singular_points_are_normalised():
     assert f.singular_points == ((0.2, 0.1),)
 
 
+def test_singular_arrays_are_shared_and_read_only():
+    # every gradient call and every rule about a new target reads them
+    f = lp.catalog("power_distance", [0.2, 0.1], 0.5)
+    arrays = f.singular_arrays()
+    assert [a.tolist() for a in arrays] == [[0.2, 0.1]]
+    assert all(a is b for a, b in zip(arrays, f.singular_arrays()))
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    assert lp.catalog("constant", 1.0).singular_arrays() == ()
+
+
 def test_harmonic_poly_is_harmonic():
     for k in (1, 2, 3, 4):
         f = lp.catalog("harmonic_poly", k)

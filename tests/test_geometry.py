@@ -728,7 +728,12 @@ def test_interval_table_matches_loop_reference(domain):
         # dropped, as the general path drops it
         short = t.copy()
         short[0] = 0.0
+        # one hole and no re-entered ray, as about most targets, takes a
+        # path of its own; a hole around the origin clips every chord's
+        # entry to 0
+        around = (origin + 0.25 * t.min() * dirs[0], 0.5 * t.min(), 0.0)
         cases = [(t, extras, holes), (t, extras, ()), (t, {}, ()), (short, {}, ())]
+        cases += [(t, {}, holes[:1]), (t, {}, holes), (t, {}, [around]), (t, extras, holes + [around])]
         for args in cases:
             got = _interval_table(origin, dirs, *args)
             want = loop_interval_table(origin, dirs, *args)

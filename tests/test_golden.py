@@ -1,7 +1,9 @@
 """Golden reports: the CLI must reproduce committed reports byte for byte.
 
 Regenerate a golden file only for a change meant to alter numbers, with
-``layerpot COMMAND --config CONFIG --out tests/golden/NAME.csv``.
+``layerpot COMMAND --config CONFIG [--seed SEED] --out tests/golden/NAME.csv``.
+The ``bench-*`` goldens are the benchmark workloads' reports at one probe
+seed, so a change that alters any of them fails here.
 """
 
 import functools
@@ -20,21 +22,31 @@ from layerpot.harness.config import build_config
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
+BENCH_CONFIGS = ROOT / "bench" / "configs"
 
+#: probe seed of the ``bench-*`` goldens
+BENCH_SEED = 577090037
+
+#: name -> (command, config, probe seed or None for the config's own)
 CASES = {
-    "verify-unit-disk": ("verify", ROOT / "configs" / "unit-disk.cfg"),
-    "converge-star": ("converge", ROOT / "configs" / "star-convergence.cfg"),
-    "bound-unit-disk": ("bound", ROOT / "configs" / "unit-disk.cfg"),
-    "verify-all-identities": ("verify", GOLDEN / "all-identities.cfg"),
-    "verify-ball3d": ("verify", GOLDEN / "ball3d-identities.cfg"),
+    "verify-unit-disk": ("verify", ROOT / "configs" / "unit-disk.cfg", None),
+    "converge-star": ("converge", ROOT / "configs" / "star-convergence.cfg", None),
+    "bound-unit-disk": ("bound", ROOT / "configs" / "unit-disk.cfg", None),
+    "verify-all-identities": ("verify", GOLDEN / "all-identities.cfg", None),
+    "verify-ball3d": ("verify", GOLDEN / "ball3d-identities.cfg", None),
+    "bench-disk-suite-verify": ("verify", BENCH_CONFIGS / "disk-suite.cfg", BENCH_SEED),
+    "bench-disk-suite-bound": ("bound", BENCH_CONFIGS / "disk-suite.cfg", BENCH_SEED),
+    "bench-star-converge": ("converge", BENCH_CONFIGS / "star-converge.cfg", BENCH_SEED),
+    "bench-f2-disk": ("verify", BENCH_CONFIGS / "f2-disk.cfg", BENCH_SEED),
+    "bench-ball3d": ("verify", BENCH_CONFIGS / "ball3d.cfg", BENCH_SEED),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, tmp_path, capsys):
-    command, config = CASES[name]
+    command, config, seed = CASES[name]
     out = tmp_path / f"{name}.csv"
-    main([command, "--config", str(config), "--out", str(out)])
+    main([command, "--config", str(config), "--out", str(out)] + ([] if seed is None else ["--seed", str(seed)]))
     capsys.readouterr()
     got, golden = out.read_bytes(), (GOLDEN / f"{name}.csv").read_bytes()
     assert got == golden, first_difference(got, golden)
@@ -43,8 +55,11 @@ def test_report_matches_golden(name, tmp_path, capsys):
 @pytest.mark.parametrize("name", sorted(CASES) + ["table-unit-disk"])
 def test_every_verdict_is_residual_within_tolerance(name):
     # the report's pass column is derived from the Row, so check the Rows
-    command, config = CASES.get(name, ("table", ROOT / "configs" / "unit-disk.cfg"))
-    rows, code = _RUNNERS[command](build_config(config.read_text(), command))
+    command, config, seed = CASES.get(name, ("table", ROOT / "configs" / "unit-disk.cfg", None))
+    cfg = build_config(config.read_text(), command)
+    if seed is not None:
+        cfg.seed = seed
+    rows, code = _RUNNERS[command](cfg)
     assert rows
     for row in rows:
         assert row.passed == (row.residual <= row.tolerance), row

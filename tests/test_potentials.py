@@ -171,6 +171,25 @@ def test_gradient_volume_integral_is_memoized(monkeypatch):
     assert len(built) == 1
 
 
+def test_a_new_target_queries_no_singular_point_again(monkeypatch):
+    # the field's singular points are classified once per domain; a new
+    # interior target is classified once and its boundary distance taken
+    # once, each one signed distance on the ball
+    disk, f = lp.Ball([0.0, 0.0], 1.0), lp.catalog("distance", [0.2, 0.1])
+    lp.gradient_volume_integral(f, disk, [0.3, -0.2], 16)
+    queried = []
+    signed = lp.Ball.signed_boundary_distance
+
+    def counting(self, y):
+        queried.append(np.array(y, dtype=float))
+        return signed(self, y)
+
+    monkeypatch.setattr(lp.Ball, "signed_boundary_distance", counting)
+    lp.gradient_volume_integral(f, disk, [-0.4, 0.1], 16)
+    assert len(queried) <= 2
+    assert all(np.array_equal(y, [-0.4, 0.1]) for y in queried)
+
+
 def test_memoized_gradient_volume_integral_matches_uncached_under_threads(monkeypatch):
     # more threads than cores race on the first calls of a few keys; every
     # result must equal the uncached computation of the same term
