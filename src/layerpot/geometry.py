@@ -16,23 +16,28 @@ Volume rules are polar about a center; their radial nodes absorb the
 Jacobian rho^(N-1) and a kernel power rho^kappa at the center, so
 integrands singular there stay in the rule's accuracy class.  The composite
 builder additionally punches disjoint ball-shaped holes around secondary
-singular points and covers each hole with its own polar block.  A hole is
-small next to its distance from the other singular points, so its block
-takes the angular rule of at most ``HOLE_ORDER``.
+singular points and covers each hole with its own polar block.  Each block
+is sized by what it resolves.  A hole is small next to its distance from
+the other singular points, so its block takes at most ``HOLE_ORDER``
+radial nodes per ray and the angular rule of that order.  The main block
+takes ``order`` radial nodes per interval; its angular order may be
+higher, for a target whose rays see a boundary layer in angle.
 
 A volume rule holds no nodes, only the plan of each block: its center,
 directions, angular weights, table of covered radial intervals and radial
-Gauss rules.  A volume rule integrates a callable, not a value array:
-``rule.integrate(integrand)`` generates the nodes and weights run by run,
-at most ``GENERATE_RUN`` nodes at a time, into read-only, coordinate-major
-arrays of that run, and evaluates the integrand on slices of at most
+Gauss rules, whose length is the block's radial count.  A volume rule
+integrates a callable, not a value array: ``rule.integrate(integrand)``
+generates the nodes and weights run by run, at most ``GENERATE_RUN`` nodes
+at a time, into read-only, coordinate-major arrays of that run, and
+evaluates the integrand on slices of at most
 ``VOLUME_BLOCK`` nodes of them.  So a rule of a million nodes never needs
 an array as long as itself.  Runs and slices are the runs numpy's
 pairwise sum would split the whole sum into, and every node comes from the
 same elementwise operations whatever run it falls in, so the result has
 the bits of one ``weighted_sum`` over all nodes.  ``rule.integrate_rays``
 sums the same way an integrand given on the main block against
-d rho d theta about its center, whose weights leave the Jacobian out.
+d rho d theta about its center, whose weights leave the Jacobian out; the
+run that writes the nodes also writes their ray directions.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import accumulate, chain
 from types import MappingProxyType
 
 import numpy as np
@@ -76,12 +81,14 @@ VOLUME_BLOCK = 1 << 15
 #: and the next run reuses their pages.
 GENERATE_RUN = 1 << 16
 
-#: Most angular nodes per direction of a hole's block.  A hole is at most
-#: half as wide as the distance to the nearest other singular point, so
-#: its integrand's angular content decays like 2^-l: 2 * HOLE_ORDER angles
-#: on the circle leave an error near 2^-64, and the sphere rule, whose
-#: polar angles are Gauss-Legendre in theta, about 1e-14 relative when the
-#: nearest point lies on its equator.
+#: Most radial nodes per ray, and the most angular order, of a hole's
+#: block.  A hole is at most half as wide as the distance to the nearest
+#: other singular point, so its integrand's angular content decays like
+#: 2^-l: 2 * HOLE_ORDER angles on the circle leave an error near 2^-64, and
+#: the sphere rule, whose polar angles are Gauss-Legendre in theta, about
+#: 1e-14 relative when the nearest point lies on its equator.  Along a ray
+#: the integrand is analytic out to twice the hole's radius, which far
+#: fewer radial nodes resolve.
 HOLE_ORDER = 32
 
 #: Default cap on the node count of a single constructed rule; the
@@ -375,16 +382,23 @@ class VolumeQuadrature:
     """Nodes and weights discretizing the volume measure of a domain, held
     as the ``PolarPlan`` of each block: the main block, then one per hole.
 
-    Nodes are laid out plan after plan, interval after interval, ``order``
-    radial nodes per interval.  Nothing as long as the rule is kept: the
-    nodes and weights are generated when they are read.
+    Nodes are laid out plan after plan, interval after interval, each plan
+    with its own number of radial nodes per interval, ``len(plan.radial[0])``.
+    Nothing as long as the rule is kept: the nodes and weights are generated
+    when they are read.
     """
 
     plans: tuple[PolarPlan, ...]
 
+    def __post_init__(self):
+        # the first node of each plan, then the node count
+        sizes = (len(plan.ray) * len(plan.radial[0]) for plan in self.plans)
+        object.__setattr__(self, "_starts", tuple(accumulate(sizes, initial=0)))
+
     @property
     def order(self) -> int:
-        """Radial nodes per interval, the same in every plan."""
+        """Radial nodes per interval of the main block; a hole's block has
+        ``min(order, HOLE_ORDER)``."""
         return len(self.plans[0].radial[0])
 
     @property
@@ -393,7 +407,7 @@ class VolumeQuadrature:
 
     @property
     def count(self) -> int:
-        return self.order * sum(len(plan.ray) for plan in self.plans)
+        return self._starts[-1]
 
     @property
     def nodes(self) -> np.ndarray:
@@ -405,34 +419,35 @@ class VolumeQuadrature:
         """All weights as a read-only array, generated on each read."""
         return self._generate(0, self.count)[1]
 
-    def _generate(self, lo: int, hi: int, rays: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def _generate(self, lo: int, hi: int, rays: bool = False) -> tuple[np.ndarray, ...]:
         """Nodes [lo, hi) as a read-only (m, N) view of a coordinate-major
         array, and their weights: the plans write every interval that
-        overlaps the run, and the view drops the partial ones' extra nodes.
-        With ``rays`` the main block's weights are for the measure
-        d rho d theta about its center (see ``_polar_block``)."""
-        n_r = self.order
-        first, last = lo // n_r, -(-hi // n_r)
-        nodes, weights = np.empty((self.dim, (last - first) * n_r)), np.empty((last - first) * n_r)
-        start = 0
-        for plan in self.plans:
-            end = start + len(plan.ray)
-            i, j = max(first, start), min(last, end)
-            if i < j:
-                out = slice((i - first) * n_r, (j - first) * n_r)
-                _polar_block(plan, i - start, j - start, nodes[:, out], weights[out], rays and start == 0)
-            start = end
-        _frozen(nodes, weights)
-        run = slice(lo - first * n_r, hi - first * n_r)
-        return nodes[:, run].T, weights[run]
-
-    def _directions(self, lo: int, hi: int) -> np.ndarray:
-        """Unit directions of the rays of main-block nodes [lo, hi), as a
-        read-only (m, N) view of a coordinate-major array."""
-        plan, n_r = self.plans[0], self.order
-        first, last = lo // n_r, -(-hi // n_r)
-        theta = _frozen(np.repeat(plan.dirs[plan.ray[first:last]].T, n_r, axis=1))[0]
-        return theta[:, lo - first * n_r : hi - first * n_r].T
+        overlaps the run into one buffer, and the view drops the partial
+        ones' extra nodes.  With ``rays`` the main block's weights are for
+        the measure d rho d theta about its center (see ``_polar_block``),
+        and a third view holds the unit directions of the rays of the run's
+        main-block nodes, as many as there are of them."""
+        parts = []  # (plan, first and last interval, node count) in the run
+        for plan, start, end in zip(self.plans, self._starts, self._starts[1:]):
+            if start < hi and lo < end:
+                n_r = len(plan.radial[0])
+                i, j = (max(lo, start) - start) // n_r, -(-(min(hi, end) - start) // n_r)
+                if not parts:
+                    base = start + i * n_r
+                parts.append((plan, i, j, (j - i) * n_r))
+        size = sum(part[3] for part in parts)
+        nodes, weights = np.empty((self.dim, size)), np.empty(size)
+        # the main block's nodes, if the run has any, come first
+        main = rays and parts[0][0] is self.plans[0]
+        theta = np.empty((self.dim, parts[0][3] if main else 0))
+        at = 0
+        for plan, i, j, m in parts:
+            out = slice(at, at + m)
+            _polar_block(plan, i, j, nodes[:, out], weights[out], theta if main and at == 0 else None)
+            at += m
+        _frozen(nodes, weights, theta)
+        run = slice(lo - base, hi - base)
+        return (nodes[:, run].T, weights[run]) + ((theta[:, run].T,) if rays else ())
 
     def runs(self):
         """The (nodes, weights) of consecutive runs of at most
@@ -463,43 +478,42 @@ class VolumeQuadrature:
         its volume weights times rho^(1-N), made by the same radial rules
         with the Jacobian left out, so an integrand whose kernel cancels the
         Jacobian, as grad E(x - c) dx = theta d rho d theta / omega_N does,
-        needs no norm at any node.  The slices and the pairwise sum are
-        those of ``integrate``.
+        needs no norm at any node.  The directions come from the run that
+        generated the nodes.  The slices and the pairwise sum are those of
+        ``integrate``.
         """
-        main = len(self.plans[0].ray) * self.order
 
-        def integrand(x, lo, hi):
-            k = min(max(main - lo, 0), hi - lo)  # nodes of the main block
+        def integrand(x, theta):
+            k = len(theta)  # nodes of the main block
             if k == 0:
                 return rest(x)
-            values = along(x[:k], self._directions(lo, lo + k))
-            return values if k == hi - lo else np.concatenate([values, rest(x[k:])])
+            values = along(x[:k], theta)
+            return values if k == len(x) else np.concatenate([values, rest(x[k:])])
 
-        return _block_sum(partial(self._generate, rays=True), integrand, 0, self.count, indexed=True)
+        return _block_sum(partial(self._generate, rays=True), integrand, 0, self.count)
 
 
-def _block_sum(generate, integrand, lo: int, hi: int, run=None, indexed: bool = False) -> float:
+def _block_sum(generate, integrand, lo: int, hi: int, run=None) -> float:
     """The weighted sum over nodes [lo, hi), split where numpy's pairwise sum
     splits a run longer than its 128-element block.
 
     ``generate(lo, hi)`` returns the read-only nodes and weights of
-    [lo, hi).  It is called at the first split whose run fits in
-    ``GENERATE_RUN`` nodes; ``run`` passes its start and arrays down to
-    the leaves, which sum slices of them.  With ``indexed``, a leaf calls
-    ``integrand(nodes, lo, hi)``, so the integrand knows which nodes it sees.
+    [lo, hi), and optionally more arrays indexed by node, which may stop
+    short.  It is called at the first split whose run fits in
+    ``GENERATE_RUN`` nodes; ``run`` passes its start and arrays down to the
+    leaves, which sum slices of them: ``integrand`` takes the slice of the
+    nodes and of each further array.
     """
     n = hi - lo
     if run is None and n <= GENERATE_RUN:
         run = (lo, *generate(lo, hi))
     if n <= VOLUME_BLOCK:
-        start, nodes, weights = run
-        x = nodes[lo - start : hi - start]
-        return weighted_sum(weights[lo - start : hi - start], integrand(x, lo, hi) if indexed else integrand(x))
+        start, nodes, weights, *more = run
+        leaf = slice(lo - start, hi - start)
+        return weighted_sum(weights[leaf], integrand(nodes[leaf], *(a[leaf] for a in more)))
     half = n // 2
     half -= half % 8
-    return _block_sum(generate, integrand, lo, lo + half, run, indexed) + _block_sum(
-        generate, integrand, lo + half, hi, run, indexed
-    )
+    return _block_sum(generate, integrand, lo, lo + half, run) + _block_sum(generate, integrand, lo + half, hi, run)
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +537,18 @@ class Domain:
         return abs(self.signed_boundary_distance(y))
 
     def classify(self, y) -> str:
-        d = self.signed_boundary_distance(y)  # validates y
-        if abs(d) <= BOUNDARY_TOL * self.diameter:
+        return self._location(self.signed_boundary_distance(y))  # validates y
+
+    def placement(self, y) -> tuple[str, float]:
+        """``(classify(y), boundary_distance(y))``, both from one signed
+        distance where the boundary distance is its absolute value."""
+        d = self.signed_boundary_distance(y)
+        return self._location(d), abs(d)
+
+    def _location(self, signed: float) -> str:
+        if abs(signed) <= BOUNDARY_TOL * self.diameter:
             return BOUNDARY
-        return INTERIOR if d < 0 else EXTERIOR
+        return INTERIOR if signed < 0 else EXTERIOR
 
     def signed_boundary_distance(self, y) -> float:
         """Negative inside, positive outside, zero on the boundary."""
@@ -736,6 +758,11 @@ class StarShaped2D(Domain):
             return -self._r_min
         theta = math.atan2(v[1], v[0])
         return rho - float(self._r(theta))
+
+    def placement(self, y) -> tuple[str, float]:
+        # the signed distance is measured along the ray from the center,
+        # so the boundary distance takes its own query
+        return self.classify(y), self.boundary_distance(y)
 
     def boundary_distance(self, y) -> float:
         """The nearest of the 4096 cached boundary points, refined by Newton
@@ -1241,17 +1268,18 @@ def _polar_plan(center, dirs, w_ang, table, n_r: int, power: float, log_kernel: 
     return PolarPlan(center, dirs, w_ang, *table, power, log_kernel, radial, panel)
 
 
-def _polar_block(plan: PolarPlan, lo: int, hi: int, nodes, weights, rays: bool = False):
+def _polar_block(plan: PolarPlan, lo: int, hi: int, nodes, weights, theta=None):
     """Write the nodes and weights of intervals [lo, hi) of ``plan`` into
-    ``nodes``, a coordinate-major (N, count) slice, and ``weights``; with
-    ``rays`` the weights are for the measure d rho d theta, the volume
-    weights times rho^(1-N).
+    ``nodes``, a coordinate-major (N, count) slice, and ``weights``.  Given
+    ``theta``, shaped as ``nodes``, it takes each node's ray direction, and
+    the weights are for the measure d rho d theta: the volume weights times
+    rho^(1-N).
 
     Every node and weight is an elementwise function of its interval, so a
     node has the same bits whatever run it is written in.
     """
     ray, a, b = plan.ray[lo:hi], plan.a[lo:hi], plan.b[lo:hi]
-    dim, n_r = len(nodes), len(plan.radial[0])
+    dim, n_r, rays = len(nodes), len(plan.radial[0]), theta is not None
     rho, wr = _radial_block(b, plan.radial, dim, plan.power, plan.log_kernel, rays)
     # pieces off the center: panels replace their radial rows
     (panel,) = a.nonzero()
@@ -1260,8 +1288,11 @@ def _polar_block(plan: PolarPlan, lo: int, hi: int, nodes, weights, rays: bool =
     # splitting each contiguous coordinate run into (rays, n_r) is a view,
     # so the writes land in ``nodes``
     grid = nodes.reshape(dim, len(ray), n_r)
-    np.multiply(rho, plan.dirs[ray].T[:, :, None], out=grid)
+    dirs = plan.dirs[ray].T[:, :, None]
+    np.multiply(rho, dirs, out=grid)
     grid += plan.center[:, None, None]
+    if rays:
+        theta.reshape(dim, len(ray), n_r)[...] = dirs
     np.multiply(wr, plan.w_ang[ray][:, None], out=weights.reshape(len(ray), n_r))
 
 
@@ -1291,15 +1322,19 @@ def composite_volume_rule(
     kernel_power: float = 0.0,
     log_kernel: bool = False,
     holes=(),
+    angular_order: int | None = None,
 ) -> VolumeQuadrature:
     """Polar rule about ``center`` covering the whole domain, with optional
     hole excision and per-hole polar blocks.
 
-    ``holes`` is a sequence of (point, radius, power) triples: each ball is
-    removed from the main rule's rays and re-integrated by a polar block of
-    its own, whose radial rule is matched to integrands behaving like
-    rho^power about the hole center.  A hole's block has ``order`` radial
-    nodes per ray but the angular rule of ``min(order, HOLE_ORDER)``.
+    The main block has ``order`` radial nodes per interval and the angular
+    rule of ``angular_order``, by default ``order``.  ``holes`` is a
+    sequence of (point, radius, power) triples: each ball is removed from
+    the main rule's rays and re-integrated by a polar block of its own,
+    whose radial rule is matched to integrands behaving like rho^power
+    about the hole center.  A hole's integrand is analytic out to twice its
+    radius, so its block takes ``min(order, HOLE_ORDER)`` radial nodes per
+    ray and the angular rule of that order.
 
     The rule keeps only the ``PolarPlan`` of each block; its nodes are
     generated when it integrates.  The node budget is checked here all the
@@ -1309,28 +1344,29 @@ def composite_volume_rule(
         raise DimensionError(f"quadrature rules exist for N in {{2, 3}}, got N={domain.dim}")
     if order < 4:
         raise ParameterError(f"volume rules need order >= 4, got {order}")
+    if angular_order is not None and angular_order < 4:
+        raise ParameterError(f"volume rules need an angular order >= 4, got {angular_order}")
     # copies: the plans keep the centers, and nodes are generated later
     center = as_point(center, domain.dim).copy()
-    dirs, w_ang, t, extras = domain.ray_table(center, order)
+    dirs, w_ang, t, extras = domain.ray_table(center, order if angular_order is None else angular_order)
     holes = [(as_point(hc, domain.dim).copy(), float(hr), float(hp)) for hc, hr, hp in holes]
-    # (center, directions, angular weights, interval table, radial power,
-    # log kernel) of the main block, then of each hole's block
-    blocks = [(center, dirs, w_ang, _interval_table(center, dirs, t, extras, holes), float(kernel_power), log_kernel)]
+    # (center, directions, angular weights, interval table, radial nodes,
+    # radial power, log kernel) of the main block, then of each hole's block
+    table = _interval_table(center, dirs, t, extras, holes)
+    blocks = [(center, dirs, w_ang, table, order, float(kernel_power), log_kernel)]
     if holes:
-        hdirs, hw_ang = angular_rule(domain.dim, min(order, HOLE_ORDER))
+        n_hole = min(order, HOLE_ORDER)
+        hdirs, hw_ang = angular_rule(domain.dim, n_hole)
     for hc, hr, hp in holes:
         table = _interval_table(hc, hdirs, np.full(len(hdirs), hr), {}, ())
-        blocks.append((hc, hdirs, hw_ang, table, hp, False))
-    # every interval gets ``order`` radial nodes
-    count = order * sum(len(block[3][0]) for block in blocks)
+        blocks.append((hc, hdirs, hw_ang, table, n_hole, hp, False))
+    count = sum(len(block[3][0]) * block[4] for block in blocks)
     if count > max_nodes_budget():
         raise BudgetError(
             f"volume rule would use {count} nodes, over the budget "
             f"{max_nodes_budget()}; lower the order or raise LAYERPOT_MAX_NODES"
         )
-    return VolumeQuadrature(
-        tuple(_polar_plan(c, d, w, table, order, k, lg) for c, d, w, table, k, lg in blocks)
-    )
+    return VolumeQuadrature(tuple(_polar_plan(*block) for block in blocks))
 
 
 def volume_rule(domain: Domain, order: int) -> VolumeQuadrature:

@@ -223,17 +223,18 @@ def jump_relation_check(h, domain: Domain, y0, distances, order: int = 64) -> Ju
 # ---------------------------------------------------------------------------
 
 
-def _volume_order_for_target(domain: Domain, order: int, y) -> int:
-    """Escalate the polar-rule order for targets close to the boundary.
+def _volume_order_for_target(domain: Domain, order: int, d: float) -> int:
+    """The angular order of the main block about a target at boundary
+    distance ``d``: ``order``, doubled for targets close to the boundary.
 
     The kernel singularity itself is absorbed radially, but the angular
     profile of the per-ray extents develops a sqrt(distance)-scale boundary
     layer (and, on concave shapes, tangency kinks), so the angular count
-    grows like 1/sqrt(distance), capped at 512.
+    grows like 1/sqrt(distance), capped at 512.  Only the rays escalate:
+    the radial count stays ``order``.
     """
     if order < 4:
         raise ParameterError(f"volume rules need order >= 4, got {order}")
-    d = domain.boundary_distance(y)
     if d <= 0:
         return order
     needed = int(math.ceil(8.0 * math.sqrt(domain.inradius / d)))
@@ -254,10 +255,11 @@ def gradient_volume_integral(f: ScalarField, domain: Domain, y, order: int = 64)
     Interior targets get a polar rule centered at y (the radial Jacobian
     cancels the kernel's |x - y|^(1-N) growth, so its main block is summed
     along its rays, see ``VolumeQuadrature.integrate_rays``) with
-    ball-shaped excisions around the field's other singular points;
-    exterior targets use a regular rule (the kernel is smooth on the
-    closure).  A singular point
-    of f coinciding with y is folded into the radial weight, not an error.
+    ball-shaped excisions around the field's other singular points; a
+    target near the boundary gets more rays, not more radial nodes (see
+    ``_volume_order_for_target``).  Exterior targets use a regular rule
+    (the kernel is smooth on the closure).  A singular point of f
+    coinciding with y is folded into the radial weight, not an error.
 
     Values are memoized by (field, domain, target, order, node budget); the
     budget is read on every call because it decides whether the rule may be
@@ -275,7 +277,7 @@ def _gradient_volume_integral(f: ScalarField, domain: Domain, y: tuple, order: i
     # ``typed`` keeps a float order, which fails to build a rule, from
     # hitting the value cached for the equal int order
     y = np.array(y)
-    cls = domain.classify(y)
+    cls, distance = domain.placement(y)
     if cls == BOUNDARY:
         raise PlacementError("target on the boundary; use boundary_limit_zeta instead")
 
@@ -283,8 +285,8 @@ def _gradient_volume_integral(f: ScalarField, domain: Domain, y: tuple, order: i
         return row_dots(fundamental_gradient(x - y), f.gradient(x))
 
     if cls == INTERIOR:
-        order = _volume_order_for_target(domain, order, y)
-        rule = _singular_rule(f, domain, order, y, kernel_power=float(1 - domain.dim))
+        angular = _volume_order_for_target(domain, order, distance)
+        rule = _singular_rule(f, domain, order, y, kernel_power=float(1 - domain.dim), angular_order=angular)
         # about y, grad E(x - y) dx = theta d rho d theta / omega_N
         omega = sphere_area(domain.dim)
         return rule.integrate_rays(lambda x, theta: row_dots(theta, f.gradient(x)) / omega, pairing)

@@ -285,3 +285,33 @@ def test_fields_do_not_depend_on_memory_layout(dim, field):
     xf = np.asfortranarray(x)
     for method in (field.evaluate, field.gradient, field.laplacian):
         np.testing.assert_array_equal(method(xf), method(x))
+
+
+def _points_with_signed_zeros(dim, m=32_768):
+    rng = np.random.default_rng(20)
+    x = rng.uniform(-2.0, 2.0, (m, dim))
+    for k, sign in enumerate((0.0, -0.0)):
+        x[k::5, 0] = sign  # on a coordinate plane
+        x[2 + k :: 7] = sign  # at the origin, with either sign
+        x[4 + k :: 11, 1:] = -sign
+    return x
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_coordinate_gradient_has_the_bits_of_the_unit_row_product(dim):
+    x = _points_with_signed_zeros(dim)
+    for i in range(1, dim + 1):
+        old = np.eye(dim)[i - 1] * np.ones((len(x), 1))
+        assert lp.catalog("coordinate", i).gradient(x).tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_harmonic_poly_has_the_bits_of_numpys_complex_power(degree):
+    # the 2-D field and its gradient take products where numpy's power
+    # takes its general complex path; every point must keep its bits
+    x = _points_with_signed_zeros(2)
+    z = x[:, 0] + 1j * x[:, 1]
+    w = degree * z ** (degree - 1)
+    f = lp.catalog("harmonic_poly", degree)
+    assert f.evaluate(x).tobytes() == (z**degree).real.tobytes()
+    assert f.gradient(x).tobytes() == np.column_stack([w.real, -w.imag]).tobytes()

@@ -197,8 +197,10 @@ def test_ray_form_has_the_bits_of_one_weighted_sum(name, monkeypatch):
     def rest(x):
         return np.sin(x[:, 0] + 2.0 * x[:, 1])
 
-    nodes, weights = rule._generate(0, rule.count, rays=True)
-    values = np.concatenate([along(nodes[:main], rule._directions(0, main)), rest(nodes[main:])])
+    nodes, weights, theta = rule._generate(0, rule.count, rays=True)
+    plan = rule.plans[0]
+    assert theta.tobytes() == np.repeat(plan.dirs[plan.ray], rule.order, axis=0).tobytes()
+    values = np.concatenate([along(nodes[:main], theta), rest(nodes[main:])])
     seen.clear()
     assert rule.integrate_rays(along, rest) == weighted_sum(weights, values)
     assert sum(seen) == main and max(seen) <= 1000
@@ -628,8 +630,8 @@ def _nodes_in_ball(rule, center, radius):
 
 def test_hole_on_reentered_chord():
     # a hole on a re-entered segment is cut out of that segment only and
-    # re-covered by its own block: 2 min(order, HOLE_ORDER) rays of order
-    # nodes each
+    # re-covered by its own block: 2 HOLE_ORDER rays of HOLE_ORDER nodes
+    # each at order 64
     star = star_domain()
     z = star.boundary_point(0.9)
     origin = z - 0.01 * star.outward_normal(z)
@@ -641,7 +643,7 @@ def test_hole_on_reentered_chord():
     mid = origin + 0.5 * (enter + leave) * dirs[ray]
     radius = 0.5 * star.boundary_distance(mid)
     rule = lp.composite_volume_rule(star, order, origin, holes=[(mid, radius, 0.0)])
-    assert _nodes_in_ball(rule, mid, radius) == 2 * order * min(order, geometry.HOLE_ORDER)
+    assert _nodes_in_ball(rule, mid, radius) == 2 * geometry.HOLE_ORDER**2
     assert rule.weights.sum() == pytest.approx(star.volume_measure, abs=1e-4)
 
 
@@ -651,8 +653,9 @@ def test_touching_holes(order):
     # chords meet and merge, and each hole still holds only its own block
     holes = [([0.3, 0.0], 0.1, 0.0), ([0.5, 0.0], 0.1, 0.0)]
     rule = lp.composite_volume_rule(unit_disk(), order, [0.0, 0.0], holes=holes)
+    n_hole = min(order, geometry.HOLE_ORDER)  # radial nodes and half the rays
     for center, radius, _ in holes:
-        assert _nodes_in_ball(rule, center, radius) == 2 * order * min(order, geometry.HOLE_ORDER)
+        assert _nodes_in_ball(rule, center, radius) == 2 * n_hole * n_hole
     assert rule.weights.sum() == pytest.approx(math.pi, abs=1e-3)
 
 

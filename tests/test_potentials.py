@@ -173,8 +173,8 @@ def test_gradient_volume_integral_is_memoized(monkeypatch):
 
 def test_a_new_target_queries_no_singular_point_again(monkeypatch):
     # the field's singular points are classified once per domain; a new
-    # interior target is classified once and its boundary distance taken
-    # once, each one signed distance on the ball
+    # interior target's class and boundary distance both come from one
+    # signed distance on the ball
     disk, f = lp.Ball([0.0, 0.0], 1.0), lp.catalog("distance", [0.2, 0.1])
     lp.gradient_volume_integral(f, disk, [0.3, -0.2], 16)
     queried = []
@@ -186,7 +186,7 @@ def test_a_new_target_queries_no_singular_point_again(monkeypatch):
 
     monkeypatch.setattr(lp.Ball, "signed_boundary_distance", counting)
     lp.gradient_volume_integral(f, disk, [-0.4, 0.1], 16)
-    assert len(queried) <= 2
+    assert len(queried) <= 1
     assert all(np.array_equal(y, [-0.4, 0.1]) for y in queried)
 
 
@@ -315,8 +315,8 @@ def test_ray_form_matches_the_kernel_pairing_on_the_same_rule(name):
     y = np.asarray(y, dtype=float)
     order = 16 if domain.dim == 3 else 32
     value = layerpot.potentials._gradient_volume_integral.__wrapped__(f, domain, tuple(y), order, 10**8)
-    eff = layerpot.potentials._volume_order_for_target(domain, order, y)
-    rule = _singular_rule(f, domain, eff, y, kernel_power=float(1 - domain.dim))
+    eff = layerpot.potentials._volume_order_for_target(domain, order, domain.boundary_distance(y))
+    rule = _singular_rule(f, domain, order, y, kernel_power=float(1 - domain.dim), angular_order=eff)
     if name.endswith("near-boundary"):
         assert eff > order
     if "hole" in name:
@@ -349,25 +349,93 @@ def test_gradient_volume_integral_peak_memory_stays_at_the_parent_level():
         assert peak <= 1.1 * parent_peak, (f.name, peak)
 
 
+def _pulled_distance(dim):
+    """|x| with the gradient of a harmonic pull from (1.05, 0, ...), just
+    outside the unit ball: a hole about 0 then carries radial content, where
+    a field radial about the hole's point integrates to 0 on every circle
+    about it (the kernel's mean value)."""
+    b = np.array([1.05] + [0.0] * (dim - 1))
+
+    def gradient(x):
+        d = x - b
+        return x / np.linalg.norm(x, axis=1)[:, None] + d / np.linalg.norm(d, axis=1)[:, None] ** dim
+
+    return lp.ScalarField(
+        name=f"pulled_distance[{dim}d]",
+        evaluate_fn=lambda x: np.linalg.norm(x, axis=1),
+        gradient_fn=gradient,
+        singular_points=((0.0,) * dim,),
+        dim=dim,
+    )
+
+
 @pytest.mark.parametrize("domain, order, too_few", [(DISK, 128, 16), (BALL3, 64, 24)], ids=["disk", "ball3"])
 def test_capped_hole_block_resolves_the_widest_hole(domain, order, too_few, monkeypatch):
     # a hole is at most half as wide as the distance to the nearest other
     # singular point: here the target lies exactly that far away, on the
     # equator of the sphere rule, where the hole block's angles resolve
-    # the kernel slowest.  The capped block must match the one with
-    # ``order`` angles, and a lower cap must not: 48 angles on the circle
-    # still reach roundoff here, so the disk checks 16
-    f = lp.catalog("distance", [0.0] * domain.dim)
+    # the kernel slowest.  The capped block, of HOLE_ORDER angles and
+    # radial nodes, must match the one with ``order`` of each, and a lower
+    # cap must not: 48 angles on the circle still reach roundoff here, so
+    # the disk checks 16
     y = (0.5,) + (0.0,) * (domain.dim - 1)
     compute = layerpot.potentials._gradient_volume_integral.__wrapped__
-    assert layerpot.geometry.HOLE_ORDER < order
-    capped = compute(f, domain, y, order, 10**8)
-    monkeypatch.setattr(layerpot.geometry, "HOLE_ORDER", order)
-    full = compute(f, domain, y, order, 10**8)
+    cap = layerpot.geometry.HOLE_ORDER
+    assert cap < order
+    full = {}
+    for f in (lp.catalog("distance", [0.0] * domain.dim), _pulled_distance(domain.dim)):
+        capped = compute(f, domain, y, order, 10**8)
+        monkeypatch.setattr(layerpot.geometry, "HOLE_ORDER", order)
+        full[f.name] = compute(f, domain, y, order, 10**8)
+        monkeypatch.setattr(layerpot.geometry, "HOLE_ORDER", cap)
+        assert abs(capped - full[f.name]) <= 1e-14 * abs(full[f.name]), (f.name, capped, full[f.name])
+    f = lp.catalog("distance", [0.0] * domain.dim)
     monkeypatch.setattr(layerpot.geometry, "HOLE_ORDER", too_few)
     coarse = compute(f, domain, y, order, 10**8)
-    assert abs(capped - full) <= 1e-14 * abs(full), (capped, full)
-    assert abs(coarse - full) > 1e-14 * abs(full), (coarse, full)
+    assert abs(coarse - full[f.name]) > 1e-14 * abs(full[f.name]), (coarse, full[f.name])
+    # too few radial nodes under the capped angles fail too: the pulled
+    # field's hole needs 8 of them here, and 6 leave about 1e-13
+    monkeypatch.setattr(layerpot.geometry, "HOLE_ORDER", cap)
+    rules = layerpot.geometry._radial_rules
+
+    def fewer_hole_nodes(dim, n_r, power, log_kernel):
+        return rules(dim, 6 if n_r == cap else n_r, power, log_kernel)
+
+    monkeypatch.setattr(layerpot.geometry, "_radial_rules", fewer_hole_nodes)
+    f = _pulled_distance(domain.dim)
+    rule = _singular_rule(f, domain, order, y, kernel_power=float(1 - domain.dim))
+    assert [len(plan.radial[0]) for plan in rule.plans] == [order, 6]
+    coarse = compute(f, domain, y, order, 10**8)
+    assert abs(coarse - full[f.name]) > 1e-14 * abs(full[f.name]), (coarse, full[f.name])
+
+
+@pytest.mark.parametrize("domain", [DISK, STAR, BALL3], ids=["disk", "star", "ball3"])
+def test_escalation_adds_rays_not_radial_nodes(domain, monkeypatch):
+    # a target near the boundary gets a main block of the escalated angular
+    # order with ``order`` radial nodes per interval; the hole keeps its
+    # capped block
+    order, dim = 16, domain.dim
+    z = STAR.boundary_point(0.9) if domain is STAR else np.array([0.6, 0.8] + [0.0] * (dim - 2))
+    y = _near_boundary(domain, z)
+    f = lp.catalog("distance", [0.2, 0.1] + [0.0] * (dim - 2))
+    built, build = [], layerpot.fields.composite_volume_rule
+
+    def recording(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(layerpot.fields, "composite_volume_rule", recording)
+    layerpot.potentials._gradient_volume_integral.__wrapped__(f, domain, tuple(y), order, 10**8)
+    (rule,) = built
+    eff = layerpot.potentials._volume_order_for_target(domain, order, domain.boundary_distance(y))
+    assert eff >= 4 * order
+    main, hole = rule.plans
+    rays = 2 * eff * domain.angular_oversampling if dim == 2 else 2 * eff * eff
+    n_hole = min(order, layerpot.geometry.HOLE_ORDER)
+    assert len(main.dirs) == rays and len(main.radial[0]) == rule.order == order
+    assert len(hole.dirs) == (2 * n_hole if dim == 2 else 2 * n_hole**2) and len(hole.radial[0]) == n_hole
+    assert rule.count == order * len(main.ray) + n_hole * len(hole.ray)
+    assert len(rule.weights) == rule.count
 
 
 def test_singular_point_coinciding_with_target_is_not_an_error():

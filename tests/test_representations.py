@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import layerpot as lp
+import layerpot.fields
+import layerpot.potentials
 from layerpot.errors import BudgetError, PlacementError
 from layerpot.geometry import escalated_order
 from layerpot.kernel import row_norms, sphere_area
@@ -279,6 +281,29 @@ def test_f2_f3_coordinate_field():
     f2, f3 = lp.check_f2_f3(lp.catalog("coordinate", 1), DISK, 32, 64)
     assert f2.residual < 1e-3
     assert f3.residual < 1e-3
+
+
+def test_f2_inner_rules_keep_their_node_count(monkeypatch):
+    # F2 integrates the gradient volume integral at the 512 nodes of its
+    # order-16 outer rule; on the unit disk, for distance(0.2, 0.1) at inner
+    # order 64, their rules hold 6,194,624 nodes (7,966,272 when a hole
+    # block took ``order`` radial nodes and escalation doubled the radial
+    # count too).  A change that grows the blocks again fails here.
+    f, counts = lp.catalog("distance", [0.2, 0.1]), []
+    build = layerpot.fields.composite_volume_rule
+
+    def counting(*args, **kwargs):
+        rule = build(*args, **kwargs)
+        counts.append(rule.count)
+        return rule
+
+    monkeypatch.setattr(layerpot.fields, "composite_volume_rule", counting)
+    compute = layerpot.potentials._gradient_volume_integral.__wrapped__
+    targets = lp.volume_rule(DISK, 16).nodes
+    for y in targets:
+        compute(f, DISK, tuple(y.tolist()), 64, 10**8)
+    assert len(targets) == len(counts) == 512
+    assert sum(counts) == 6_194_624
 
 
 def test_f2_budget_guard(monkeypatch):
