@@ -37,7 +37,8 @@ same elementwise operations whatever run it falls in, so the result has
 the bits of one ``weighted_sum`` over all nodes.  ``rule.integrate_rays``
 sums the same way an integrand given on the main block against
 d rho d theta about its center, whose weights leave the Jacobian out; the
-run that writes the nodes also writes their ray directions.
+run that writes the nodes keeps the direction of each ray it wrote, and
+each slice repeats those it covers into its nodes' directions.
 """
 
 from __future__ import annotations
@@ -90,6 +91,12 @@ GENERATE_RUN = 1 << 16
 #: the integrand is analytic out to twice the hole's radius, which far
 #: fewer radial nodes resolve.
 HOLE_ORDER = 32
+
+#: Azimuths a 3-D polar ring keeps beyond what its circumference resolves,
+#: in units of order^(1/3): ring j of the order-n sphere rule has
+#: min(2n, ceil(2n sin(theta_j) + AZIMUTH_MARGIN * n^(1/3))) azimuths (see
+#: ``sphere_directions``).
+AZIMUTH_MARGIN = 5.0
 
 #: Default cap on the node count of a single constructed rule; the
 #: LAYERPOT_MAX_NODES environment variable overrides it.
@@ -303,28 +310,55 @@ def circle_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sphere_directions(order: int, pole=None) -> tuple[np.ndarray, np.ndarray]:
-    """Product rule on the unit sphere: Gauss-Legendre in the polar angle
-    (``order`` nodes, sin(theta) folded into the weights) times 2*order
-    equispaced azimuths.  ``pole`` optionally rotates the rule so its axis
+    """Reduced product rule on the unit sphere: Gauss-Legendre in the polar
+    angle (``order`` rings, sin(theta) folded into the weights), each ring
+    with its own count of equispaced azimuths, weighted 2 pi / m_j.
+
+    Ring j at colatitude theta_j keeps
+    m_j = min(2n, ceil(2n sin(theta_j) + AZIMUTH_MARGIN * n^(1/3))) of the
+    2n azimuths of the full product grid, n = ``order``, the same count on
+    the two rings of a pair about the equator.  A harmonic of degree l and
+    azimuthal wavenumber k carries the factor P_l^k(cos theta), which is
+    exponentially small once k exceeds (l + 1/2) sin(theta) by more than a
+    turning-point layer of width O(l^(1/3)); m_j azimuths alias only
+    wavenumbers of m_j and more, so near the poles, where the circumference
+    is short, the rings need fewer azimuths (reduced Gaussian grids, Hortal
+    & Simmons 1991).  ``pole`` optionally rotates the rule so its axis
     points along the given vector, which keeps integrands with a peak or
     weak singularity along that axis zonal.
     """
     t, wt = gauss_jacobi_01(order)
     theta = math.pi * t
     w_theta = math.pi * wt * np.sin(theta)
-    n_az = 2 * order
-    phi = 2.0 * math.pi * np.arange(n_az) / n_az
-    w_phi = 2.0 * math.pi / n_az
-    st, ct = np.sin(theta), np.cos(theta)
-    dirs = np.empty((order * n_az, 3))
-    dirs[:, 0] = np.outer(st, np.cos(phi)).ravel()
-    dirs[:, 1] = np.outer(st, np.sin(phi)).ravel()
-    dirs[:, 2] = np.repeat(ct, n_az)
-    weights = np.repeat(w_theta * w_phi, n_az)
+    m = _ring_counts(order)
+    ring = np.repeat(np.arange(order), m)
+    k = np.arange(len(ring)) - np.repeat(np.cumsum(m) - m, m)
+    phi = 2.0 * math.pi * k / m[ring]
+    st = np.sin(theta)[ring]
+    dirs = np.column_stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)[ring]])
+    weights = (w_theta * (2.0 * math.pi / m))[ring]
     if pole is not None:
         rot = _rotation_to(np.asarray(pole, dtype=float))
         dirs = dirs @ rot.T
     return dirs, weights
+
+
+@lru_cache(maxsize=64)
+def _ring_counts(order: int) -> np.ndarray:
+    """Azimuths of each ring of ``sphere_directions(order)``, read-only."""
+    s = np.sin(math.pi * gauss_jacobi_01(order)[0])
+    s = np.maximum(s, s[::-1])  # the same count on both rings of a pair
+    m = np.ceil(2 * order * s + AZIMUTH_MARGIN * np.cbrt(order))
+    return _frozen(np.minimum(m, 2 * order).astype(np.int64))[0]
+
+
+def angular_rule_size(dim: int, order: int) -> int:
+    """``len(angular_rule(dim, order)[0])``, without building the rule."""
+    if dim == 2:
+        return 2 * order
+    if dim == 3:
+        return int(_ring_counts(order).sum())
+    raise DimensionError(f"quadrature is implemented for N in {{2, 3}}, got N={dim}")
 
 
 @lru_cache(maxsize=64)
@@ -419,14 +453,14 @@ class VolumeQuadrature:
         """All weights as a read-only array, generated on each read."""
         return self._generate(0, self.count)[1]
 
-    def _generate(self, lo: int, hi: int, rays: bool = False) -> tuple[np.ndarray, ...]:
+    def _generate(self, lo: int, hi: int, rays: bool = False) -> tuple:
         """Nodes [lo, hi) as a read-only (m, N) view of a coordinate-major
         array, and their weights: the plans write every interval that
         overlaps the run into one buffer, and the view drops the partial
         ones' extra nodes.  With ``rays`` the main block's weights are for
         the measure d rho d theta about its center (see ``_polar_block``),
-        and a third view holds the unit directions of the rays of the run's
-        main-block nodes, as many as there are of them."""
+        and a third item, a ``_RunRays``, holds the unit directions of the
+        rays of the run's main-block nodes, as many as there are of them."""
         parts = []  # (plan, first and last interval, node count) in the run
         for plan, start, end in zip(self.plans, self._starts, self._starts[1:]):
             if start < hi and lo < end:
@@ -437,17 +471,21 @@ class VolumeQuadrature:
                 parts.append((plan, i, j, (j - i) * n_r))
         size = sum(part[3] for part in parts)
         nodes, weights = np.empty((self.dim, size)), np.empty(size)
-        # the main block's nodes, if the run has any, come first
-        main = rays and parts[0][0] is self.plans[0]
-        theta = np.empty((self.dim, parts[0][3] if main else 0))
-        at = 0
+        main, dirs, at = self.plans[0], np.empty((self.dim, 0)), 0
         for plan, i, j, m in parts:
             out = slice(at, at + m)
-            _polar_block(plan, i, j, nodes[:, out], weights[out], theta if main and at == 0 else None)
+            gathered = _polar_block(plan, i, j, nodes[:, out], weights[out], rays and plan is main)
+            if plan is main:  # the main block's nodes, if the run has any, come first
+                dirs = gathered
             at += m
-        _frozen(nodes, weights, theta)
-        run = slice(lo - base, hi - base)
-        return (nodes[:, run].T, weights[run]) + ((theta[:, run].T,) if rays else ())
+        _frozen(nodes, weights)
+        skip = lo - base
+        run = slice(skip, hi - base)
+        if not rays:
+            return nodes[:, run].T, weights[run]
+        n_r = len(main.radial[0])
+        count = min(hi - lo, max(dirs.shape[1] * n_r - skip, 0))
+        return nodes[:, run].T, weights[run], _RunRays(dirs, n_r, skip, count)
 
     def runs(self):
         """The (nodes, weights) of consecutive runs of at most
@@ -478,9 +516,9 @@ class VolumeQuadrature:
         its volume weights times rho^(1-N), made by the same radial rules
         with the Jacobian left out, so an integrand whose kernel cancels the
         Jacobian, as grad E(x - c) dx = theta d rho d theta / omega_N does,
-        needs no norm at any node.  The directions come from the run that
-        generated the nodes.  The slices and the pairwise sum are those of
-        ``integrate``.
+        needs no norm at any node.  The directions are the rows the run
+        that generated the nodes gathered, repeated per slice.  The slices
+        and the pairwise sum are those of ``integrate``.
         """
 
         def integrand(x, theta):
@@ -493,16 +531,40 @@ class VolumeQuadrature:
         return _block_sum(partial(self._generate, rays=True), integrand, 0, self.count)
 
 
+class _RunRays:
+    """The unit ray directions of a run's main-block nodes, held as the
+    gathered row of each interval of the main block in the run.
+
+    ``rays[leaf]``, for a slice of the run's nodes, repeats the rows the
+    slice covers into a read-only (m, N) view of a coordinate-major array,
+    so only a leaf's worth of directions is ever expanded.  Nodes past the
+    main block's have no direction: the view stops short of them.
+    """
+
+    def __init__(self, rows: np.ndarray, n_r: int, skip: int, count: int):
+        # ``skip`` nodes of the first interval come before the run's first;
+        # ``count`` of the run's nodes belong to the main block
+        self.rows, self.n_r, self.skip, self.count = rows, n_r, skip, count
+
+    def __getitem__(self, leaf: slice) -> np.ndarray:
+        n_r, skip = self.n_r, self.skip
+        lo, hi = min(leaf.start, self.count) + skip, min(leaf.stop, self.count) + skip
+        i = lo // n_r
+        dirs = self.rows[:, i : -(-hi // n_r)].repeat(n_r, axis=1)[:, lo - i * n_r : hi - i * n_r]
+        dirs.flags.writeable = False
+        return dirs.T
+
+
 def _block_sum(generate, integrand, lo: int, hi: int, run=None) -> float:
     """The weighted sum over nodes [lo, hi), split where numpy's pairwise sum
     splits a run longer than its 128-element block.
 
     ``generate(lo, hi)`` returns the read-only nodes and weights of
-    [lo, hi), and optionally more arrays indexed by node, which may stop
-    short.  It is called at the first split whose run fits in
-    ``GENERATE_RUN`` nodes; ``run`` passes its start and arrays down to the
+    [lo, hi), and optionally more items sliced by node, whose slices may
+    stop short.  It is called at the first split whose run fits in
+    ``GENERATE_RUN`` nodes; ``run`` passes its start and items down to the
     leaves, which sum slices of them: ``integrand`` takes the slice of the
-    nodes and of each further array.
+    nodes and of each further item.
     """
     n = hi - lo
     if run is None and n <= GENERATE_RUN:
@@ -1087,9 +1149,10 @@ def _bracketed_newton(fn, lo, hi, x, rising):
 # ---------------------------------------------------------------------------
 
 
-def escalated_order(domain: Domain, order: int, y) -> tuple[int, str | None]:
+def escalated_order(domain: Domain, order: int, y, distance: float | None = None) -> tuple[int, str | None]:
     """Double the rule order until the target's boundary distance is resolved.
 
+    ``distance``, when the caller has it, is ``domain.boundary_distance(y)``.
     Returns the effective order and a warning string when the requested
     order was insufficient (or when the cap/budget truncated escalation).
     The caller decides what to do with the warning; accuracy loss is
@@ -1097,7 +1160,7 @@ def escalated_order(domain: Domain, order: int, y) -> tuple[int, str | None]:
     """
     if order < 4:
         raise ParameterError(f"boundary rules need order >= 4, got {order}")
-    d = domain.boundary_distance(y)
+    d = domain.boundary_distance(y) if distance is None else distance
     needed = domain.min_resolving_order(d)
     if needed <= order:
         return order, None
@@ -1106,10 +1169,9 @@ def escalated_order(domain: Domain, order: int, y) -> tuple[int, str | None]:
         eff *= 2
     eff = min(eff, ORDER_CAP)
     budget = max_nodes_budget()
-    nodes = eff if domain.dim == 2 else 2 * eff * eff
-    while nodes > budget and eff > order:
+    # the boundary rule of order eff has eff nodes in 2-D
+    while (eff if domain.dim == 2 else angular_rule_size(3, eff)) > budget and eff > order:
         eff //= 2
-        nodes = eff if domain.dim == 2 else 2 * eff * eff
     note = f"near-boundary target (distance {d:.3g}): order escalated {order} -> {eff}"
     if eff < needed:
         note += f"; still below the resolving order {needed} (cap/budget)"
@@ -1268,18 +1330,18 @@ def _polar_plan(center, dirs, w_ang, table, n_r: int, power: float, log_kernel: 
     return PolarPlan(center, dirs, w_ang, *table, power, log_kernel, radial, panel)
 
 
-def _polar_block(plan: PolarPlan, lo: int, hi: int, nodes, weights, theta=None):
+def _polar_block(plan: PolarPlan, lo: int, hi: int, nodes, weights, rays: bool = False) -> np.ndarray:
     """Write the nodes and weights of intervals [lo, hi) of ``plan`` into
-    ``nodes``, a coordinate-major (N, count) slice, and ``weights``.  Given
-    ``theta``, shaped as ``nodes``, it takes each node's ray direction, and
-    the weights are for the measure d rho d theta: the volume weights times
-    rho^(1-N).
+    ``nodes``, a coordinate-major (N, count) slice, and ``weights``, and
+    return the ray direction of each interval as an (N, intervals) array.
+    With ``rays`` the weights are for the measure d rho d theta: the volume
+    weights times rho^(1-N).
 
     Every node and weight is an elementwise function of its interval, so a
     node has the same bits whatever run it is written in.
     """
     ray, a, b = plan.ray[lo:hi], plan.a[lo:hi], plan.b[lo:hi]
-    dim, n_r, rays = len(nodes), len(plan.radial[0]), theta is not None
+    dim, n_r = len(nodes), len(plan.radial[0])
     rho, wr = _radial_block(b, plan.radial, dim, plan.power, plan.log_kernel, rays)
     # pieces off the center: panels replace their radial rows
     (panel,) = a.nonzero()
@@ -1288,12 +1350,11 @@ def _polar_block(plan: PolarPlan, lo: int, hi: int, nodes, weights, theta=None):
     # splitting each contiguous coordinate run into (rays, n_r) is a view,
     # so the writes land in ``nodes``
     grid = nodes.reshape(dim, len(ray), n_r)
-    dirs = plan.dirs[ray].T[:, :, None]
-    np.multiply(rho, dirs, out=grid)
+    dirs = plan.dirs[ray].T
+    np.multiply(rho, dirs[:, :, None], out=grid)
     grid += plan.center[:, None, None]
-    if rays:
-        theta.reshape(dim, len(ray), n_r)[...] = dirs
     np.multiply(wr, plan.w_ang[ray][:, None], out=weights.reshape(len(ray), n_r))
+    return dirs
 
 
 #: Star-domain ray tables kept by ``_ray_table``, a few kB each.

@@ -33,10 +33,13 @@ def poisson_evaluate(ball: Ball, phi, y, order: int = 64) -> float:
     where the order cap or node budget leaves the kernel peak unresolved.
     """
     y = as_point(y, ball.dim)
-    if ball.classify(y) != INTERIOR:
+    cls, distance = ball.placement(y)
+    if cls != INTERIOR:
         raise PlacementError("the reproducing kernel extends boundary data to interior points only")
-    values, orders, warnings = _peaked_integrals(phi, ball, y, order, lambda x, _, z: poisson_kernel(ball, x, z))
-    if orders[0] < ball.min_resolving_order(ball.boundary_distance(y)):
+    values, orders, warnings = _peaked_integrals(
+        phi, ball, y, order, lambda x, _, z: poisson_kernel(ball, x, z), distances=[distance]
+    )
+    if orders[0] < ball.min_resolving_order(distance):
         raise ResolutionError(f"harmonic extension unresolved: {warnings[0]}")
     return float(values[0])
 

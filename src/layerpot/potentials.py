@@ -98,21 +98,23 @@ def _boundary_value(h, domain: Domain, z: np.ndarray, order: int) -> float:
     return rule.integrate(moment(rule.nodes) * kernel)
 
 
-def _peaked_integrals(h, domain: Domain, targets, order: int, kernel=dl_kernel):
+def _peaked_integrals(h, domain: Domain, targets, order: int, kernel=dl_kernel, distances=None):
     """Boundary integrals of the moment h against kernels peaked at off-boundary targets.
 
     The one order-escalation policy of boundary integrals: each target's
     order escalates with its boundary distance, 3-D rules put their pole
     along y - center, and targets needing the same rule share it.  One kernel
     call on a group's (m, 1, N) targets gives their rows, each summed with
-    ``rule.integrate``.  Returns the values, effective orders and warnings.
+    ``rule.integrate``.  ``distances``, when the caller has them, are the
+    targets' boundary distances.  Returns the values, effective orders and
+    warnings.
     """
     targets = np.atleast_2d(targets)
     moment = _moment_callable(h)
     values = np.empty(len(targets))
     orders, warnings, groups = [], [], {}
     for i, y in enumerate(targets):
-        eff, warn = escalated_order(domain, order, y)
+        eff, warn = escalated_order(domain, order, y, None if distances is None else distances[i])
         orders.append(eff)
         warnings.append(warn)
         axis = y - domain.center

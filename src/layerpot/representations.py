@@ -35,6 +35,7 @@ from .geometry import (
     INTERIOR,
     Ball,
     Domain,
+    angular_rule_size,
     as_point,
     max_nodes_budget,
     volume_rule,
@@ -276,9 +277,11 @@ def check_c2_exterior(f: ScalarField, domain: Domain, y, order: int = 64) -> Ide
 
 
 def _estimate_f2_nodes(domain: Domain, order_outer: int, order_inner: int) -> int:
-    """Outer nodes times inner nodes: a polar rule of order o has 2 o^N
-    nodes, times the domain's angular oversampling."""
-    outer, inner = (2 * o**domain.dim * domain.angular_oversampling for o in (order_outer, order_inner))
+    """Outer nodes times inner nodes: a polar rule of order o has o radial
+    nodes on each ray of the angular rule of o times the domain's angular
+    oversampling."""
+    ovs = domain.angular_oversampling
+    outer, inner = (o * angular_rule_size(domain.dim, o * ovs) for o in (order_outer, order_inner))
     return outer * inner
 
 

@@ -95,9 +95,9 @@ def test_block_sum_has_the_bits_of_one_weighted_sum(count):
 
 
 def test_block_sum_on_a_3d_rule_with_a_hole():
-    # order 80: the hole's block is smaller than the main block, and the
+    # order 104: the hole's block is smaller than the main block, and the
     # rule must still span more than 30 blocks
-    rule = lp.composite_volume_rule(unit_ball3(), 80, [0.0, 0.0, 0.0], holes=[([0.4, 0.1, 0.0], 0.2, 0.0)])
+    rule = lp.composite_volume_rule(unit_ball3(), 104, [0.0, 0.0, 0.0], holes=[([0.4, 0.1, 0.0], 0.2, 0.0)])
     nodes, weights = rule.nodes, rule.weights
     assert len(weights) == rule.count > 30 * VOLUME_BLOCK
 
@@ -197,7 +197,8 @@ def test_ray_form_has_the_bits_of_one_weighted_sum(name, monkeypatch):
     def rest(x):
         return np.sin(x[:, 0] + 2.0 * x[:, 1])
 
-    nodes, weights, theta = rule._generate(0, rule.count, rays=True)
+    nodes, weights, rays = rule._generate(0, rule.count, rays=True)
+    theta = rays[0 : rule.count]
     plan = rule.plans[0]
     assert theta.tobytes() == np.repeat(plan.dirs[plan.ray], rule.order, axis=0).tobytes()
     values = np.concatenate([along(nodes[:main], theta), rest(nodes[main:])])
@@ -250,7 +251,7 @@ def test_volume_integrand_memory_does_not_grow_with_the_rule():
     # distance(0)'s rule about an off-center target: a million nodes with a hole
     f = lp.catalog("distance", [0.0, 0.0, 0.0])
     y = np.array([0.5, 0.0, 0.0])
-    rule = _singular_rule(f, unit_ball3(), 80, y, kernel_power=-2.0)
+    rule = _singular_rule(f, unit_ball3(), 96, y, kernel_power=-2.0)
     assert len(rule.weights) > 10**6
     tracemalloc.start()
     try:
@@ -268,7 +269,7 @@ def test_building_and_integrating_a_rule_holds_a_fraction_of_its_nodes():
     y = np.array([0.5, 0.0, 0.0])
     tracemalloc.start()
     try:
-        rule = _singular_rule(f, unit_ball3(), 80, y, kernel_power=-2.0)
+        rule = _singular_rule(f, unit_ball3(), 96, y, kernel_power=-2.0)
         rule.integrate(lambda x: row_dots(f.gradient(x), x - y))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -402,6 +403,76 @@ def test_sphere_rule_weight_sum():
     assert rule.weights.sum() == pytest.approx(4 * math.pi, abs=1e-10)
     # normals exact for balls
     np.testing.assert_allclose(rule.normals, rule.nodes, atol=1e-14)
+
+
+def _full_sphere_grid(order, pole=None):
+    """The product rule the reduced sphere rule thins out: 2 * order
+    equispaced azimuths on each of its Gauss-Legendre polar rings."""
+    t, wt = gauss_jacobi_01(order)
+    theta, phi = math.pi * t, math.pi * np.arange(2 * order) / order
+    st, ct = np.sin(theta)[:, None], np.cos(theta)[:, None]
+    dirs = np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi), ct), axis=-1).reshape(-1, 3)
+    weights = np.repeat(math.pi * wt * np.sin(theta) * math.pi / order, 2 * order)
+    if pole is not None:
+        dirs = dirs @ geometry._rotation_to(np.asarray(pole, dtype=float)).T
+    return dirs, weights
+
+
+def _harmonic_errors(dirs, weights, degree):
+    """The rule's integral of each real orthonormal spherical harmonic of
+    degree <= ``degree`` minus its exact value (sqrt(4 pi) for degree 0,
+    else 0), from the normalized associated Legendre recurrence."""
+    x = dirs[:, 2]
+    s, phi = np.sqrt(np.maximum(1.0 - x * x, 0.0)), np.arctan2(dirs[:, 1], dirs[:, 0])
+    p_kk, out = np.full(len(x), 1.0 / math.sqrt(4.0 * math.pi)), []
+    for k in range(degree + 1):
+        if k:
+            p_kk = -math.sqrt((2 * k + 1) / (2 * k)) * s * p_kk
+        rows = [p_kk, math.sqrt(2 * k + 3) * x * p_kk]
+        for n in range(k + 2, degree + 1):
+            a = math.sqrt((4 * n * n - 1) / (n * n - k * k))
+            b = math.sqrt(((n - 1) ** 2 - k * k) / (4 * (n - 1) ** 2 - 1))
+            rows.append(a * (x * rows[-1] - b * rows[-2]))
+        legendre = np.array(rows[: degree + 1 - k])
+        for azimuth in [np.ones_like(x)] if k == 0 else [np.cos(k * phi), np.sin(k * phi)]:
+            # a pairwise sum: a BLAS product would add ~1e-14 of roundoff
+            out.append(np.add.reduce(legendre * (weights * azimuth), axis=1) * (math.sqrt(2.0) if k else 1.0))
+    out = np.concatenate(out)
+    out[0] -= math.sqrt(4.0 * math.pi)
+    return out
+
+
+@pytest.mark.parametrize("pole", [None, (0.3, -0.5, 0.8)], ids=["axis", "pole"])
+@pytest.mark.parametrize("order", [4, 8, 12, 16, 24, 32, 48, 64, 96, 128])
+def test_reduced_sphere_rule_integrates_harmonics_as_the_full_grid(order, pole):
+    # each polar ring keeps only the azimuths its circumference resolves.
+    # The polar rule is Gauss-Legendre in theta, not in cos(theta), so
+    # even the full grid misses harmonics of degree near ``order`` at low
+    # orders (by 0.09 at order 16): the reduced rule must integrate every
+    # harmonic of degree <= order as the full grid does, to 1e-14
+    dirs, weights = geometry.sphere_directions(order, pole)
+    full_dirs, full_weights = _full_sphere_grid(order, pole)
+    rings = geometry._ring_counts(order)
+    assert np.array_equal(rings, rings[::-1]) and rings.max() <= 2 * order
+    assert len(dirs) == rings.sum() == geometry.angular_rule_size(3, order) <= len(full_dirs)
+    np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0, atol=1e-15)
+    # the sum of the weights is the polar rule's integral of sin(theta),
+    # which reaches 4 pi from order 8 on
+    assert weights.sum() == pytest.approx(full_weights.sum(), rel=1e-14, abs=0)
+    if order >= 8:
+        assert weights.sum() == pytest.approx(4.0 * math.pi, rel=1e-14, abs=0)
+    reduced, full = (_harmonic_errors(d, w, order) for d, w in ((dirs, weights), (full_dirs, full_weights)))
+    assert np.max(np.abs(reduced - full)) <= 1e-14
+
+
+def test_reduced_sphere_rule_thins_the_polar_rings():
+    # order 64 keeps 5,002 of the full grid's 8,192 directions and order
+    # 32, the hole blocks', 1,402 of 2,048; the rings next to the equator
+    # keep all 2 * order azimuths, those next to the poles under a third
+    for order, size in ((32, 1402), (64, 5002)):
+        rings = geometry._ring_counts(order)
+        assert len(angular_rule(3, order)[0]) == rings.sum() == size
+        assert rings[order // 2] == 2 * order and 3 * rings[0] < 2 * order
 
 
 def test_degenerate_star_matches_circle():
@@ -572,6 +643,19 @@ def test_escalation_policy_warns_and_resolves():
     assert eff == 64 and note is None
 
 
+def test_escalation_budget_counts_the_reduced_sphere_rule(monkeypatch):
+    # a 3-D target at distance 0.05 escalates order 16 to 128; the budget
+    # is checked on the boundary rule's real direction count, so a budget
+    # of exactly that many nodes keeps 128, and one node less halves it
+    ball, y = unit_ball3(), [0.95, 0.0, 0.0]
+    size = geometry.angular_rule_size(3, 128)
+    assert size == len(ball.boundary_rule(128).weights) < 2 * 128**2
+    monkeypatch.setenv("LAYERPOT_MAX_NODES", str(size))
+    assert escalated_order(ball, 16, y)[0] == 128
+    monkeypatch.setenv("LAYERPOT_MAX_NODES", str(size - 1))
+    assert escalated_order(ball, 16, y)[0] == 64
+
+
 def test_node_budget(monkeypatch):
     monkeypatch.setenv("LAYERPOT_MAX_NODES", "500")
     with pytest.raises(BudgetError):
@@ -579,17 +663,17 @@ def test_node_budget(monkeypatch):
 
 
 def test_node_budget_is_checked_before_the_rule_is_built(monkeypatch):
-    # the 3-D order-64 rule has 524,288 nodes; refusing it must not first
+    # the 3-D order-64 rule has 320,128 nodes; refusing it must not first
     # allocate even one of its coordinate columns
     monkeypatch.setenv("LAYERPOT_MAX_NODES", "1000")
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetError, match="524288 nodes"):
+        with pytest.raises(BudgetError, match="320128 nodes"):
             lp.volume_rule(lp.Ball([0.0, 0.0, 0.0], 1.0), 64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 524288 * 8
+    assert peak < 320128 * 8
 
 
 def test_invalid_budget(monkeypatch):

@@ -91,6 +91,32 @@ def test_reports_do_not_depend_on_the_pool_width(name, workers, tmp_path, capsys
         potentials._gradient_volume_integral.cache_clear()
 
 
+def test_bench_ball3d_keeps_its_volume_node_count(tmp_path, capsys, monkeypatch):
+    # the benchmark's ball3d report at its probe seed builds volume rules of
+    # 3,413,952 nodes in all, as the traced workload counts them (5,595,136
+    # when every polar ring of a 3-D rule held 2 * order azimuths); a
+    # change that grows the 3-D rules again fails here.  The memo is
+    # emptied so that every rule is built, on one pool thread
+    counts, build = [], geometry.composite_volume_rule
+
+    def counting(*args, **kwargs):
+        rule = build(*args, **kwargs)
+        counts.append(rule.count)
+        return rule
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "layerpot" and getattr(module, "composite_volume_rule", None) is build:
+            monkeypatch.setattr(module, "composite_volume_rule", counting)
+    monkeypatch.setattr(runner, "_run_tasks", functools.partial(runner._run_tasks, max_workers=1))
+    potentials._gradient_volume_integral.cache_clear()
+    try:
+        main(["verify", "--config", str(BENCH_CONFIGS / "ball3d.cfg"), "--seed", str(BENCH_SEED), "--out", str(tmp_path / "r.csv")])
+    finally:
+        potentials._gradient_volume_integral.cache_clear()
+    capsys.readouterr()
+    assert sum(counts) == 3_413_952
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
 def test_reports_match_goldens_on_one_core():
     # a fresh interpreter pinned to one core, where the runner picks a

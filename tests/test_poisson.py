@@ -146,3 +146,20 @@ def test_maximum_principle_diagnostic():
         y = rng.normal(size=2)
         y *= rng.uniform(0.0, 0.9) / np.linalg.norm(y)
         assert lo - 1e-9 <= sol.evaluate(y) <= hi + 1e-9
+
+
+@pytest.mark.parametrize("y", [[0.3, 0.2], [0.97, 0.0]], ids=["interior", "near-boundary"])
+def test_poisson_evaluate_takes_one_signed_distance(y, monkeypatch):
+    # the class, the escalation and the resolution check all read the one
+    # signed distance of ``Domain.placement``; the near-boundary target
+    # escalates, so the distance reaches the escalation too
+    expected = lp.poisson_evaluate(DISK, lp.catalog("harmonic_poly", 2), y, 32)
+    queried, signed = [], lp.Ball.signed_boundary_distance
+
+    def counting(self, point):
+        queried.append(np.array(point, dtype=float))
+        return signed(self, point)
+
+    monkeypatch.setattr(lp.Ball, "signed_boundary_distance", counting)
+    assert lp.poisson_evaluate(DISK, lp.catalog("harmonic_poly", 2), y, 32) == expected
+    assert len(queried) == 1 and np.array_equal(queried[0], y)

@@ -16,7 +16,7 @@ import layerpot.potentials
 from diagnostics import fd_laplacian, loglog_slope, sphere_ratio
 from layerpot.errors import BudgetError, CapabilityError, ParameterError, PlacementError
 from layerpot.fields import _singular_rule
-from layerpot.geometry import INTERIOR, escalated_order
+from layerpot.geometry import INTERIOR, angular_rule, escalated_order
 from layerpot.kernel import fundamental_gradient, fundamental_solution, row_dots
 
 DISK = lp.Ball([0.0, 0.0], 1.0)
@@ -430,10 +430,10 @@ def test_escalation_adds_rays_not_radial_nodes(domain, monkeypatch):
     eff = layerpot.potentials._volume_order_for_target(domain, order, domain.boundary_distance(y))
     assert eff >= 4 * order
     main, hole = rule.plans
-    rays = 2 * eff * domain.angular_oversampling if dim == 2 else 2 * eff * eff
+    rays = len(angular_rule(dim, eff * domain.angular_oversampling)[0])
     n_hole = min(order, layerpot.geometry.HOLE_ORDER)
     assert len(main.dirs) == rays and len(main.radial[0]) == rule.order == order
-    assert len(hole.dirs) == (2 * n_hole if dim == 2 else 2 * n_hole**2) and len(hole.radial[0]) == n_hole
+    assert len(hole.dirs) == len(angular_rule(dim, n_hole)[0]) and len(hole.radial[0]) == n_hole
     assert rule.count == order * len(main.ray) + n_hole * len(hole.ray)
     assert len(rule.weights) == rule.count
 
