@@ -27,18 +27,16 @@ A volume rule holds no nodes, only the plan of each block: its center,
 directions, angular weights, table of covered radial intervals and radial
 Gauss rules, whose length is the block's radial count.  A volume rule
 integrates a callable, not a value array: ``rule.integrate(integrand)``
-generates the nodes and weights run by run, at most ``GENERATE_RUN`` nodes
-at a time, into read-only, coordinate-major arrays of that run, and
-evaluates the integrand on slices of at most
-``VOLUME_BLOCK`` nodes of them.  So a rule of a million nodes never needs
-an array as long as itself.  Runs and slices are the runs numpy's
-pairwise sum would split the whole sum into, and every node comes from the
-same elementwise operations whatever run it falls in, so the result has
-the bits of one ``weighted_sum`` over all nodes.  ``rule.integrate_rays``
-sums the same way an integrand given on the main block against
-d rho d theta about its center, whose weights leave the Jacobian out; the
-run that writes the nodes keeps the direction of each ray it wrote, and
-each slice repeats those it covers into its nodes' directions.
+splits the nodes where numpy's pairwise sum would split the whole sum,
+down to leaves of at most ``VOLUME_BLOCK`` nodes, and generates each leaf's
+nodes and weights into read-only, coordinate-major arrays of its own just
+before the integrand reads them.  So a rule of a million nodes never needs
+an array as long as itself.  Every node comes from the same elementwise
+operations whatever leaf it falls in, so the result has the bits of one
+``weighted_sum`` over all nodes.  ``rule.integrate_rays`` sums the same
+way an integrand given on the main block against d rho d theta about its
+center, whose weights leave the Jacobian out; each leaf repeats the
+direction of each main-block ray it wrote into its nodes' directions.
 """
 
 from __future__ import annotations
@@ -72,15 +70,12 @@ BOUNDARY_TOL = 1e-12
 #: Hard cap on the escalated resolution parameter of any single rule.
 ORDER_CAP = 4096
 
-#: Most nodes a volume-rule integrand is evaluated on at once.  It must stay
-#: at least 128, numpy's pairwise block, for block sums to keep numpy's bits.
+#: Most nodes of a volume rule generated, and evaluated by an integrand, at
+#: once.  It must stay at least 128, numpy's pairwise block, for block sums
+#: to keep numpy's bits.  The CLI pins malloc's thresholds to what a
+#: running 3-D leaf holds, so freed leaves stay in the heap and the next
+#: leaf reuses their pages.
 VOLUME_BLOCK = 1 << 15
-
-#: Most nodes of a volume rule generated at once; at least VOLUME_BLOCK.
-#: Longer runs hold more memory per running integral.  The CLI pins
-#: malloc's thresholds to one full 3-D run, so freed runs stay in the heap
-#: and the next run reuses their pages.
-GENERATE_RUN = 1 << 16
 
 #: Most radial nodes per ray, and the most angular order, of a hole's
 #: block.  A hole is at most half as wide as the distance to the nearest
@@ -430,12 +425,6 @@ class VolumeQuadrature:
         object.__setattr__(self, "_starts", tuple(accumulate(sizes, initial=0)))
 
     @property
-    def order(self) -> int:
-        """Radial nodes per interval of the main block; a hole's block has
-        ``min(order, HOLE_ORDER)``."""
-        return len(self.plans[0].radial[0])
-
-    @property
     def dim(self) -> int:
         return self.plans[0].center.size
 
@@ -456,12 +445,13 @@ class VolumeQuadrature:
     def _generate(self, lo: int, hi: int, rays: bool = False) -> tuple:
         """Nodes [lo, hi) as a read-only (m, N) view of a coordinate-major
         array, and their weights: the plans write every interval that
-        overlaps the run into one buffer, and the view drops the partial
+        overlaps [lo, hi) into one buffer, and the view drops the partial
         ones' extra nodes.  With ``rays`` the main block's weights are for
         the measure d rho d theta about its center (see ``_polar_block``),
-        and a third item, a ``_RunRays``, holds the unit directions of the
-        rays of the run's main-block nodes, as many as there are of them."""
-        parts = []  # (plan, first and last interval, node count) in the run
+        and a third item holds the unit ray directions of the main block's
+        nodes in [lo, hi), read-only and (m, N) in the same way: it stops
+        where the main block does."""
+        parts = []  # (plan, first and last interval, node count) in [lo, hi)
         for plan, start, end in zip(self.plans, self._starts, self._starts[1:]):
             if start < hi and lo < end:
                 n_r = len(plan.radial[0])
@@ -475,23 +465,21 @@ class VolumeQuadrature:
         for plan, i, j, m in parts:
             out = slice(at, at + m)
             gathered = _polar_block(plan, i, j, nodes[:, out], weights[out], rays and plan is main)
-            if plan is main:  # the main block's nodes, if the run has any, come first
+            if plan is main:  # the main block's nodes, if there are any, come first
                 dirs = gathered
             at += m
         _frozen(nodes, weights)
-        skip = lo - base
-        run = slice(skip, hi - base)
+        span = slice(lo - base, hi - base)
         if not rays:
-            return nodes[:, run].T, weights[run]
-        n_r = len(main.radial[0])
-        count = min(hi - lo, max(dirs.shape[1] * n_r - skip, 0))
-        return nodes[:, run].T, weights[run], _RunRays(dirs, n_r, skip, count)
+            return nodes[:, span].T, weights[span]
+        (theta,) = _frozen(dirs.repeat(len(main.radial[0]), axis=1)[:, span])
+        return nodes[:, span].T, weights[span], theta.T
 
     def runs(self):
         """The (nodes, weights) of consecutive runs of at most
-        ``GENERATE_RUN`` nodes, read-only, covering the rule in node order."""
-        for lo in range(0, self.count, GENERATE_RUN):
-            yield self._generate(lo, min(lo + GENERATE_RUN, self.count))
+        ``VOLUME_BLOCK`` nodes, read-only, covering the rule in node order."""
+        for lo in range(0, self.count, VOLUME_BLOCK):
+            yield self._generate(lo, min(lo + VOLUME_BLOCK, self.count))
 
     def integrate(self, integrand) -> float:
         """sum_i weights[i] * integrand(nodes)[i], evaluated block by block.
@@ -501,7 +489,7 @@ class VolumeQuadrature:
         so no temporary grows with the rule.  The slices follow numpy's
         pairwise split, so the total has the bits of
         ``weighted_sum(weights, integrand(nodes))``.  Each call generates
-        its own runs, so an integrand may integrate other rules.
+        its own slices, so an integrand may integrate other rules.
         """
         return _block_sum(self._generate, integrand, 0, self.count)
 
@@ -516,9 +504,9 @@ class VolumeQuadrature:
         its volume weights times rho^(1-N), made by the same radial rules
         with the Jacobian left out, so an integrand whose kernel cancels the
         Jacobian, as grad E(x - c) dx = theta d rho d theta / omega_N does,
-        needs no norm at any node.  The directions are the rows the run
-        that generated the nodes gathered, repeated per slice.  The slices
-        and the pairwise sum are those of ``integrate``.
+        needs no norm at any node.  The directions are the rows the slice
+        gathered to write its nodes, repeated per node.  The slices and the
+        pairwise sum are those of ``integrate``.
         """
 
         def integrand(x, theta):
@@ -531,51 +519,21 @@ class VolumeQuadrature:
         return _block_sum(partial(self._generate, rays=True), integrand, 0, self.count)
 
 
-class _RunRays:
-    """The unit ray directions of a run's main-block nodes, held as the
-    gathered row of each interval of the main block in the run.
-
-    ``rays[leaf]``, for a slice of the run's nodes, repeats the rows the
-    slice covers into a read-only (m, N) view of a coordinate-major array,
-    so only a leaf's worth of directions is ever expanded.  Nodes past the
-    main block's have no direction: the view stops short of them.
-    """
-
-    def __init__(self, rows: np.ndarray, n_r: int, skip: int, count: int):
-        # ``skip`` nodes of the first interval come before the run's first;
-        # ``count`` of the run's nodes belong to the main block
-        self.rows, self.n_r, self.skip, self.count = rows, n_r, skip, count
-
-    def __getitem__(self, leaf: slice) -> np.ndarray:
-        n_r, skip = self.n_r, self.skip
-        lo, hi = min(leaf.start, self.count) + skip, min(leaf.stop, self.count) + skip
-        i = lo // n_r
-        dirs = self.rows[:, i : -(-hi // n_r)].repeat(n_r, axis=1)[:, lo - i * n_r : hi - i * n_r]
-        dirs.flags.writeable = False
-        return dirs.T
-
-
-def _block_sum(generate, integrand, lo: int, hi: int, run=None) -> float:
+def _block_sum(generate, integrand, lo: int, hi: int) -> float:
     """The weighted sum over nodes [lo, hi), split where numpy's pairwise sum
-    splits a run longer than its 128-element block.
+    splits a sum longer than its 128-element block.
 
-    ``generate(lo, hi)`` returns the read-only nodes and weights of
-    [lo, hi), and optionally more items sliced by node, whose slices may
-    stop short.  It is called at the first split whose run fits in
-    ``GENERATE_RUN`` nodes; ``run`` passes its start and items down to the
-    leaves, which sum slices of them: ``integrand`` takes the slice of the
-    nodes and of each further item.
+    At each leaf of at most ``VOLUME_BLOCK`` nodes, ``generate(lo, hi)``
+    returns the read-only nodes and weights of the leaf, and optionally
+    more items, which ``integrand`` takes after the nodes.
     """
     n = hi - lo
-    if run is None and n <= GENERATE_RUN:
-        run = (lo, *generate(lo, hi))
     if n <= VOLUME_BLOCK:
-        start, nodes, weights, *more = run
-        leaf = slice(lo - start, hi - start)
-        return weighted_sum(weights[leaf], integrand(nodes[leaf], *(a[leaf] for a in more)))
+        nodes, weights, *more = generate(lo, hi)
+        return weighted_sum(weights, integrand(nodes, *more))
     half = n // 2
     half -= half % 8
-    return _block_sum(generate, integrand, lo, lo + half, run) + _block_sum(generate, integrand, lo + half, hi, run)
+    return _block_sum(generate, integrand, lo, lo + half) + _block_sum(generate, integrand, lo + half, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -1149,10 +1107,9 @@ def _bracketed_newton(fn, lo, hi, x, rising):
 # ---------------------------------------------------------------------------
 
 
-def escalated_order(domain: Domain, order: int, y, distance: float | None = None) -> tuple[int, str | None]:
-    """Double the rule order until the target's boundary distance is resolved.
+def escalated_order(domain: Domain, order: int, d: float) -> tuple[int, str | None]:
+    """Double the rule order until a target's boundary distance ``d`` is resolved.
 
-    ``distance``, when the caller has it, is ``domain.boundary_distance(y)``.
     Returns the effective order and a warning string when the requested
     order was insufficient (or when the cap/budget truncated escalation).
     The caller decides what to do with the warning; accuracy loss is
@@ -1160,7 +1117,6 @@ def escalated_order(domain: Domain, order: int, y, distance: float | None = None
     """
     if order < 4:
         raise ParameterError(f"boundary rules need order >= 4, got {order}")
-    d = domain.boundary_distance(y) if distance is None else distance
     needed = domain.min_resolving_order(d)
     if needed <= order:
         return order, None
@@ -1338,7 +1294,7 @@ def _polar_block(plan: PolarPlan, lo: int, hi: int, nodes, weights, rays: bool =
     weights times rho^(1-N).
 
     Every node and weight is an elementwise function of its interval, so a
-    node has the same bits whatever run it is written in.
+    node has the same bits whatever leaf it is written in.
     """
     ray, a, b = plan.ray[lo:hi], plan.a[lo:hi], plan.b[lo:hi]
     dim, n_r = len(nodes), len(plan.radial[0])

@@ -15,7 +15,7 @@ import functools
 import sys
 
 from ..errors import BudgetError, ConfigError, LayerpotError
-from ..geometry import GENERATE_RUN
+from ..geometry import VOLUME_BLOCK
 from .config import _ORDER, SuiteConfig, build_config
 from .report import write_report
 from .runner import run_bound, run_converge, run_table, run_verify
@@ -77,27 +77,30 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 @functools.cache
 def _pin_malloc_thresholds() -> bool:
-    """Fix malloc's mmap threshold at the bytes of one full 3-D volume-rule
-    run, and its trim threshold at four times that; False where libc has
-    no ``mallopt``.
+    """Fix malloc's mmap threshold at the bytes a running 3-D volume-rule
+    leaf holds, and its trim threshold at four times that; False where
+    libc has no ``mallopt``.  Only ``main`` calls it: library callers keep
+    glibc's dynamic thresholds.
 
-    glibc raises both thresholds to the largest block freed so far, so
-    without a pin whether a run's arrays come from the heap or from fresh
-    pages depends on which rules ran before: a suite of 32,768-node 2-D
-    integrals maps and faults in each run anew unless a larger rule ran
-    first.  glibc would settle at twice the run for the trim threshold,
-    but a running 3-D integral holds its run and a leaf's temporaries, up
-    to about two runs: freeing that would trim the heap after every
-    integral, and the next one would fault it in again.
+    A running leaf holds its generated nodes and weights and about as much
+    again in integrand temporaries.  glibc raises both thresholds to the
+    largest block freed so far, so without a pin whether a leaf's arrays
+    come from the heap or from fresh pages depends on which rules ran
+    before: a suite of 32,768-node 2-D integrals maps and faults in each
+    leaf anew unless a larger rule ran first.  glibc would settle the trim
+    threshold at twice the largest array freed, less than a running leaf
+    holds, so the end of every integral would trim the heap and the next
+    one would fault it in again.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
         return False
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    run_bytes = (3 + 1) * GENERATE_RUN * 8  # three coordinates and a weight
-    mallopt(_M_MMAP_THRESHOLD, run_bytes)
-    mallopt(_M_TRIM_THRESHOLD, 4 * run_bytes)
+    # three coordinates and a weight per node, then as much in temporaries
+    held = 2 * (3 + 1) * VOLUME_BLOCK * 8
+    mallopt(_M_MMAP_THRESHOLD, held)
+    mallopt(_M_TRIM_THRESHOLD, 4 * held)
     return True
 
 

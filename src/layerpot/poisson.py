@@ -37,7 +37,7 @@ def poisson_evaluate(ball: Ball, phi, y, order: int = 64) -> float:
     if cls != INTERIOR:
         raise PlacementError("the reproducing kernel extends boundary data to interior points only")
     values, orders, warnings = _peaked_integrals(
-        phi, ball, y, order, lambda x, _, z: poisson_kernel(ball, x, z), distances=[distance]
+        phi, ball, y, [distance], order, lambda x, _, z: poisson_kernel(ball, x, z)
     )
     if orders[0] < ball.min_resolving_order(distance):
         raise ResolutionError(f"harmonic extension unresolved: {warnings[0]}")

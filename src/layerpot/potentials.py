@@ -98,23 +98,22 @@ def _boundary_value(h, domain: Domain, z: np.ndarray, order: int) -> float:
     return rule.integrate(moment(rule.nodes) * kernel)
 
 
-def _peaked_integrals(h, domain: Domain, targets, order: int, kernel=dl_kernel, distances=None):
+def _peaked_integrals(h, domain: Domain, targets, distances, order: int, kernel=dl_kernel):
     """Boundary integrals of the moment h against kernels peaked at off-boundary targets.
 
     The one order-escalation policy of boundary integrals: each target's
-    order escalates with its boundary distance, 3-D rules put their pole
-    along y - center, and targets needing the same rule share it.  One kernel
-    call on a group's (m, 1, N) targets gives their rows, each summed with
-    ``rule.integrate``.  ``distances``, when the caller has them, are the
-    targets' boundary distances.  Returns the values, effective orders and
-    warnings.
+    order escalates with its boundary distance, given in ``distances``,
+    3-D rules put their pole along y - center, and targets needing the
+    same rule share it.  One kernel call on a group's (m, 1, N) targets
+    gives their rows, each summed with ``rule.integrate``.  Returns the
+    values, effective orders and warnings.
     """
     targets = np.atleast_2d(targets)
     moment = _moment_callable(h)
     values = np.empty(len(targets))
     orders, warnings, groups = [], [], {}
-    for i, y in enumerate(targets):
-        eff, warn = escalated_order(domain, order, y, None if distances is None else distances[i])
+    for i, (y, d) in enumerate(zip(targets, distances)):
+        eff, warn = escalated_order(domain, order, d)
         orders.append(eff)
         warnings.append(warn)
         axis = y - domain.center
@@ -136,11 +135,11 @@ def double_layer(h, domain: Domain, y, order: int = 64) -> LayerEvaluation:
     ``warning`` field rather than failing.
     """
     y = as_point(y, domain.dim)
-    cls = domain.classify(y)
+    cls, distance = domain.placement(y)
     if cls == BOUNDARY:
         value = _boundary_value(h, domain, y, order)
         return LayerEvaluation(value=value, location_class=cls, quadrature_order=order)
-    values, orders, warnings = _peaked_integrals(h, domain, y, order)
+    values, orders, warnings = _peaked_integrals(h, domain, y, [distance], order)
     return LayerEvaluation(
         value=float(values[0]), location_class=cls, quadrature_order=orders[0], warning=warnings[0]
     )
@@ -153,9 +152,11 @@ def double_layer_batch(h, domain: Domain, targets, order: int = 64) -> np.ndarra
     shared between calls, so batches may also be fanned out across threads.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    on = np.array([domain.classify(y) == BOUNDARY for y in targets], dtype=bool)
+    placed = [domain.placement(y) for y in targets]
+    on = np.array([cls == BOUNDARY for cls, _ in placed], dtype=bool)
+    distances = np.array([d for _, d in placed])
     out = np.empty(len(targets))
-    out[~on] = _peaked_integrals(h, domain, targets[~on], order)[0]
+    out[~on] = _peaked_integrals(h, domain, targets[~on], distances[~on], order)[0]
     out[on] = [_boundary_value(h, domain, z, order) for z in targets[on]]
     return out
 
@@ -336,7 +337,7 @@ def newtonian_integrals(f: ScalarField, domain: Domain, y, order: int = 64) -> N
     if not f.has_laplacian:
         raise CapabilityError(f"field {f.name} carries no Laplacian")
     y = as_point(y, domain.dim)
-    cls = domain.classify(y)
+    cls, distance = domain.placement(y)
     if cls == BOUNDARY:
         raise PlacementError("Newtonian integrals are evaluated off the boundary")
 
@@ -345,7 +346,7 @@ def newtonian_integrals(f: ScalarField, domain: Domain, y, order: int = 64) -> N
         kernel = fundamental_solution((nodes - targets).reshape(-1, domain.dim)).reshape(len(targets), -1)
         return row_dots(f.gradient(nodes), normals) * kernel
 
-    boundary_term = float(_peaked_integrals(1.0, domain, y, order, flux)[0][0])
+    boundary_term = float(_peaked_integrals(1.0, domain, y, [distance], order, flux)[0][0])
     power = f.gradient_power - 1.0
     if cls == INTERIOR:
         vrule = _singular_rule(f, domain, order, y, power=power, log_kernel=True)

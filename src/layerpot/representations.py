@@ -202,7 +202,8 @@ def check_ball_corollaries(f: ScalarField, ball: Ball, y, order: int = 64, which
     if which in ("REP2", "REP3"):
         y = a
     y = as_point(y, n)
-    if which in ("MAT", "COM", "CERC") and ball.classify(y) != INTERIOR:
+    cls, distance = ball.placement(y)
+    if which in ("MAT", "COM", "CERC") and cls != INTERIOR:
         raise PlacementError(f"{which} represents interior values of the ball")
     lhs = f.evaluate(y)
     vol = gradient_volume_integral(f, ball, y, order)
@@ -238,7 +239,7 @@ def check_ball_corollaries(f: ScalarField, ball: Ball, y, order: int = 64, which
         return (d @ np.swapaxes(targets - a, 1, 2))[..., 0] / (R * omega * row_norms(d) ** n)
 
     chi = dirichlet_chi(ball, f, order).evaluate(y)
-    correction = float(_peaked_integrals(f, ball, y, order, kernel)[0][0])
+    correction = float(_peaked_integrals(f, ball, y, [distance], order, kernel)[0][0])
     rhs = chi + correction - vol
     return _report("COM", f, lhs, rhs, order, [y], chi=chi, correction=correction, volume=vol)
 

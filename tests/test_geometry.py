@@ -144,13 +144,11 @@ def streamed_rule(name):
 
 @pytest.mark.parametrize("name", ["disk-two-holes", "ball3-hole", "star-reentrant"])
 def test_streamed_blocks_have_the_bits_of_the_whole_rule(name, monkeypatch):
-    # runs of 3000 nodes split the rules' intervals, and 1000-node blocks
-    # split the runs: every block is read-only and has the bits of the rule
-    # generated whole
+    # 1000-node blocks split the rules' intervals: every block is read-only
+    # and has the bits of the rule generated whole
     monkeypatch.setattr(geometry, "VOLUME_BLOCK", 1000)
-    monkeypatch.setattr(geometry, "GENERATE_RUN", 3000)
     rule = streamed_rule(name)
-    assert rule.count > 2 * 3000 and 3000 % rule.order  # runs end inside intervals
+    assert rule.count > 2 * 1000 and 1000 % len(rule.plans[0].radial[0])  # blocks end inside intervals
     node_blocks, weight_blocks = [], []
     summed = geometry.weighted_sum
 
@@ -171,21 +169,22 @@ def test_streamed_blocks_have_the_bits_of_the_whole_rule(name, monkeypatch):
     for streamed, full in zip((node_blocks, weight_blocks), whole):
         assert np.concatenate(streamed).tobytes() == full.tobytes()
     runs = list(rule.runs())
-    assert max(len(w) for _, w in runs) <= 3000
+    assert max(len(w) for _, w in runs) <= 1000
     for k, full in enumerate(whole):
         assert np.concatenate([run[k] for run in runs]).tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("name", ["disk-two-holes", "ball3-hole", "star-reentrant"])
 def test_ray_form_has_the_bits_of_one_weighted_sum(name, monkeypatch):
-    # small runs and blocks split the main block's rays, and a leaf may
-    # straddle its end; the ray sum must have the bits of one weighted_sum
-    # over the whole rule, every leaf must get its own nodes' directions,
-    # and the main block's ray weights are its volume weights times rho^(1-N)
+    # small blocks split the main block's rays, and a leaf may straddle its
+    # end; the ray sum must have the bits of one weighted_sum over the
+    # whole rule, every leaf must get its own nodes' directions, and the
+    # main block's ray weights are its volume weights times rho^(1-N)
     monkeypatch.setattr(geometry, "VOLUME_BLOCK", 1000)
-    monkeypatch.setattr(geometry, "GENERATE_RUN", 3000)
     rule = streamed_rule(name)
-    c, main = rule.plans[0].center, len(rule.plans[0].ray) * rule.order
+    plan = rule.plans[0]
+    c, n_r = plan.center, len(plan.radial[0])
+    main = len(plan.ray) * n_r
     seen = []
 
     def along(x, theta):
@@ -197,10 +196,9 @@ def test_ray_form_has_the_bits_of_one_weighted_sum(name, monkeypatch):
     def rest(x):
         return np.sin(x[:, 0] + 2.0 * x[:, 1])
 
-    nodes, weights, rays = rule._generate(0, rule.count, rays=True)
-    theta = rays[0 : rule.count]
-    plan = rule.plans[0]
-    assert theta.tobytes() == np.repeat(plan.dirs[plan.ray], rule.order, axis=0).tobytes()
+    nodes, weights, theta = rule._generate(0, rule.count, rays=True)
+    assert not theta.flags.writeable
+    assert theta.tobytes() == np.repeat(plan.dirs[plan.ray], n_r, axis=0).tobytes()
     values = np.concatenate([along(nodes[:main], theta), rest(nodes[main:])])
     seen.clear()
     assert rule.integrate_rays(along, rest) == weighted_sum(weights, values)
@@ -213,12 +211,11 @@ def test_ray_form_has_the_bits_of_one_weighted_sum(name, monkeypatch):
 
 def test_nested_integrals_match_one_weighted_sum_each(monkeypatch):
     # the F2 pattern: the outer integrand integrates an inner rule at each
-    # of its nodes, so runs of the two rules are alive at the same time
+    # of its nodes, so leaves of the two rules are alive at the same time
     monkeypatch.setattr(geometry, "VOLUME_BLOCK", 128)
-    monkeypatch.setattr(geometry, "GENERATE_RUN", 512)
     outer = lp.volume_rule(unit_disk(), 12)
     inner = lp.composite_volume_rule(unit_disk(), 16, [0.2, 0.1], kernel_power=-1.0, holes=[([-0.4, 0.0], 0.3, 0.0)])
-    assert outer.count > 128 and inner.count > 2 * 512
+    assert outer.count > 128 and inner.count > 2 * 128
 
     def kernel(x, y):
         return np.cos(3.0 * x[:, 0] - y[0]) * np.exp(x[:, 1] * y[1])
@@ -263,8 +260,8 @@ def test_volume_integrand_memory_does_not_grow_with_the_rule():
 
 
 def test_building_and_integrating_a_rule_holds_a_fraction_of_its_nodes():
-    # the rule keeps only its plans, and integrate generates its nodes run
-    # by run: neither step holds an array as long as the rule
+    # the rule keeps only its plans, and integrate generates its nodes leaf
+    # by leaf: neither step holds an array as long as the rule
     f = lp.catalog("distance", [0.0, 0.0, 0.0])
     y = np.array([0.5, 0.0, 0.0])
     tracemalloc.start()
@@ -637,9 +634,9 @@ def test_order_floor():
 
 def test_escalation_policy_warns_and_resolves():
     disk = unit_disk()
-    eff, note = escalated_order(disk, 64, [0.98, 0.0])
+    eff, note = escalated_order(disk, 64, disk.boundary_distance([0.98, 0.0]))
     assert eff > 64 and note is not None
-    eff, note = escalated_order(disk, 64, [0.5, 0.0])
+    eff, note = escalated_order(disk, 64, disk.boundary_distance([0.5, 0.0]))
     assert eff == 64 and note is None
 
 
@@ -647,13 +644,13 @@ def test_escalation_budget_counts_the_reduced_sphere_rule(monkeypatch):
     # a 3-D target at distance 0.05 escalates order 16 to 128; the budget
     # is checked on the boundary rule's real direction count, so a budget
     # of exactly that many nodes keeps 128, and one node less halves it
-    ball, y = unit_ball3(), [0.95, 0.0, 0.0]
+    ball, d = unit_ball3(), 0.05
     size = geometry.angular_rule_size(3, 128)
     assert size == len(ball.boundary_rule(128).weights) < 2 * 128**2
     monkeypatch.setenv("LAYERPOT_MAX_NODES", str(size))
-    assert escalated_order(ball, 16, y)[0] == 128
+    assert escalated_order(ball, 16, d)[0] == 128
     monkeypatch.setenv("LAYERPOT_MAX_NODES", str(size - 1))
-    assert escalated_order(ball, 16, y)[0] == 64
+    assert escalated_order(ball, 16, d)[0] == 64
 
 
 def test_node_budget(monkeypatch):

@@ -66,10 +66,11 @@ def test_every_verdict_is_residual_within_tolerance(name):
     assert code == (0 if all(row.passed for row in rows) else 1)
 
 
-@pytest.mark.parametrize("name", ["verify-unit-disk", "verify-all-identities"])
+@pytest.mark.parametrize("name", ["verify-unit-disk", "verify-all-identities", "verify-ball3d", "bench-ball3d"])
 def test_reports_do_not_depend_on_the_volume_block_size(name, tmp_path, capsys, monkeypatch):
-    # 1024-node blocks split every volume rule into many leaves; the memo
-    # is emptied so that every volume integral is summed again
+    # 1024-node blocks split every volume rule into many leaves, and the
+    # 3-D cases split the main block's rays among them; the memo is emptied
+    # so that every volume integral is summed again
     monkeypatch.setattr(geometry, "VOLUME_BLOCK", 1024)
     potentials._gradient_volume_integral.cache_clear()
     try:

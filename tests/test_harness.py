@@ -590,8 +590,8 @@ def _libc_has_mallopt():
     return True
 
 
-#: Integrals that generate runs of one size over and over, and what they
-#: take unpinned: 2-D order-128 runs of 32,768 nodes, larger than glibc's
+#: Integrals that generate leaves of one size over and over, and what they
+#: take unpinned: 2-D order-128 leaves of 32,768 nodes, larger than glibc's
 #: initial mmap threshold, are mapped and faulted in anew each time (about
 #: 9,400 minor faults for 20 integrals); order-64 3-D integrals take about
 #: 18,000 for 6.
@@ -621,7 +621,7 @@ FAULT_CASES = {
 @pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
 @pytest.mark.parametrize("case", sorted(FAULT_CASES))
 def test_pinned_malloc_thresholds_keep_volume_runs_in_the_heap(case):
-    # pinned by the CLI, freed runs stay in the heap and the next integral
+    # pinned by the CLI, freed leaves stay in the heap and the next integral
     # reuses their pages; the first integrals fill the caches
     setup, warm, repeats = FAULT_CASES[case]
     code = (

@@ -190,6 +190,26 @@ def test_a_new_target_queries_no_singular_point_again(monkeypatch):
     assert all(np.array_equal(y, [-0.4, 0.1]) for y in queried)
 
 
+@pytest.mark.parametrize("y", [[0.3, 0.2], [0.97, 0.0], [1.4, -0.3]], ids=["interior", "near-boundary", "exterior"])
+def test_double_layer_takes_one_signed_distance_per_target(y, monkeypatch):
+    # the class and the escalation both read the one signed distance of
+    # ``Domain.placement``, for ``double_layer`` and for each target of a batch
+    f = lp.catalog("harmonic_poly", 2)
+    expected = lp.double_layer(f, DISK, y, 32)
+    queried, signed = [], lp.Ball.signed_boundary_distance
+
+    def counting(self, point):
+        queried.append(np.array(point, dtype=float))
+        return signed(self, point)
+
+    monkeypatch.setattr(lp.Ball, "signed_boundary_distance", counting)
+    assert lp.double_layer(f, DISK, y, 32) == expected
+    assert len(queried) == 1 and np.array_equal(queried[0], y)
+    queried.clear()
+    assert lp.double_layer_batch(f, DISK, [y, y], 32).tolist() == [expected.value] * 2
+    assert len(queried) == 2
+
+
 def test_memoized_gradient_volume_integral_matches_uncached_under_threads(monkeypatch):
     # more threads than cores race on the first calls of a few keys; every
     # result must equal the uncached computation of the same term
@@ -328,15 +348,15 @@ def test_ray_form_matches_the_kernel_pairing_on_the_same_rule(name):
 
 
 def test_gradient_volume_integral_peak_memory_stays_at_the_parent_level():
-    # tracemalloc peaks of order-64 3-D integrals before the ray form, with
-    # numpy 2.4: 4,131,786 B for distance(0) about (0.5, 0, 0), whose rule
-    # has a hole, and 7,540,855 B for a harmonic field, whose rule has
-    # none.  Directions are built per leaf, so the peak may grow by 10 %
-    # at most; a copy of the directions per generated run would add 3 MB.
+    # tracemalloc peaks of order-64 3-D integrals with leaves generated one
+    # at a time, with numpy 2.4: 2,831,072 B for distance(0) about
+    # (0.5, 0, 0), whose rule has a hole, and 2,050,695 B for a harmonic
+    # field, whose rule has none.  The peak may grow by 10 % at most;
+    # generating two leaves at a time would add about 0.7 MB to each.
     compute = layerpot.potentials._gradient_volume_integral.__wrapped__
     cases = [
-        (lp.catalog("distance", [0.0, 0.0, 0.0]), (0.5, 0.0, 0.0), 4_131_786),
-        (lp.catalog("harmonic_poly", 2, dim=3), (0.3, -0.2, 0.1), 7_540_855),
+        (lp.catalog("distance", [0.0, 0.0, 0.0]), (0.5, 0.0, 0.0), 2_831_072),
+        (lp.catalog("harmonic_poly", 2, dim=3), (0.3, -0.2, 0.1), 2_050_695),
     ]
     for f, y, parent_peak in cases:
         compute(f, BALL3, y, 64, 10**8)  # fills the angular and Gauss rule caches
@@ -432,7 +452,7 @@ def test_escalation_adds_rays_not_radial_nodes(domain, monkeypatch):
     main, hole = rule.plans
     rays = len(angular_rule(dim, eff * domain.angular_oversampling)[0])
     n_hole = min(order, layerpot.geometry.HOLE_ORDER)
-    assert len(main.dirs) == rays and len(main.radial[0]) == rule.order == order
+    assert len(main.dirs) == rays and len(main.radial[0]) == order
     assert len(hole.dirs) == len(angular_rule(dim, n_hole)[0]) and len(hole.radial[0]) == n_hole
     assert rule.count == order * len(main.ray) + n_hole * len(hole.ray)
     assert len(rule.weights) == rule.count
@@ -478,7 +498,7 @@ def test_newtonian_integrals_examples():
 def test_newtonian_boundary_term_sums_on_the_pole_aligned_escalated_rule():
     f = lp.catalog("harmonic_poly", 2, dim=3)
     y = np.array([0.3, -0.2, 0.6])
-    eff, _ = escalated_order(BALL3, 16, y)
+    eff, _ = escalated_order(BALL3, 16, BALL3.boundary_distance(y))
     assert eff > 16
     rule = BALL3.boundary_rule(eff, pole=y - BALL3.center)
     flux = row_dots(f.gradient(rule.nodes), rule.normals)

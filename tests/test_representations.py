@@ -201,7 +201,7 @@ def test_com_3d_sums_on_the_pole_aligned_escalated_rule():
     f = lp.catalog("harmonic_poly", 2, dim=3)
     y = np.array([-0.435215638745, 0.017394092044, 0.201047561379])
     rep = lp.check_ball_corollaries(f, BALL3, y, 32, "COM")
-    eff, _ = escalated_order(BALL3, 32, y)
+    eff, _ = escalated_order(BALL3, 32, BALL3.boundary_distance(y))
     assert eff > 32
     rule = BALL3.boundary_rule(eff, pole=y - BALL3.center)
     vals = f.evaluate(rule.nodes)
