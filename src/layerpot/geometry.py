@@ -46,7 +46,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, chain
+from itertools import accumulate
 from types import MappingProxyType
 
 import numpy as np
@@ -1188,47 +1188,34 @@ def _interval_table(center, dirs, t, extras, holes):
     pieces ascending.
     """
     n = len(dirs)
-    if not holes and not extras:
-        # every ray is one piece [0, t]: the table the general path builds
-        (ray,) = (t > 1e-15).nonzero()
-        return ray, np.zeros(len(ray)), t[ray]
-    chords = [_chord(center, dirs, hc, hr) for hc, hr, _ in holes]
-    if not extras and len(holes) == 1:
-        # the general path's rows: [0, min(t, enter)] and [leave, t] on a
-        # cut ray, [0, t] and the empty [inf, t] on the others
-        enter, leave, cut = chords[0]
-        a, b = np.zeros((n, 2)), np.empty((n, 2))
-        a[:, 1] = np.where(cut, leave, np.inf)
-        b[:, 0], b[:, 1] = np.where(cut, np.minimum(t, enter), t), t
-        ray = np.argsort(cut, kind="stable")
-        a, b = a[ray], b[ray]
-        piece = np.nonzero(b - a > 1e-15)
-        return ray[piece[0]], a[piece], b[piece]
-    # per ray: a cut at -inf, the hole chords, and a sentinel; a chord the
-    # ray misses stays (inf, inf) and sorts last with the sentinel
-    starts = np.full((n, len(holes) + 2), np.inf)
-    ends = np.full((n, len(holes) + 2), np.inf)
-    starts[:, 0] = ends[:, 0] = -np.inf
-    for k, (enter, leave, cut) in enumerate(chords, start=1):
-        starts[cut, k], ends[cut, k] = enter[cut], leave[cut]
-    rows = np.arange(n)[:, None]
-    by_start = np.argsort(starts, axis=1, kind="stable")
-    # the gap after each cut runs to the next cut's start, or is empty when
-    # an earlier cut reaches past that
-    gap_lo = np.maximum.accumulate(ends[rows, by_start], axis=1)[:, :-1]
-    gap_hi = starts[rows, by_start][:, 1:]
-    plain = gap_hi[:, 0] == np.inf
-
-    reentered = np.fromiter(extras, dtype=int, count=len(extras))
-    plain[reentered] = False
-    spans = np.array(list(chain.from_iterable(extras.values())), dtype=float).reshape(-1, 2)
-    seg_ray = np.concatenate([np.arange(n), np.repeat(reentered, list(map(len, extras.values())))])
-    seg = np.argsort(np.where(plain[seg_ray], seg_ray, seg_ray + n), kind="stable")
-    seg_ray = seg_ray[seg]
-    a = np.maximum(np.concatenate([np.zeros(n), spans[:, 0]])[seg, None], gap_lo[seg_ray])
-    b = np.minimum(np.concatenate([t, spans[:, 1]])[seg, None], gap_hi[seg_ray])
-    piece = np.nonzero(b - a > 1e-15)
-    return seg_ray[piece[0]], a[piece], b[piece]
+    # rows of ray, start and end of the re-entered pieces, which ray
+    # tables give ascending along each ray
+    more = np.array([(i, *span) for i, spans in extras.items() for span in spans]).reshape(-1, 3).T
+    ray = np.arange(n + more.shape[1])
+    ray[n:] = more[0]
+    a, b = np.zeros(len(ray)), np.concatenate((t, more[2]))
+    a[n:] = more[1]
+    # each hole's chord splits every piece on a ray it cuts into what lies
+    # before it, kept in place, and what lies after it, appended; either may
+    # be empty, and every bound stays one of the floats it was compared with
+    for hc, hr, _ in holes:
+        enter, leave, cut = _chord(center, dirs, hc, hr)
+        (split,) = cut[ray].nonzero()
+        on = ray[split]
+        ray = np.concatenate((ray, on))
+        a = np.concatenate((a, np.maximum(a[split], leave[on])))
+        b = np.concatenate((b, b[split]))
+        b[split] = np.minimum(b[split], enter[on])
+    (piece,) = (b - a > 1e-15).nonzero()
+    if holes or extras:
+        # the rays cut or re-entered are those with pieces past the first n,
+        # and they go last; a split keeps each ray's pieces ascending in
+        # array order, so a stable sort by ray leaves them ascending
+        late = np.zeros(n, dtype=bool)
+        late[ray[n:]] = True
+        key = ray[piece]
+        piece = piece[(key + n * late[key]).argsort(kind="stable")]
+    return ray[piece], a[piece], b[piece]
 
 
 def _chord(center, dirs, hc, hr):

@@ -16,7 +16,7 @@ import sys
 
 from ..errors import BudgetError, ConfigError, LayerpotError
 from ..geometry import VOLUME_BLOCK
-from .config import _ORDER, SuiteConfig, build_config
+from .config import _ORDER, _SEED, SuiteConfig, build_config
 from .report import write_report
 from .runner import run_bound, run_converge, run_table, run_verify
 
@@ -28,13 +28,17 @@ _RUNNERS = {
 }
 
 
-def _order(text: str) -> int:
-    """One order, admitted by the rule of the ``orders`` key."""
-    parse, what = _ORDER
-    try:
-        return parse(text, None)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}") from None
+def _admitted(rule):
+    """Argument type admitting what a config key's ``rule`` admits."""
+    parse, what = rule
+
+    def convert(text: str) -> int:
+        try:
+            return parse(text, None)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}") from None
+
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,8 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=doc)
         cmd.add_argument("--config", metavar="PATH", help="suite configuration file")
-        cmd.add_argument("--order", type=_order, metavar="N", help="override the order list with a single order")
-        cmd.add_argument("--seed", type=int, metavar="N", help="override the probe seed")
+        order_help = "override the order list with a single order"
+        cmd.add_argument("--order", type=_admitted(_ORDER), metavar="N", help=order_help)
+        cmd.add_argument("--seed", type=_admitted(_SEED), metavar="N", help="override the probe seed")
         cmd.add_argument("--format", choices=("csv", "jsonl"), help="report format override")
         cmd.add_argument("--out", metavar="PATH", help="report destination ('-' for stdout)")
     return parser

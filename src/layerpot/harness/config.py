@@ -139,6 +139,7 @@ def _is_order(n: int) -> bool:
 
 _COUNT = (_value(int, lambda n: n >= 1), "an integer >= 1")
 _ORDER = (_value(int, _is_order), "an integer >= 4")
+_SEED = (_value(int, lambda n: n >= 0), "an integer >= 0")
 
 #: key -> (SuiteConfig attribute, parser(text, dim), what the value must be)
 _SUITE_KEYS = {
@@ -152,7 +153,7 @@ _SUITE_KEYS = {
     "orders": ("orders", _values(int, _is_order, distinct=True), "a comma list of distinct integers >= 4"),
     "probes.count": ("probe_count", *_COUNT),
     "probes.exterior_count": ("exterior_count", *_COUNT),
-    "probes.seed": ("seed", _value(int), "an integer"),
+    "probes.seed": ("seed", *_SEED),
     "probes.margin": ("margin", _value(float, lambda v: 0.0 < v < 1.0), "a number in (0, 1)"),
     "jump.distances": (
         "jump_distances",
@@ -168,7 +169,7 @@ _SUITE_KEYS = {
         _values(int, lambda n: n >= 2, distinct=True),
         "a comma list of distinct integers >= 2",
     ),
-    "table.exponents": ("table_exponents", _values(_exponent), "a comma list of exponents"),
+    "table.exponents": ("table_exponents", _values(_exponent, lambda p: p > 1.0), "a comma list of exponents > 1"),
     "table.radii": ("table_radii", _values(float, _positive), "a comma list of positive numbers"),
     "output.format": ("output_format", _choice("csv", "jsonl"), "csv or jsonl"),
     "output.path": ("output_path", _value(str), "text"),
@@ -232,12 +233,14 @@ def _domain(raw):
     # quadrature rules exist in 2-D and 3-D; a star is planar
     what = "2 for a star domain" if star else "2 or 3"
     dim = _read(raw, "domain.dim", _value(int, lambda n: n == 2 if star else n in (2, 3)), what, 2)
-    coords = _value(lambda s: tuple(float(v) for v in s.split(",")), lambda c: len(c) == dim)
-    center = _read(raw, "domain.center", coords, f"{dim} comma-separated numbers", (0.0,) * dim)
+    coords = _value(
+        lambda s: tuple(float(v) for v in s.split(",")), lambda c: len(c) == dim and all(map(math.isfinite, c))
+    )
+    center = _read(raw, "domain.center", coords, f"{dim} comma-separated finite numbers", (0.0,) * dim)
     if not star:
         return Ball(center, _read(raw, "domain.radius", _value(float, _positive), "a positive number", 1.0))
     base = _read(raw, "domain.base_radius", _value(float, _positive), "a positive number", 1.0)
-    amp = _read(raw, "domain.cosine_amplitude", _value(float), "a number", 0.25)
+    amp = _read(raw, "domain.cosine_amplitude", _value(float, math.isfinite), "a finite number", 0.25)
     freq = _read(raw, "domain.cosine_frequency", _value(int), "an integer", 3)
     if abs(amp) >= base:
         key = "domain.cosine_amplitude" if "domain.cosine_amplitude" in raw else "domain.base_radius"

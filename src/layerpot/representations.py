@@ -310,12 +310,7 @@ def check_f2_f3(
     outer = volume_rule(domain, order_outer)
     lhs_f2 = outer.integrate(lambda x: double_layer_batch(f, domain, x, order_inner))
     bnd_z, vol_z = _fig_terms(f, domain, z, order_inner)
-    if f.sup_gradient == 0.0:
-        inner_total = 0.0
-    else:
-        inner_total = outer.integrate(
-            lambda x: [gradient_volume_integral(f, domain, yk, order_inner) for yk in x]
-        )
+    inner_total = outer.integrate(lambda x: [gradient_volume_integral(f, domain, yk, order_inner) for yk in x])
     rhs_f2 = (bnd_z - vol_z) / domain.dim + inner_total
     rep_f2 = _report("F2", f, lhs_f2, rhs_f2, order_outer, [z], order_inner=order_inner, inner_total=inner_total)
 

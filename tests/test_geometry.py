@@ -808,17 +808,20 @@ def test_interval_table_matches_loop_reference(domain):
             radius = 0.5 * min(np.linalg.norm(a - origin), domain.boundary_distance(a))
             holes.append((a, radius, 0.0))
         # with no hole and no re-entered ray, as in every hole block and
-        # plain rule, the table is built directly; a ray of length 0 is
-        # dropped, as the general path drops it
+        # plain rule, no piece is split and the table keeps ray order; a
+        # ray of length 0 is dropped as an empty piece
         short = t.copy()
         short[0] = 0.0
-        # one hole and no re-entered ray, as about most targets, takes a
-        # path of its own; a hole around the origin clips every chord's
-        # entry to 0
+        # one hole and no re-entered ray, as about most targets, splits each
+        # cut ray once; a hole around the origin clips every chord's entry
+        # to 0, so the piece before it is empty
         around = (origin + 0.25 * t.min() * dirs[0], 0.5 * t.min(), 0.0)
         cases = [(t, extras, holes), (t, extras, ()), (t, {}, ()), (short, {}, ())]
         cases += [(t, {}, holes[:1]), (t, {}, holes), (t, {}, [around]), (t, extras, holes + [around])]
         for args in cases:
+            # ray tables hand out read-only lengths: a write into the first
+            # pieces' ends, which are ``t``, must fail here
+            args[0].flags.writeable = False
             got = _interval_table(origin, dirs, *args)
             want = loop_interval_table(origin, dirs, *args)
             for column, expected in zip(got, want):

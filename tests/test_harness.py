@@ -331,6 +331,11 @@ def test_cli_unparsable_value_exit_2_with_line(command, line, tmp_path, capsys):
         ("bound", "bound.exponents = 2"),
         ("bound", "bound.exponents = inf, 1.5"),
         ("verify", "domain.dim = 4"),
+        ("verify", "probes.seed = -1"),
+        ("verify", "domain.center = nan, 0"),
+        ("verify", "domain.center = 0, inf"),
+        ("table", "table.exponents = 0.5"),
+        ("table", "table.exponents = 3, nan"),
     ],
 )
 def test_cli_inadmissible_value_exit_2_with_line(command, line, tmp_path, capsys):
@@ -552,6 +557,25 @@ def test_cli_order_below_four_is_a_usage_error(command, order):
     )
     assert proc.returncode == 2
     assert f"--order: must be an integer >= 4, got '{order}'" in proc.stderr
+
+
+def test_star_cosine_amplitude_must_be_finite_exit_2_with_line(tmp_path, capsys):
+    # a NaN amplitude passes |amplitude| < base_radius
+    cfg = tmp_path / "star.cfg"
+    cfg.write_text("domain.shape = star\ndomain.cosine_amplitude = nan\nidentities = F1\nfields = coordinate:1\n")
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "line 2: domain.cosine_amplitude must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_negative_seed_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(BASE)
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--config", str(cfg), "--seed", "-3"])
+    assert exit_.value.code == 2
+    assert "--seed: must be an integer >= 0, got '-3'" in capsys.readouterr().err
 
 
 def test_importing_the_package_and_cli_loads_no_scipy():

@@ -1,15 +1,18 @@
-"""Source hygiene: what a deletion leaves behind in ``src/layerpot``.
+"""Source hygiene: what a deletion leaves behind in ``src/layerpot`` and
+in the README.
 
-Both checks read the source with ``ast`` and import nothing from it.
+The checks read the source with ``ast`` and import nothing from it.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "layerpot"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "layerpot"
 TREES = {path.relative_to(SRC).as_posix(): ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.rglob("*.py"))}
 
 
@@ -77,3 +80,51 @@ def test_every_module_level_name_is_read_somewhere(module):
         if name not in EXPORTED and LOADS[name] - _loads(node)[name] <= 0
     )
     assert not unread, f"{module} defines names nothing in src/layerpot reads: {unread}"
+
+
+def _module_names(path):
+    """The names a README may give the module at ``path``: its dotted path
+    with and without ``layerpot.``, and its last part."""
+    parts = ["layerpot", *path.removesuffix(".py").split("/")]
+    if parts[-1] == "__init__":
+        parts.pop()
+    dotted = ".".join(parts)
+    return {dotted, dotted.removeprefix("layerpot."), parts[-1]}
+
+
+def _bound(tree):
+    """Every name ``tree`` binds anywhere: functions, classes, methods,
+    assigned names and attributes, imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+def test_readme_names_only_what_src_defines():
+    # ROADMAP.md and CHANGES.md are history and may name what is gone
+    modules = {name: _bound(tree) for path, tree in TREES.items() for name in _module_names(path)}
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    spans = re.findall(r"`([^`]+)`", text)
+    checked, stale = [], []
+    for ref in sorted({m for span in spans for m in re.findall(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span)}):
+        module, _, name = ref.rpartition(".")
+        if ref in modules or module not in modules or name == "py":
+            continue
+        checked.append(ref)
+        if name not in modules[module]:
+            stale.append(ref)
+    defined = set().union(*modules.values())
+    for name in sorted({m for span in spans for m in re.findall(r"(?<![\w.])_[A-Za-z]\w*", span)}):
+        checked.append(name)
+        if name not in defined:
+            stale.append(name)
+    assert checked, "the README names no layerpot module member or private name"
+    assert not stale, f"README.md names what src/layerpot does not define: {stale}"
