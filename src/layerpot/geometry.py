@@ -1139,6 +1139,13 @@ def escalated_order(domain: Domain, order: int, d: float) -> tuple[int, str | No
 # ---------------------------------------------------------------------------
 
 
+def main_block_size(domain: Domain, order: int) -> int:
+    """Nodes of the main block of a polar rule of ``order`` on ``domain``
+    with one interval per ray: ``order`` radial nodes on each ray of the
+    angular rule of ``order`` times the domain's angular oversampling."""
+    return order * angular_rule_size(domain.dim, order * domain.angular_oversampling)
+
+
 def _radial_block(t: np.ndarray, rule, dim: int, kappa: float, log_kernel: bool, rays: bool = False):
     """Per-ray radial nodes/weights on [0, t] against the measure rho^(N-1).
 

@@ -237,11 +237,13 @@ def _domain(raw):
         lambda s: tuple(float(v) for v in s.split(",")), lambda c: len(c) == dim and all(map(math.isfinite, c))
     )
     center = _read(raw, "domain.center", coords, f"{dim} comma-separated finite numbers", (0.0,) * dim)
-    if not star:
-        return Ball(center, _read(raw, "domain.radius", _value(float, _positive), "a positive number", 1.0))
+    # every domain key is checked, also those only the other shape reads
+    radius = _read(raw, "domain.radius", _value(float, _positive), "a positive number", 1.0)
     base = _read(raw, "domain.base_radius", _value(float, _positive), "a positive number", 1.0)
     amp = _read(raw, "domain.cosine_amplitude", _value(float, math.isfinite), "a finite number", 0.25)
     freq = _read(raw, "domain.cosine_frequency", _value(int), "an integer", 3)
+    if not star:
+        return Ball(center, radius)
     if abs(amp) >= base:
         key = "domain.cosine_amplitude" if "domain.cosine_amplitude" in raw else "domain.base_radius"
         _reject(key, "such that |domain.cosine_amplitude| < domain.base_radius", *raw[key])

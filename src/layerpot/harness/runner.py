@@ -23,7 +23,7 @@ from ..bounds import (
     sharp_ball_constant,
 )
 from ..fields import LebesgueExponent, catalog, extremal_field
-from ..geometry import Ball
+from ..geometry import VOLUME_BLOCK, Ball, main_block_size
 from ..kernel import sphere_area
 from ..representations import (
     BALL_IDENTITIES,
@@ -153,7 +153,7 @@ def _pool_width() -> int:
 
     A check is numpy calls with interpreter work between them, so threads
     beyond the cores add no throughput, only GIL hand-offs, and each running
-    check keeps its volume rule alive.  Usable cores follow ``taskset`` and
+    check holds a leaf of its volume rule.  Usable cores follow ``taskset`` and
     cpusets where the platform reports them.
     """
     affinity = getattr(os, "sched_getaffinity", None)
@@ -161,9 +161,19 @@ def _pool_width() -> int:
     return min(MAX_WORKERS, cores)
 
 
-def _run_tasks(tasks, max_workers: int | None = None):
+def _run_tasks(tasks, max_workers: int | None = None, nodes: int | None = None):
+    """The rows of every task, run on a pool of ``max_workers`` threads.
+
+    Without ``max_workers`` the pool is ``_pool_width()`` wide, or one
+    worker thread when the tasks' largest volume rule, ``nodes`` nodes,
+    fits below one leaf (``VOLUME_BLOCK``): its numpy calls are then too
+    short to overlap another thread's interpreter work, so a second thread
+    only adds GIL hand-offs.  The tasks run on a worker thread either way.
+    """
+    if max_workers is None:
+        max_workers = 1 if nodes is not None and nodes < VOLUME_BLOCK else _pool_width()
     rows = []
-    with ThreadPoolExecutor(max_workers=_pool_width() if max_workers is None else max_workers) as pool:
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
         for result in pool.map(lambda t: t(), tasks):
             rows.extend(result)
     return rows
@@ -177,7 +187,8 @@ def _finish(rows):
 def run_verify(cfg: SuiteConfig):
     """Run the selected identity checks; exit code 0 iff every row passes."""
     check_command(cfg, "verify")
-    return _finish(_run_tasks(list(_verify_tasks(cfg))))
+    nodes = max(main_block_size(cfg.domain, order) for order in cfg.orders)
+    return _finish(_run_tasks(list(_verify_tasks(cfg)), nodes=nodes))
 
 
 def run_converge(cfg: SuiteConfig):

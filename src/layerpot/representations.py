@@ -35,8 +35,8 @@ from .geometry import (
     INTERIOR,
     Ball,
     Domain,
-    angular_rule_size,
     as_point,
+    main_block_size,
     max_nodes_budget,
     volume_rule,
 )
@@ -278,12 +278,9 @@ def check_c2_exterior(f: ScalarField, domain: Domain, y, order: int = 64) -> Ide
 
 
 def _estimate_f2_nodes(domain: Domain, order_outer: int, order_inner: int) -> int:
-    """Outer nodes times inner nodes: a polar rule of order o has o radial
-    nodes on each ray of the angular rule of o times the domain's angular
-    oversampling."""
-    ovs = domain.angular_oversampling
-    outer, inner = (o * angular_rule_size(domain.dim, o * ovs) for o in (order_outer, order_inner))
-    return outer * inner
+    """Outer nodes times inner nodes, each counted as a polar rule's main
+    block."""
+    return main_block_size(domain, order_outer) * main_block_size(domain, order_inner)
 
 
 def check_f2_f3(

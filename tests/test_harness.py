@@ -1,6 +1,7 @@
 """Tests for the configuration parser, report writer, runner, and CLI."""
 
 import ctypes
+import functools
 import io
 import json
 import os
@@ -336,6 +337,10 @@ def test_cli_unparsable_value_exit_2_with_line(command, line, tmp_path, capsys):
         ("verify", "domain.center = 0, inf"),
         ("table", "table.exponents = 0.5"),
         ("table", "table.exponents = 3, nan"),
+        # keys of the star shape, which a ball does not read
+        ("verify", "domain.base_radius = -3"),
+        ("verify", "domain.cosine_frequency = x"),
+        ("verify", "domain.cosine_amplitude = nan"),
     ],
 )
 def test_cli_inadmissible_value_exit_2_with_line(command, line, tmp_path, capsys):
@@ -569,6 +574,24 @@ def test_star_cosine_amplitude_must_be_finite_exit_2_with_line(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_star_radius_is_checked_exit_2_with_line(tmp_path, capsys):
+    # a star reads no domain.radius, but its value is held to the ball's rule
+    cfg = tmp_path / "star.cfg"
+    cfg.write_text("domain.shape = star\ndomain.radius = -1\nidentities = F1\nfields = coordinate:1\n")
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "line 2: domain.radius must be a positive number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_admissible_keys_of_the_other_shape_are_accepted():
+    star_keys = "domain.base_radius = 3\ndomain.cosine_amplitude = 0.5\ndomain.cosine_frequency = 5\n"
+    ball = build_config(f"domain.radius = 2\n{star_keys}")
+    assert isinstance(ball.domain, lp.Ball) and ball.domain.radius == 2.0
+    star = build_config("domain.shape = star\ndomain.radius = 7\n")
+    assert isinstance(star.domain, lp.StarShaped2D) and star.domain.inradius < 1.0
+
+
 def test_cli_negative_seed_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "suite.cfg"
     cfg.write_text(BASE)
@@ -732,6 +755,53 @@ def test_run_tasks_defaults_to_the_pool_width(monkeypatch):
     runner._run_tasks([lambda: []])
     runner._run_tasks([lambda: []], max_workers=5)
     assert widths == [3, 5]
+
+
+def _recorded_widths(monkeypatch):
+    """The ``max_workers`` of every pool the runner builds from now on."""
+    widths = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", Recording)
+    return widths
+
+
+@pytest.mark.parametrize(
+    "path, orders, width",
+    [
+        # main rules of 2,048 to 16,384 nodes: the star oversamples twice
+        ("configs/star-convergence.cfg", (16, 32, 64), 1),
+        ("bench/configs/disk-suite.cfg", (120,), 1),  # 28,800 nodes
+        ("bench/configs/disk-suite.cfg", (128,), 3),  # 32,768: one leaf
+        ("bench/configs/ball3d.cfg", (64,), 3),  # 320,128
+    ],
+    ids=["star-16-32-64", "disk-120", "disk-128", "ball3d-64"],
+)
+def test_verify_pool_is_one_worker_below_one_leaf(path, orders, width, monkeypatch):
+    # no check runs: only the width the runner picks is recorded
+    widths = _recorded_widths(monkeypatch)
+    monkeypatch.setattr(runner, "_pool_width", lambda: 3)
+    monkeypatch.setattr(runner, "_verify_tasks", lambda cfg: [lambda: []])
+    cfg = build_config((ROOT / path).read_text(encoding="utf-8"))
+    cfg.orders = orders
+    (run_converge if len(orders) >= 3 else run_verify)(cfg)
+    assert widths == [width]
+
+
+def test_explicit_max_workers_wins_over_the_work_size(monkeypatch):
+    widths = _recorded_widths(monkeypatch)
+    monkeypatch.setattr(runner, "_pool_width", lambda: 3)
+    runner._run_tasks([lambda: []], max_workers=5, nodes=1)
+    runner._run_tasks([lambda: []], max_workers=1, nodes=10**6)
+    # as the benchmark narrows the pool: a partial over the runner's name
+    monkeypatch.setattr(runner, "_verify_tasks", lambda cfg: [lambda: []])
+    monkeypatch.setattr(runner, "_run_tasks", functools.partial(runner._run_tasks, max_workers=2))
+    run_converge(build_config((ROOT / "configs/star-convergence.cfg").read_text(encoding="utf-8")))
+    assert widths == [5, 1, 2]
 
 
 def _run_with_bench(code):

@@ -128,3 +128,30 @@ def test_readme_names_only_what_src_defines():
             stale.append(name)
     assert checked, "the README names no layerpot module member or private name"
     assert not stale, f"README.md names what src/layerpot does not define: {stale}"
+
+
+def _pool_constructions(tree):
+    """Lines that call ``ThreadPoolExecutor``, by its name, an alias an
+    import gave it, or as an attribute (``futures.ThreadPoolExecutor``)."""
+    names = {"ThreadPoolExecutor"} | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == "ThreadPoolExecutor" and alias.asname
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id in names)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "ThreadPoolExecutor")
+        )
+    ]
+
+
+def test_only_the_runner_builds_a_thread_pool():
+    # one place decides how many threads run: ``runner._run_tasks``
+    built = {path: lines for path, tree in TREES.items() if (lines := _pool_constructions(tree))}
+    assert set(built) == {"harness/runner.py"}, f"ThreadPoolExecutor is built outside harness/runner.py: {built}"
