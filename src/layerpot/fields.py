@@ -180,6 +180,8 @@ def _no_singularities(grad_bound=None):
 
 def constant(value: float) -> ScalarField:
     value = float(value)
+    if not math.isfinite(value):
+        raise ParameterError(f"constant value must be finite, got {value}")
     return ScalarField(
         name=f"constant({value:g})",
         evaluate_fn=lambda x: np.full(len(x), value),
@@ -193,6 +195,8 @@ def constant(value: float) -> ScalarField:
 def linear(offset: float, slope) -> ScalarField:
     slope = np.asarray(slope, dtype=float).reshape(-1)
     offset = float(offset)
+    if not np.isfinite(slope).all() or not math.isfinite(offset):
+        raise ParameterError(f"linear offset and slope must be finite, got {offset}, {slope.tolist()}")
     mag = float(np.linalg.norm(slope))
 
     def closed(domain: Domain, p: LebesgueExponent):
@@ -259,61 +263,46 @@ def quadratic_radial(center) -> ScalarField:
     )
 
 
-def _complex_power(z, n: int):
-    """z ** n with the bits of numpy's power, which takes its general
-    complex path for n = 0 and 1, at a tenth of its cost there."""
-    if n == 0:
-        return np.ones_like(z)
+def _power_parts(x, n: int):
+    """(Re, Im) of (x1 + i x2)^n for n >= 1 from the real product
+    (re, im) (u, v) = (u re - v im, u im + v re): z^(n//2) squared, times
+    z if n is odd, so degree n takes O(log n) products."""
+    u, v = x[:, 0], x[:, 1]
     if n == 1:
-        # the power maps a zero of any sign to +0 + 0j
-        return z if z.all() else np.where(z == 0, 0j, z)
-    return z**n
+        return u, v
+    re, im = _power_parts(x, n // 2)
+    re, im = re * re - im * im, re * im + im * re
+    if n % 2:
+        re, im = u * re - v * im, u * im + v * re
+    return re, im
 
 
 def harmonic_poly(degree: int, dim: int = 2) -> ScalarField:
-    """A harmonic polynomial: Re (x1 + i x2)^k in 2-D; x1 (k=1) or
-    x1^2 - x2^2 (k=2) in 3-D."""
+    """Re (x1 + i x2)^k, harmonic in every R^N with N >= 2.
+
+    Its gradient is (k Re z^(k-1), -k Im z^(k-1), 0, ...), z = x1 + i x2.
+    """
     k = int(degree)
     if k < 1:
         raise ParameterError(f"harmonic polynomial degree must be >= 1, got {degree}")
-    if dim == 2:
+    if dim < 2:
+        raise DimensionError(f"harmonic polynomials live in R^N with N >= 2, got N = {dim}")
 
-        def ev(x):
-            z = x[:, 0] + 1j * x[:, 1]
-            return _complex_power(z, k).real
-
-        def gr(x):
-            z = x[:, 0] + 1j * x[:, 1]
-            # d/dx Re z^k = Re k z^{k-1}, d/dy Re z^k = -Im k z^{k-1}
-            w = k * _complex_power(z, k - 1)
-            return np.column_stack([w.real, -w.imag])
-
-    elif dim == 3:
+    def ev(x):
         if k == 1:
+            return x[:, 0].copy()
+        re, im = _power_parts(x, k - 1)
+        return x[:, 0] * re - x[:, 1] * im
 
-            def ev(x):
-                return x[:, 0].copy()
-
-            def gr(x):
-                g = np.zeros_like(x)
-                g[:, 0] = 1.0
-                return g
-
-        elif k == 2:
-
-            def ev(x):
-                return x[:, 0] ** 2 - x[:, 1] ** 2
-
-            def gr(x):
-                g = np.zeros_like(x)
-                g[:, 0] = 2.0 * x[:, 0]
-                g[:, 1] = -2.0 * x[:, 1]
-                return g
-
+    def gr(x):
+        g = np.zeros_like(x)
+        if k == 1:
+            g[:, 0] = 1.0
         else:
-            raise ParameterError("3-D harmonic polynomials are provided for degree 1 and 2 only")
-    else:
-        raise DimensionError("harmonic polynomials are catalogued for N in {2, 3}")
+            re, im = _power_parts(x, k - 1)
+            g[:, 0] = k * re
+            g[:, 1] = -k * im
+        return g
 
     return ScalarField(
         name=f"harmonic_poly({k})" + ("" if dim == 2 else f"[{dim}d]"),
@@ -377,8 +366,8 @@ def power_distance(center, power: float) -> ScalarField:
     """|x - a|^beta for beta > 0; registers a as singular."""
     a = as_point(center)
     beta = float(power)
-    if beta <= 0.0:
-        raise ParameterError(f"power must be positive, got {power}")
+    if not 0.0 < beta < math.inf:
+        raise ParameterError(f"power must be positive and finite, got {power}")
     if beta == 1.0:
         return distance(a)
 

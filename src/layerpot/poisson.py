@@ -48,17 +48,17 @@ def poisson_evaluate(ball: Ball, phi, y, order: int = 64) -> float:
 class DirichletSolution:
     """Harmonic extension of boundary data into a ball.
 
-    Boundary data, a ScalarField or a number, is sampled at the quadrature
-    resolution of each evaluate call (the field is retained, so finer orders
-    resample it); no interpolation scheme is committed to.
+    Boundary data, a ScalarField or a number, is sampled afresh at the
+    solution's quadrature order by each evaluate call (the field is
+    retained, not its samples); no interpolation scheme is committed to.
     """
 
     ball: Ball
     boundary_data: object
     order: int = 64
 
-    def evaluate(self, y, order: int | None = None) -> float:
-        return poisson_evaluate(self.ball, self.boundary_data, y, order or self.order)
+    def evaluate(self, y) -> float:
+        return poisson_evaluate(self.ball, self.boundary_data, y, self.order)
 
 
 def dirichlet_chi(ball: Ball, f, order: int = 64) -> DirichletSolution:

@@ -73,8 +73,9 @@ class LayerEvaluation:
 def _boundary_value(h, domain: Domain, z: np.ndarray, order: int) -> float:
     """Direct boundary evaluation of the double-layer potential.
 
-    On a circle the kernel is the constant 1 / (2 omega_2 R) including its
-    diagonal limit; on a sphere the 1/|x-z| singularity is cancelled by the
+    On a ball the kernel is |x - z|^(2-N) / (2 R omega_N): on a circle the
+    constant 1 / (2 R omega_2) including its diagonal limit (r^0 = 1
+    exactly); on a sphere the 1/|x-z| singularity is cancelled by the
     sin(theta) Jacobian of a rule whose pole sits at z; on a smooth curve
     the kernel extends continuously to the diagonal with value
     curvature / (4 pi) and the coincident node (if any) uses that limit.
@@ -82,13 +83,9 @@ def _boundary_value(h, domain: Domain, z: np.ndarray, order: int) -> float:
     moment = _moment_callable(h)
     if isinstance(domain, Ball):
         rule = domain.boundary_rule(order, pole=(z - domain.center))
-        vals = moment(rule.nodes)
-        if domain.dim == 2:
-            kernel = np.full(len(vals), 1.0 / (2.0 * sphere_area(2) * domain.radius))
-        else:
-            r = row_norms(rule.nodes - z)
-            kernel = r ** (2 - domain.dim) / (2.0 * domain.radius * sphere_area(domain.dim))
-        return rule.integrate(vals * kernel)
+        r = row_norms(rule.nodes - z)
+        kernel = r ** (2 - domain.dim) / (2.0 * domain.radius * sphere_area(domain.dim))
+        return rule.integrate(moment(rule.nodes) * kernel)
     rule = domain.boundary_rule(order)
     coincident = row_norms(rule.nodes - z) <= 1e-10 * domain.diameter
     kernel = np.empty(len(coincident))

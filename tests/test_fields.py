@@ -10,6 +10,7 @@ import layerpot.fields
 from diagnostics import fd_gradient, holder_ratio
 from layerpot.errors import (
     CatalogError,
+    DimensionError,
     ExponentError,
     IntegrabilityError,
     ParameterError,
@@ -37,6 +38,7 @@ CATALOG_3D = [
     lp.catalog("quadratic_radial", [0.2, -0.1, 0.3]),
     lp.catalog("harmonic_poly", 1, dim=3),
     lp.catalog("harmonic_poly", 2, dim=3),
+    lp.catalog("harmonic_poly", 3, dim=3),
     lp.catalog("distance", [0.3, 0.1, -0.2]),
     lp.catalog("power_distance", [0.3, 0.1, -0.2], 0.5),
 ]
@@ -305,13 +307,36 @@ def test_coordinate_gradient_has_the_bits_of_the_unit_row_product(dim):
         assert lp.catalog("coordinate", i).gradient(x).tobytes() == old.tobytes()
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 4])
-def test_harmonic_poly_has_the_bits_of_numpys_complex_power(degree):
-    # the 2-D field and its gradient take products where numpy's power
-    # takes its general complex path; every point must keep its bits
-    x = _points_with_signed_zeros(2)
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6, 64])
+def test_harmonic_poly_is_numpys_complex_power_to_roundoff(degree, dim):
+    # the real product recurrence and numpy's complex power round
+    # differently; each part must lie within 2 k ulps of the modulus
+    # (|z|^k for the value, k |z|^(k-1) for the gradient)
+    x = _points_with_signed_zeros(dim)
     z = x[:, 0] + 1j * x[:, 1]
     w = degree * z ** (degree - 1)
-    f = lp.catalog("harmonic_poly", degree)
-    assert f.evaluate(x).tobytes() == (z**degree).real.tobytes()
-    assert f.gradient(x).tobytes() == np.column_stack([w.real, -w.imag]).tobytes()
+    f = lp.catalog("harmonic_poly", degree, dim=dim)
+    ulps = 2 * degree * np.finfo(float).eps
+    assert np.all(np.abs(f.evaluate(x) - (z**degree).real) <= ulps * np.abs(z) ** degree)
+    g = f.gradient(x)
+    assert np.all(np.abs(g[:, 0] - w.real) <= ulps * np.abs(w))
+    assert np.all(np.abs(g[:, 1] + w.imag) <= ulps * np.abs(w))
+    assert g[:, 2:].tobytes() == np.zeros((len(x), dim - 2)).tobytes()
+
+
+@pytest.mark.parametrize("dim", [0, 1])
+def test_harmonic_poly_needs_two_coordinates(dim):
+    with pytest.raises(DimensionError):
+        lp.catalog("harmonic_poly", 2, dim=dim)
+
+
+def test_harmonic_poly_3d_degrees_1_and_2_keep_their_bits():
+    # the recurrence takes the float operations of x1 and x1^2 - x2^2
+    x = _points_with_signed_zeros(3)
+    a, b = x[:, 0], x[:, 1]
+    f1, f2 = lp.catalog("harmonic_poly", 1, dim=3), lp.catalog("harmonic_poly", 2, dim=3)
+    assert f1.evaluate(x).tobytes() == a.tobytes()
+    assert f1.gradient(x).tobytes() == np.column_stack([np.ones_like(a), np.zeros_like(a), np.zeros_like(a)]).tobytes()
+    assert f2.evaluate(x).tobytes() == (a**2 - b**2).tobytes()
+    assert f2.gradient(x).tobytes() == np.column_stack([2.0 * a, -2.0 * b, np.zeros_like(a)]).tobytes()

@@ -341,6 +341,11 @@ def test_cli_unparsable_value_exit_2_with_line(command, line, tmp_path, capsys):
         ("verify", "domain.base_radius = -3"),
         ("verify", "domain.cosine_frequency = x"),
         ("verify", "domain.cosine_amplitude = nan"),
+        # non-finite field parameters
+        ("verify", "fields = constant:nan"),
+        ("verify", "fields = linear:nan,1,0"),
+        ("verify", "fields = power_distance:0,0,nan"),
+        ("verify", "fields = power_distance:0,0,inf"),
     ],
 )
 def test_cli_inadmissible_value_exit_2_with_line(command, line, tmp_path, capsys):
@@ -412,6 +417,20 @@ def test_bound_default_exponents_in_3d_exit_2(tmp_path, capsys):
     assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 2
     assert "bound.exponents must be a comma list of exponents > domain.dim" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_3d_harmonic_poly_of_degree_3_passes_f1_and_fig(tmp_path, capsys):
+    # Re (x1 + i x2)^k is harmonic in every dimension, so 3-D takes any degree
+    cfg = tmp_path / "ball3d.cfg"
+    cfg.write_text(
+        "domain.dim = 3\ndomain.center = 0,0,0\nfields = harmonic_poly:3\n"
+        "identities = F1, FIG\norders = 32\nprobes.count = 2\n"
+    )
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = out.read_text().splitlines()[1:]
+    assert rows and all(",harmonic_poly(3)[3d],3," in r and r.endswith(",true") for r in rows)
 
 
 @pytest.mark.parametrize("p", ["6", "4"])

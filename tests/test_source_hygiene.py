@@ -155,3 +155,40 @@ def test_only_the_runner_builds_a_thread_pool():
     # one place decides how many threads run: ``runner._run_tasks``
     built = {path: lines for path, tree in TREES.items() if (lines := _pool_constructions(tree))}
     assert set(built) == {"harness/runner.py"}, f"ThreadPoolExecutor is built outside harness/runner.py: {built}"
+
+
+def _dense_algebra_calls(tree):
+    """Lines that call ``polyfit`` or a ``linalg`` function other than
+    ``norm``, by attribute (``np.linalg.lstsq``) or by an imported name."""
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
+        for alias in node.names
+        if alias.name != "norm"
+    }
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            bad = func.id == "polyfit" or func.id in imported
+        elif isinstance(func, ast.Attribute):
+            owner = func.value
+            in_linalg = (isinstance(owner, ast.Attribute) and owner.attr == "linalg") or (
+                isinstance(owner, ast.Name) and owner.id == "linalg"
+            )
+            bad = func.attr == "polyfit" or (in_linalg and func.attr != "norm")
+        else:
+            bad = False
+        if bad:
+            calls.append(node.lineno)
+    return calls
+
+
+def test_no_lapack_call():
+    # every Gauss rule comes from a Newton solver and every fit from a closed
+    # form: no LAPACK call, whose BLAS threads spin after it returns
+    found = {path: lines for path, tree in TREES.items() if (lines := _dense_algebra_calls(tree))}
+    assert not found, f"src/layerpot calls polyfit or a linalg function other than norm: {found}"
