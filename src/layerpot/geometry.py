@@ -1368,8 +1368,10 @@ def composite_volume_rule(
     if holes:
         n_hole = min(order, HOLE_ORDER)
         hdirs, hw_ang = angular_rule(domain.dim, n_hole)
+        # each ray of a hole's block covers [0, hr] whole: one piece per ray
+        ray, start = np.arange(len(hdirs)), np.zeros(len(hdirs))
     for hc, hr, hp in holes:
-        table = _interval_table(hc, hdirs, np.full(len(hdirs), hr), {}, ())
+        table = (ray, start, np.full(len(hdirs), hr))
         blocks.append((hc, hdirs, hw_ang, table, n_hole, hp, False))
     count = sum(len(block[3][0]) * block[4] for block in blocks)
     if count > max_nodes_budget():

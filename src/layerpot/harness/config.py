@@ -13,7 +13,7 @@ must be.  What one command needs from several keys together is checked by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,13 +60,13 @@ def _value(convert, ok=lambda v: True):
     return parse
 
 
-def _values(convert, ok=lambda v: True, at_least=1, distinct=False):
-    """Parser of a comma list of at least ``at_least`` values."""
+def _values(convert, ok=lambda v: True, distinct=False):
+    """Parser of a non-empty comma list of values."""
     item = _value(convert, ok)
 
     def parse(text, dim):
         values = tuple(item(v, dim) for v in text.split(",") if v.strip())
-        if len(values) < at_least or (distinct and len(set(values)) < len(values)):
+        if not values or (distinct and len(set(values)) < len(values)):
             raise ValueError(text)
         return values
 
@@ -155,11 +155,6 @@ _SUITE_KEYS = {
     "probes.exterior_count": ("exterior_count", *_COUNT),
     "probes.seed": ("seed", *_SEED),
     "probes.margin": ("margin", _value(float, lambda v: 0.0 < v < 1.0), "a number in (0, 1)"),
-    "jump.distances": (
-        "jump_distances",
-        _values(float, _positive, at_least=2, distinct=True),
-        "a comma list of at least two distinct positive numbers",
-    ),
     "double.order_outer": ("order_outer", *_ORDER),
     "double.order_inner": ("order_inner", *_ORDER),
     "bound.exponents": ("bound_exponents", _bound_exponents, "a comma list of exponents > domain.dim"),
@@ -178,11 +173,7 @@ _SUITE_KEYS = {
 #: keys read by ``_domain``, which checks them against each other
 _DOMAIN_KEYS = ("shape", "dim", "center", "radius", "base_radius", "cosine_amplitude", "cosine_frequency")
 
-KNOWN_KEYS = (
-    set(_SUITE_KEYS)
-    | {f"domain.{name}" for name in _DOMAIN_KEYS}
-    | {f"tolerances.{name}" for name in IDENTITIES}
-)
+KNOWN_KEYS = set(_SUITE_KEYS) | {f"domain.{name}" for name in _DOMAIN_KEYS}
 
 
 def _reject(key, what, text, line):
@@ -213,7 +204,6 @@ class SuiteConfig:
     exterior_count: int = 2
     seed: int = 1234
     margin: float = 0.25
-    jump_distances: tuple = (1e-2, 5e-3)
     order_outer: int = 32
     order_inner: int = 64
     bound_exponents: tuple = (math.inf, 3.0)
@@ -221,7 +211,6 @@ class SuiteConfig:
     table_dims: tuple = (2, 3, 4)
     table_exponents: tuple = (math.inf, 3.0, 4.0)
     table_radii: tuple = (1.0,)
-    tolerances: dict = dataclass_field(default_factory=dict)
     output_format: str = "csv"
     output_path: str = "-"
 
@@ -262,10 +251,6 @@ def build_config(text: str, command: str | None = None) -> SuiteConfig:
     cfg = SuiteConfig(domain=_domain(raw))
     for key, (attr, parse, what) in _SUITE_KEYS.items():
         setattr(cfg, attr, _read(raw, key, parse, what, getattr(cfg, attr), cfg.domain.dim))
-    for name in IDENTITIES:
-        key = f"tolerances.{name}"
-        if key in raw:
-            cfg.tolerances[name] = _read(raw, key, _value(float, lambda v: v >= 0.0), "a number >= 0", None)
     if command is not None:
         check_command(cfg, command, raw)
     return cfg

@@ -72,8 +72,7 @@ def generate_probes(cfg: SuiteConfig):
 
 
 def _row(cfg, report, field_name) -> Row:
-    """The report row of ``report``, held to the config's tolerance for its
-    identity where the config sets one."""
+    """The report row of ``report``, held to its own tolerance."""
     return Row(
         suite=cfg.suite,
         identity=report.identity,
@@ -84,7 +83,7 @@ def _row(cfg, report, field_name) -> Row:
         lhs=report.lhs,
         rhs=report.rhs,
         residual=report.residual,
-        tolerance=cfg.tolerances.get(report.identity, report.tolerance),
+        tolerance=report.tolerance,
     )
 
 
@@ -107,7 +106,7 @@ def _verify_tasks(cfg: SuiteConfig):
     # rebound module name is seen
     table = {
         "GAUSS": (interior[:1] + boundary[:1] + exterior[:1], lambda f, y, o: check_gauss(domain, y, o)),
-        "JUMP": (boundary, lambda f, y, o: check_jump(f, domain, y, cfg.jump_distances, o)),
+        "JUMP": (boundary, lambda f, y, o: check_jump(f, domain, y, o)),
         "F1": (interior, lambda f, y, o: check_f1(f, domain, y, o)),
         "FIG": (interior + exterior, lambda f, y, o: check_fig(f, domain, y, o)),
         "RP0": (interior, lambda f, y, o: check_rp(f, domain, y, exterior[0], o, "RP0")),

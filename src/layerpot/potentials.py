@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapabilityError, ParameterError, PlacementError, ResolutionError
+from .errors import CapabilityError, ParameterError, PlacementError
 from .fields import ScalarField, _singular_rule
 from .geometry import (
     BOUNDARY,
@@ -166,56 +166,30 @@ class JumpRelationResult:
     exterior_limit_estimate: float
 
 
-def _richardson(values, distances):
-    """First-order Richardson extrapolation from the two smallest offsets."""
-    d1, d2 = distances[-2], distances[-1]
-    v1, v2 = values[-2], values[-1]
+def _normal_limit(value_at, domain: Domain, z, offsets, side: float) -> float:
+    """One-sided limit of ``value_at`` at boundary point z along the normal.
+
+    Evaluates at z + side d nu(z) for the two ``offsets`` d, given in
+    inradii and largest first (side -1 approaches from inside, +1 from
+    outside), and extrapolates linearly to d = 0.
+    """
+    z = as_point(z, domain.dim)
+    if domain.classify(z) != BOUNDARY:
+        raise PlacementError(f"{z.tolist()} is not a boundary point")
+    nu = domain.outward_normal(z)
+    d1, d2 = (d * domain.inradius for d in offsets)
+    v1, v2 = (value_at(z + side * d * nu) for d in (d1, d2))
     return v2 + (v2 - v1) * d2 / (d1 - d2)
 
 
-def _require_monotone(values, scale: float) -> None:
-    """Reject one-sided sequences whose successive differences grow.
+def jump_relation_check(h, domain: Domain, y0, order: int = 64) -> JumpRelationResult:
+    """Estimate the one-sided limits of the double layer across the boundary,
+    from offsets of 1e-2 and 5e-3 inradii along the normal at y0."""
 
-    Differences below a 1e-6 noise floor (relative to the value scale) are
-    converged-to-roundoff, not a resolution failure; genuine
-    under-resolution shows up at the scale of the jump itself.
-    """
-    if len(values) < 3:
-        return
-    steps = np.abs(np.diff(values))
-    grew = (np.diff(steps) > 1e-6 * scale) & (steps[1:] > 1e-6 * scale)
-    if np.any(grew):
-        raise ResolutionError(
-            "one-sided values do not converge monotonically; raise the quadrature order"
-        )
+    def value_at(y):
+        return double_layer(h, domain, y, order).value
 
-
-def jump_relation_check(h, domain: Domain, y0, distances, order: int = 64) -> JumpRelationResult:
-    """Estimate the one-sided limits of the double layer across the boundary.
-
-    Evaluates along y0 -/+ d nu(y0) for the given decreasing offsets and
-    extrapolates each side linearly from the two smallest offsets.  A
-    non-monotone difference sequence (beyond rounding noise) signals
-    under-resolution and raises ResolutionError.
-    """
-    y0 = as_point(y0, domain.dim)
-    if domain.classify(y0) != BOUNDARY:
-        raise PlacementError(f"{y0.tolist()} is not a boundary point")
-    ds = np.sort(np.atleast_1d(np.asarray(distances, dtype=float)))[::-1]
-    if len(ds) < 2:
-        raise ParameterError("need at least two approach distances")
-    nu = domain.outward_normal(y0)
-    ins, outs = [], []
-    for d in ds:
-        ins.append(double_layer(h, domain, y0 - d * nu, order).value)
-        outs.append(double_layer(h, domain, y0 + d * nu, order).value)
-    scale = max(1.0, max(abs(v) for v in ins + outs))
-    _require_monotone(ins, scale)
-    _require_monotone(outs, scale)
-    return JumpRelationResult(
-        interior_limit_estimate=_richardson(ins, ds),
-        exterior_limit_estimate=_richardson(outs, ds),
-    )
+    return JumpRelationResult(*(_normal_limit(value_at, domain, y0, (1e-2, 5e-3), side) for side in (-1.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +274,7 @@ def boundary_limit_zeta(f: ScalarField, domain: Domain, z, order: int = 64) -> f
     1e-2 inradii along the inward normal, so the trace comes from the
     volume machinery and not from the double layer it is compared with.
     """
-    z = as_point(z, domain.dim)
-    if domain.classify(z) != BOUNDARY:
-        raise PlacementError(f"{z.tolist()} is not a boundary point")
-    ds = (2e-2 * domain.inradius, 1e-2 * domain.inradius)
-    nu = domain.outward_normal(z)
-    vals = [gradient_volume_integral(f, domain, z - d * nu, order) for d in ds]
-    return _richardson(vals, ds)
+    return _normal_limit(lambda y: gradient_volume_integral(f, domain, y, order), domain, z, (2e-2, 1e-2), -1.0)
 
 
 # ---------------------------------------------------------------------------

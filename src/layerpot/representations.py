@@ -1,10 +1,10 @@
 """Evaluates both sides of every representation identity and reports residuals.
 
 Each check returns an IdentityReport carrying the two sides, their absolute
-difference, the tolerance the row is held to, and the quadrature metadata.
+difference, the tolerance the row is held to, the order and the points.
 The tolerance is the identity's entry in ``IDENTITIES``: a fixed value, or
 the field class's (1e-6 for smooth fields, 1e-4 for fields with singular
-points).  The harness applies a config's overrides to the rows.
+points).  Nothing overrides it.
 
 Identity identifiers
 --------------------
@@ -51,7 +51,7 @@ from .potentials import (
     jump_relation_check,
     newtonian_integrals,
 )
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 SMOOTH_TOL = 1e-6
 SINGULAR_TOL = 1e-4
@@ -93,7 +93,6 @@ class IdentityReport:
     tolerance: float
     order: int
     points: tuple
-    metadata: dict = dataclass_field(default_factory=dict)
 
     @property
     def residual(self) -> float:
@@ -108,7 +107,7 @@ class IdentityReport:
         return self.passed
 
 
-def _report(identity, f, lhs, rhs, order, points, **metadata) -> IdentityReport:
+def _report(identity, f, lhs, rhs, order, points) -> IdentityReport:
     """The report of ``identity`` for field ``f``, held to its ``IDENTITIES`` tolerance."""
     tolerance = IDENTITIES[identity]
     if tolerance is None:
@@ -120,7 +119,6 @@ def _report(identity, f, lhs, rhs, order, points, **metadata) -> IdentityReport:
         tolerance=tolerance,
         order=int(order),
         points=tuple(tuple(np.atleast_1d(p).tolist()) for p in points),
-        metadata=metadata,
     )
 
 
@@ -157,10 +155,10 @@ def check_gauss(domain: Domain, y, order: int = 64) -> IdentityReport:
     return _report("GAUSS", None, dl.value, expect, order, [y])
 
 
-def check_jump(f: ScalarField, domain: Domain, y0, distances, order: int = 64) -> IdentityReport:
+def check_jump(f: ScalarField, domain: Domain, y0, order: int = 64) -> IdentityReport:
     """Difference of the one-sided limits of the double layer at boundary y0
     against the moment value there."""
-    res = jump_relation_check(f, domain, y0, distances, order)
+    res = jump_relation_check(f, domain, y0, order)
     lhs = res.interior_limit_estimate - res.exterior_limit_estimate
     return _report("JUMP", f, lhs, f.evaluate(y0), order, [y0])
 
@@ -173,7 +171,7 @@ def check_f1(f: ScalarField, domain: Domain, y, order: int = 128) -> IdentityRep
     lhs = f.evaluate(y)
     dl = double_layer(f, domain, y, order)
     vol = gradient_volume_integral(f, domain, y, order)
-    return _report("F1", f, lhs, dl.value - vol, order, [y], double_layer=dl.value, volume=vol)
+    return _report("F1", f, lhs, dl.value - vol, order, [y])
 
 
 def _fig_terms(f: ScalarField, domain: Domain, z, order: int) -> tuple[float, float]:
@@ -190,7 +188,7 @@ def check_fig(f: ScalarField, domain: Domain, y, order: int = 64) -> IdentityRep
     lhs = _volume_integral(f, domain, order)
     bnd, vol = _fig_terms(f, domain, y, order)
     rhs = (bnd - vol) / domain.dim
-    return _report("FIG", f, lhs, rhs, order, [y], boundary_term=bnd, volume_term=vol)
+    return _report("FIG", f, lhs, rhs, order, [y])
 
 
 def check_ball_corollaries(f: ScalarField, ball: Ball, y, order: int = 64, which: str = "MAT") -> IdentityReport:
@@ -215,23 +213,17 @@ def check_ball_corollaries(f: ScalarField, ball: Ball, y, order: int = 64, which
         smooth = _gradient_pairing(f, ball, a, order) / (omega * R**n)
 
     if which == "REP2":
-        return _report("REP2", f, lhs, surface_mean - vol, order, [a], surface_mean=surface_mean, volume=vol)
+        return _report("REP2", f, lhs, surface_mean - vol, order, [a])
     if which == "REP3":
-        return _report(
-            "REP3", f, lhs, volume_mean - vol + smooth, order, [a],
-            volume_mean=volume_mean, singular_part=vol, smooth_part=smooth,
-        )
+        return _report("REP3", f, lhs, volume_mean - vol + smooth, order, [a])
 
     if which in ("MAT", "CERC"):
         dl = double_layer(f, ball, y, order).value
     if which == "MAT":
-        return _report("MAT", f, lhs, dl - vol, order, [y], double_layer=dl, volume=vol)
+        return _report("MAT", f, lhs, dl - vol, order, [y])
     if which == "CERC":
         rhs = volume_mean - surface_mean + dl - vol + smooth
-        return _report(
-            "CERC", f, lhs, rhs, order, [y],
-            volume_mean=volume_mean, surface_mean=surface_mean, double_layer=dl,
-        )
+        return _report("CERC", f, lhs, rhs, order, [y])
 
     # COM: route the boundary contribution through the harmonic extension.
     def kernel(nodes, normals, targets):
@@ -241,7 +233,7 @@ def check_ball_corollaries(f: ScalarField, ball: Ball, y, order: int = 64, which
     chi = dirichlet_chi(ball, f, order).evaluate(y)
     correction = float(_peaked_integrals(f, ball, y, [distance], order, kernel)[0][0])
     rhs = chi + correction - vol
-    return _report("COM", f, lhs, rhs, order, [y], chi=chi, correction=correction, volume=vol)
+    return _report("COM", f, lhs, rhs, order, [y])
 
 
 def check_rp(f: ScalarField, domain: Domain, y, z=None, order: int = 64, which: str = "RP1") -> IdentityReport:
@@ -259,7 +251,7 @@ def check_rp(f: ScalarField, domain: Domain, y, z=None, order: int = 64, which: 
     vol = gradient_volume_integral(f, domain, y, order)
     bnd_z, vol_z = _fig_terms(f, domain, z, order)
     rhs = mean + (dl - bnd_z / (n * meas)) - (vol - vol_z / (n * meas))
-    return _report(which, f, f.evaluate(y), rhs, order, [y, z], mean=mean, double_layer=dl)
+    return _report(which, f, f.evaluate(y), rhs, order, [y, z])
 
 
 def check_c2_exterior(f: ScalarField, domain: Domain, y, order: int = 64) -> IdentityReport:
@@ -309,7 +301,7 @@ def check_f2_f3(
     bnd_z, vol_z = _fig_terms(f, domain, z, order_inner)
     inner_total = outer.integrate(lambda x: [gradient_volume_integral(f, domain, yk, order_inner) for yk in x])
     rhs_f2 = (bnd_z - vol_z) / domain.dim + inner_total
-    rep_f2 = _report("F2", f, lhs_f2, rhs_f2, order_outer, [z], order_inner=order_inner, inner_total=inner_total)
+    rep_f2 = _report("F2", f, lhs_f2, rhs_f2, order_outer, [z])
 
     brule = domain.boundary_rule(order_outer)
     ubar_b = np.array([double_layer(f, domain, zk, order_inner).value for zk in brule.nodes])
@@ -317,7 +309,7 @@ def check_f2_f3(
     trace = _surface_integral(f, domain, order_outer)
     zetas = np.array([boundary_limit_zeta(f, domain, zk, order_inner) for zk in brule.nodes])
     rhs_f3 = 0.5 * trace + brule.integrate(zetas)
-    rep_f3 = _report("F3", f, lhs_f3, rhs_f3, order_outer, [], order_inner=order_inner)
+    rep_f3 = _report("F3", f, lhs_f3, rhs_f3, order_outer, [])
     return rep_f2, rep_f3
 
 
@@ -332,7 +324,7 @@ def check_grr(f: ScalarField, domain: Domain, y, order: int = 64) -> IdentityRep
     lhs = gradient_volume_integral(f, domain, y, order)
     parts = newtonian_integrals(f, domain, y, order)
     rhs = parts.boundary_term - parts.volume_term
-    return _report("GRR", f, lhs, rhs, order, [y], boundary_term=parts.boundary_term, volume_term=parts.volume_term)
+    return _report("GRR", f, lhs, rhs, order, [y])
 
 
 def check_green_riemann(f: ScalarField, domain: Domain, y, order: int = 64) -> IdentityReport:
@@ -347,9 +339,7 @@ def check_green_riemann(f: ScalarField, domain: Domain, y, order: int = 64) -> I
     dl = double_layer(f, domain, y, order).value
     if cls == BOUNDARY:
         zeta = boundary_limit_zeta(f, domain, y, order)
-        return _report(
-            "GREEN_RIEMANN_BOUNDARY", f, f.evaluate(y), 2.0 * dl - 2.0 * zeta, order, [y], double_layer=dl
-        )
+        return _report("GREEN_RIEMANN_BOUNDARY", f, f.evaluate(y), 2.0 * dl - 2.0 * zeta, order, [y])
     parts = newtonian_integrals(f, domain, y, order)
     rhs = dl - parts.boundary_term + parts.volume_term
     if cls == INTERIOR:

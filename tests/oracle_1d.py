@@ -101,15 +101,11 @@ def montgomery_identity_1d(f: Field1D, a: float, b: float, x: float, n: int = 64
     """
     if not (a <= x <= b):
         raise RangeError(f"x = {x} outside [{a}, {b}]")
-    kern = Montgomery1D(a, b)
     mean = _gauss_panel(f.value, a, b, n) / (b - a)
     left = _gauss_panel(lambda t: (t - a) * np.asarray(f.derivative(t), float), a, x, n) if x > a else 0.0
     right = _gauss_panel(lambda t: (t - b) * np.asarray(f.derivative(t), float), x, b, n) if x < b else 0.0
     rhs = mean + (left + right) / (b - a)
-    return IdentityReport(
-        "MONTGOMERY_1D", float(f.value(np.asarray(x))), float(rhs), tolerance, n, ((float(x), 0.0),),
-        metadata={"kernel": repr(kern)},
-    )
+    return IdentityReport("MONTGOMERY_1D", float(f.value(np.asarray(x))), float(rhs), tolerance, n, ((float(x), 0.0),))
 
 
 def ostrowski_bounds_1d(f: Field1D, a: float, b: float, x: float, norm: str = "inf", q: float | None = None, n: int = 64) -> BoundReport:

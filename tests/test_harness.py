@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import layerpot as lp
+from layerpot import representations
 from layerpot.errors import CapabilityError, ConfigError
 from layerpot.harness import parse_config
 from layerpot.harness.cli import _pin_malloc_thresholds, main
@@ -93,7 +94,8 @@ def test_verify_passes_and_rows_sorted():
     assert len(gauss) == 3
 
 
-def test_verify_numerical_failure_exit_code():
+def test_verify_numerical_failure_exit_code(monkeypatch):
+    monkeypatch.setitem(representations.IDENTITIES, "F1", 1e-18)
     cfg = build_config(
         """
 domain.shape = ball
@@ -104,7 +106,6 @@ orders = 8
 probes.count = 1
 probes.seed = 9
 probes.margin = 0.4
-tolerances.F1 = 1e-18
 """
     )
     rows, code = run_verify(cfg)
@@ -153,7 +154,8 @@ probes.margin = 0.4
     assert rates[0].lhs < -2.0  # spectral decay fitted as a steep power
 
 
-def test_converge_exit_code_reports_failing_rows():
+def test_converge_exit_code_reports_failing_rows(monkeypatch):
+    monkeypatch.setitem(representations.IDENTITIES, "F1", 1e-18)
     cfg = build_config(
         """
 domain.shape = ball
@@ -164,7 +166,6 @@ orders = 8, 16, 32
 probes.count = 1
 probes.seed = 7
 probes.margin = 0.4
-tolerances.F1 = 1e-18
 """
     )
     rows, code = run_converge(cfg)
@@ -311,9 +312,6 @@ def test_cli_unparsable_value_exit_2_with_line(command, line, tmp_path, capsys):
     [
         ("verify", "orders = 2"),
         ("verify", "double.order_inner = 2"),
-        ("verify", "jump.distances = 1e-2"),
-        ("verify", "jump.distances = 1e-2, 1e-2"),
-        ("verify", "jump.distances = -1e-2, 5e-3"),
         ("verify", "identities = F1, F1"),
         ("verify", "orders = 16, 16"),
         ("verify", "fields = coordinate:1 | coordinate:1"),
@@ -328,7 +326,6 @@ def test_cli_unparsable_value_exit_2_with_line(command, line, tmp_path, capsys):
         ("verify", "fields = linear:0,1,0,0"),
         ("verify", "fields = coordinate:3"),
         ("table", "table.dims = 2, 2"),
-        ("verify", "tolerances.F1 = -1"),
         ("bound", "bound.exponents = 2"),
         ("bound", "bound.exponents = inf, 1.5"),
         ("verify", "domain.dim = 4"),
@@ -458,35 +455,6 @@ def test_bound_exponent_with_an_integrable_gradient_runs(fields, p, tmp_path, ca
     assert len(out.read_text().splitlines()) > 1
 
 
-def test_every_tolerance_override_reaches_its_own_rows():
-    tolerances = {name: (k + 1) * 1e-3 for k, name in enumerate(IDENTITIES)}
-    cfg = build_config(
-        f"identities = {', '.join(IDENTITIES)}\norders = 8\nprobes.count = 1\nprobes.exterior_count = 1\n"
-        "double.order_outer = 4\ndouble.order_inner = 8\n"
-        + "".join(f"tolerances.{name} = {tol!r}\n" for name, tol in tolerances.items())
-    )
-    rows, _ = run_verify(cfg)
-    assert {r.identity for r in rows} == set(IDENTITIES)
-    for row in rows:
-        assert row.tolerance == tolerances[row.identity], row
-    assert {r.tolerance for r in rows} == set(tolerances.values())
-
-
-def test_f2_and_f3_rows_take_their_own_tolerance(tmp_path, capsys):
-    # F2 and F3 come from one evaluation; each row is held to its own key
-    cfg = tmp_path / "f2f3.cfg"
-    cfg.write_text(
-        "fields = quadratic_radial:0.1,0.2\nidentities = F2, F3\n"
-        "double.order_outer = 8\ndouble.order_inner = 16\n"
-        "tolerances.F2 = 0.5\ntolerances.F3 = 1e-30\n"
-    )
-    out = tmp_path / "r.csv"
-    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
-    rows = {row.split(",")[1]: row.split(",") for row in out.read_text().splitlines()[1:]}
-    assert rows["F2"][-2:] == ["0.5", "true"]
-    assert rows["F3"][-2:] == ["1e-30", "false"]
-
-
 def test_verify_runs_every_identity():
     # config admits every name in IDENTITIES, so verify must have a check for each
     for name in IDENTITIES:
@@ -536,7 +504,8 @@ def test_com_close_to_the_sphere_keeps_every_row(tmp_path, capsys):
     assert len(rows) == 2 * 20 and all(row.endswith(",true") for row in rows)
 
 
-def test_cli_numerical_failure_exit_1(tmp_path, capsys):
+def test_cli_numerical_failure_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(representations.IDENTITIES, "F1", 1e-18)
     cfg = tmp_path / "fail.cfg"
     cfg.write_text(
         """
@@ -548,7 +517,6 @@ orders = 8
 probes.count = 1
 probes.seed = 9
 probes.margin = 0.4
-tolerances.F1 = 1e-18
 """
     )
     code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
@@ -729,6 +697,30 @@ def test_zeta_mode_is_an_unknown_key(tmp_path, capsys):
     assert "unknown key 'zeta.mode'" in err and "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "tolerances.F1 = 1e-6",
+        "tolerances.F1 = -1",
+        "jump.distances = 1e-2, 5e-3",
+        "jump.distances = 1e-2",
+        "jump.distances = 1e-2, 1e-2",
+        "jump.distances = -1e-2, 5e-3",
+    ],
+    ids=["tolerances-valid", "tolerances-negative", "jump-valid", "jump-one", "jump-repeated", "jump-negative"],
+)
+def test_removed_keys_are_unknown(line, tmp_path, capsys):
+    # every row is held to its IDENTITIES tolerance and JUMP samples at
+    # fixed inradius offsets: no config sets either
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(f"fields = coordinate:1\n{line}\n")
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown key {line.split()[0]!r}" in err and "line 2" in err
+    assert not out.exists()
+
+
 def test_readme_config_block_lists_the_known_keys():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Configuration grammar", 1)[1]
@@ -739,10 +731,7 @@ def test_readme_config_block_lists_the_known_keys():
         match = re.match(r"([a-z_.A-Z0-9]+)\s*=", line)
         if match:
             keys.add(match.group(1))
-    documented = {k for k in keys if not k.startswith("tolerances.")}
-    assert documented == {k for k in KNOWN_KEYS if not k.startswith("tolerances.")}
-    # the per-identity tolerance keys are covered by one example
-    assert len(keys - documented) == 1 and (keys - documented) <= KNOWN_KEYS
+    assert keys == KNOWN_KEYS
 
 
 @pytest.mark.parametrize("cores, width", [(1, 1), (2, 2), (16, 8)])

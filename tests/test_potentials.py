@@ -66,7 +66,7 @@ def test_near_boundary_warning_metadata():
 
 
 def test_jump_relations_unit_moment():
-    res = lp.jump_relation_check(1.0, DISK, [0.0, 1.0], [1e-2, 5e-3], 64)
+    res = lp.jump_relation_check(1.0, DISK, [0.0, 1.0], 64)
     assert res.interior_limit_estimate == pytest.approx(1.0, abs=1e-7)
     assert res.exterior_limit_estimate == pytest.approx(0.0, abs=1e-7)
     assert lp.double_layer(1.0, DISK, [0.0, 1.0], 64).value == pytest.approx(0.5, abs=1e-12)
@@ -76,7 +76,7 @@ def test_jump_relations_coordinate_moment():
     h = lp.catalog("coordinate", 1)
     for theta in np.linspace(0, 2 * math.pi, 8, endpoint=False):
         y0 = np.array([math.cos(theta), math.sin(theta)])
-        res = lp.jump_relation_check(h, DISK, y0, [1e-2, 5e-3], 64)
+        res = lp.jump_relation_check(h, DISK, y0, 64)
         jump = res.interior_limit_estimate - res.exterior_limit_estimate
         assert jump == pytest.approx(h.evaluate(y0), abs=1e-4)
         # each one-sided limit against the direct boundary value
@@ -86,7 +86,7 @@ def test_jump_relations_coordinate_moment():
 
 
 def test_jump_relations_zero_moment():
-    res = lp.jump_relation_check(0.0, DISK, [1.0, 0.0], [1e-2, 5e-3], 64)
+    res = lp.jump_relation_check(0.0, DISK, [1.0, 0.0], 64)
     assert res.interior_limit_estimate == pytest.approx(0.0, abs=1e-12)
     assert res.exterior_limit_estimate == pytest.approx(0.0, abs=1e-12)
     assert lp.double_layer(0.0, DISK, [1.0, 0.0], 64).value == 0.0
@@ -566,16 +566,6 @@ def test_double_layer_batch_equals_double_layer_bitwise(domain):
     assert list(batch) == [lp.double_layer(h, domain, t, 64).value for t in targets]
 
 
-def test_monotone_guard_flags_growing_differences():
-    from layerpot.potentials import _require_monotone
-    from layerpot.errors import ResolutionError
-
-    _require_monotone([1.0, 1.001, 1.0011], 1.0)  # shrinking steps: fine
-    _require_monotone([1.0, 1.0 + 1e-9, 1.0 + 3e-9], 1.0)  # noise level: fine
-    with pytest.raises(ResolutionError):
-        _require_monotone([1.0, 1.01, 1.1], 1.0)
-
-
 def test_star_near_boundary_volume_integral_matches_interior_identity():
     # the volume integral at interior points equals (double layer - value);
     # exercising it close to a concave boundary section covers the
@@ -603,6 +593,6 @@ def test_star_jump_relations():
     h = lp.catalog("harmonic_poly", 2)
     for theta in (0.005, 1.3, 2.7):
         z = STAR.boundary_point(theta)
-        res = lp.jump_relation_check(h, STAR, z, [1e-2, 5e-3], 64)
+        res = lp.jump_relation_check(h, STAR, z, 64)
         jump = res.interior_limit_estimate - res.exterior_limit_estimate
         assert jump == pytest.approx(h.evaluate(z), abs=1e-3)

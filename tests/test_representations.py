@@ -12,7 +12,13 @@ from layerpot.errors import BudgetError, PlacementError
 from layerpot.geometry import escalated_order
 from layerpot.kernel import row_norms, sphere_area
 from layerpot.poisson import poisson_kernel
-from layerpot.representations import _estimate_f2_nodes
+from layerpot.representations import (
+    _estimate_f2_nodes,
+    _gradient_pairing,
+    _surface_integral,
+    _volume_integral,
+    check_jump,
+)
 
 DISK = lp.Ball([0.0, 0.0], 1.0)
 BALL3 = lp.Ball([0.0, 0.0, 0.0], 1.0)
@@ -80,6 +86,26 @@ def test_f1_rejects_non_interior_targets():
 
 
 # ---------------------------------------------------------------------------
+# JUMP
+# ---------------------------------------------------------------------------
+
+
+def test_jump_residual_scales_with_the_disk():
+    # the one-sided samples sit at fixed fractions of the inradius, so on a
+    # disk of radius R the residual of x1 is R times the unit disk's, up to
+    # roundoff in the constant part of x1 about an off-origin center; fixed
+    # offsets put the interior sample on the far side of a small disk
+    f = lp.catalog("coordinate", 1)
+    center, w = np.array([0.3, -0.2]), np.array([math.cos(0.7), math.sin(0.7)])
+    unit = check_jump(f, lp.Ball(center, 1.0), center + w, 64).residual
+    assert unit > 0.0
+    for radius in (0.005, 0.02, 100.0):
+        rep = check_jump(f, lp.Ball(center, radius), center + radius * w, 64)
+        assert rep.residual / radius == pytest.approx(unit, rel=0.05), radius
+        assert rep.passed or radius > 1.0, radius
+
+
+# ---------------------------------------------------------------------------
 # FIG
 # ---------------------------------------------------------------------------
 
@@ -131,9 +157,11 @@ def test_singular_point_on_the_boundary_keeps_the_rows():
 
 
 def test_rep2_distance_exact_cancellation():
-    rep = lp.check_ball_corollaries(lp.catalog("distance", [0.0, 0.0]), DISK, None, 64, "REP2")
-    assert rep.metadata["surface_mean"] == pytest.approx(1.0, rel=1e-12)
-    assert rep.metadata["volume"] == pytest.approx(1.0, abs=1e-10)
+    f = lp.catalog("distance", [0.0, 0.0])
+    rep = lp.check_ball_corollaries(f, DISK, None, 64, "REP2")
+    # the two terms of the right side, from the helpers the check sums
+    assert _surface_integral(f, DISK, 64) / DISK.surface_measure == pytest.approx(1.0, rel=1e-12)
+    assert lp.gradient_volume_integral(f, DISK, DISK.center, 64) == pytest.approx(1.0, abs=1e-10)
     assert rep.residual < 1e-10
 
 
@@ -149,9 +177,11 @@ def test_fig_and_rep3_integrate_a_distance_field_on_the_rule_centred_at_its_kink
 def test_rep3_quadratic_radial(ball, expected):
     f = lp.catalog("quadratic_radial", ball.center)
     rep = lp.check_ball_corollaries(f, ball, None, 48, "REP3")
-    assert rep.metadata["volume_mean"] == pytest.approx(expected, abs=1e-10)
-    correction = rep.metadata["singular_part"] - rep.metadata["smooth_part"]
-    assert correction == pytest.approx(expected, abs=1e-10)
+    # the terms of the right side, from the helpers the check sums
+    assert _volume_integral(f, ball, 48) / ball.volume_measure == pytest.approx(expected, abs=1e-10)
+    singular = lp.gradient_volume_integral(f, ball, ball.center, 48)
+    smooth = _gradient_pairing(f, ball, ball.center, 48) / (sphere_area(ball.dim) * ball.radius**ball.dim)
+    assert singular - smooth == pytest.approx(expected, abs=1e-10)
     assert rep.residual < 1e-10
 
 
@@ -209,7 +239,6 @@ def test_com_3d_sums_on_the_pole_aligned_escalated_rule():
     d = y - rule.nodes
     correction = rule.integrate(vals * ((d @ (y - BALL3.center)) / (1.0 * sphere_area(3) * row_norms(d) ** 3)))
     vol = lp.gradient_volume_integral(f, BALL3, y, 32)
-    assert (rep.metadata["chi"], rep.metadata["correction"]) == (chi, correction)
     assert rep.rhs == chi + correction - vol
 
 
@@ -346,9 +375,12 @@ def test_grr(field, y):
 def test_grr_harmonic_vanishing_parts():
     # f = x1 at y = 0 on the unit disk: kernel vanishes on the circle and
     # the field is harmonic, so both sides reduce to the volume pairing
-    rep = lp.check_grr(lp.catalog("coordinate", 1), DISK, [0.0, 0.0], 64)
-    assert rep.metadata["boundary_term"] == pytest.approx(0.0, abs=1e-8)
-    assert rep.metadata["volume_term"] == pytest.approx(0.0, abs=1e-12)
+    f = lp.catalog("coordinate", 1)
+    rep = lp.check_grr(f, DISK, [0.0, 0.0], 64)
+    parts = lp.newtonian_integrals(f, DISK, [0.0, 0.0], 64)
+    assert rep.rhs == parts.boundary_term - parts.volume_term
+    assert parts.boundary_term == pytest.approx(0.0, abs=1e-8)
+    assert parts.volume_term == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("field", GRR_FIELDS, ids=lambda f: f.name)

@@ -192,3 +192,20 @@ def test_no_lapack_call():
     # form: no LAPACK call, whose BLAS threads spin after it returns
     found = {path: lines for path, tree in TREES.items() if (lines := _dense_algebra_calls(tree))}
     assert not found, f"src/layerpot calls polyfit or a linalg function other than norm: {found}"
+
+
+def test_every_config_field_is_read_outside_the_config_module():
+    # a SuiteConfig field nothing reads is a config value that changes nothing
+    (suite,) = (
+        node for node in TREES["harness/config.py"].body if isinstance(node, ast.ClassDef) and node.name == "SuiteConfig"
+    )
+    fields = {node.target.id for node in suite.body if isinstance(node, ast.AnnAssign)}
+    read = {
+        sub.attr
+        for path, tree in TREES.items()
+        if path != "harness/config.py"
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    assert fields, "SuiteConfig declares no field"
+    assert not sorted(fields - read), f"SuiteConfig fields nothing outside harness/config.py reads: {sorted(fields - read)}"
